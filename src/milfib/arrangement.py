@@ -29,6 +29,10 @@ class GenericityError(RuntimeError):
     """A generic plane section could not be certified within the retry budget."""
 
 
+class InvariantViolation(AssertionError):
+    """A theorem-encoded internal check failed; indicates an implementation bug."""
+
+
 def _normalize_triple(values, order, leading_first):
     values = [as_cyclo(v, order).lift(order) for v in values]
     if all(v.is_zero() for v in values):
@@ -239,7 +243,7 @@ def build_lattice(arr: Arrangement) -> IncidenceLattice:
     points = tuple(sorted(found.values(), key=lambda p: p.point.key()))
     pair_count = sum(comb(p.multiplicity, 2) for p in points)
     if pair_count != comb(d, 2):
-        raise AssertionError(
+        raise InvariantViolation(
             f"pair-count identity violated: {pair_count} != C({d},2)")
     return IncidenceLattice(d, points)
 

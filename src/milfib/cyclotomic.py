@@ -271,6 +271,8 @@ class CycloNumber:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        if isinstance(other, int):  # scaling needs no reduction mod Phi_n
+            return CycloNumber(self.order, tuple(c * other for c in self.coeffs))
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -362,16 +364,21 @@ class CycloNumber:
 
     @classmethod
     def from_json(cls, data, order: int) -> "CycloNumber":
-        """Accepts the array form or a plain "p/q" string for a constant."""
-        if isinstance(data, str):
-            return cls.from_rational(Fraction(data), order)
-        if isinstance(data, (int, float)):
-            if isinstance(data, float) and not data.is_integer():
-                raise ValueError("non-integer float coefficients are not accepted")
-            return cls.from_rational(int(data), order)
-        coeffs = [Fraction(c) if not isinstance(c, float) else Fraction(int(c))
-                  for c in data]
-        return cls(order, coeffs)
+        """Accepts the array form or a plain "p/q" string for a constant.
+
+        Floats are accepted only when they are integers, in either form.
+        """
+        if isinstance(data, (str, int, float)):
+            return cls.from_rational(_json_rational(data), order)
+        return cls(order, [_json_rational(c) for c in data])
+
+
+def _json_rational(value) -> Fraction:
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError("non-integer float coefficients are not accepted")
+        return Fraction(int(value))
+    return Fraction(value)
 
 
 def as_cyclo(value, order: int = 1) -> CycloNumber:

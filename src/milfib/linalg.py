@@ -1,17 +1,39 @@
-"""Exact dense linear algebra over Q(zeta_n), plus integer Smith normal form.
+"""Dense linear algebra over Q(zeta_n): exact elimination, certified ranks
+over F_p, and integer Smith normal form.
 
-Matrices are small (at most a few hundred rows) but entries must stay exact,
-so elimination works over Fraction (order 1) or CycloNumber entries with
-plain division steps.  Pivots are chosen deterministically: first nonzero
-entry in column order, so kernel bases are reproducible.
+Exact elimination (:func:`rank`, :func:`nullspace`) works over Fraction
+(order 1) or CycloNumber entries with plain division steps.  Pivots are
+chosen deterministically: first nonzero entry in column order, so kernel
+bases are reproducible.  It is the reference path and the last resort.
+
+:func:`certified_rank` takes the rank of a matrix over Q(zeta_n) from its
+images over F_p, for primes p = 1 mod n of about 61 bits with zeta sent to
+a root of Phi_n mod p.  The caller builds those images itself, so entries
+are never formed as CycloNumber products.  A rank read off mod p is
+reported only with a certificate:
+
+* Every minor that is nonzero mod p is nonzero over Q(zeta), so
+  rank_p <= rank.  A prime dividing a denominator (the caller's ``modular``
+  returns None) is skipped.
+* rank_p == min(rows, cols) settles the rank at once.
+* Otherwise the cols - rank_p kernel vectors of the reduced echelon form,
+  each 1 at its own free column and 0 at the other free columns, are lifted:
+  their images under all phi(n) roots of Phi_n mod p, with the same pivots
+  under every root, are interpolated to power-basis coordinates mod p,
+  combined by CRT over the primes tried so far and rationally reconstructed.
+  The lift certifies rank == rank_p only if M x = 0 holds exactly over
+  Q(zeta) for every vector: then the kernel has dimension >= cols - rank_p.
+* After PRIME_BUDGET primes without a certificate the rank is taken by
+  exact elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from typing import Callable, NamedTuple
 
-from .cyclotomic import CycloNumber
+from .cyclotomic import CycloNumber, cyclotomic_polynomial, euler_phi
 
 
 class Matrix:
@@ -142,6 +164,302 @@ def mat_vec(m: Matrix, vec) -> list:
             acc = acc + m.entry(i, j) * vec[j]
         out.append(acc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Certified ranks over F_p.
+
+PRIME_BUDGET = 3
+_PRIME_BITS = 61
+# Miller-Rabin with these bases is deterministic below 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(m: int) -> bool:
+    if m < 2:
+        return False
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    odd, s = m - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, odd, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+class FieldPrime(NamedTuple):
+    """A prime p = 1 mod n with the phi(n) roots of Phi_n mod p.
+
+    ``roots[0]`` is the primitive n-th root omega the rank is read under;
+    ``vinv`` inverts the Vandermonde matrix (roots[a]^i), so that
+    coefficient i of an element is sum_a vinv[i][a] * (its image at roots[a]).
+    """
+
+    p: int
+    roots: tuple
+    vinv: tuple
+
+
+def _inverse_mod(mat, p):
+    """Inverse of a square matrix mod p, by elimination on [mat | I]."""
+    size = len(mat)
+    aug = [list(row) + [int(i == j) for j in range(size)]
+           for i, row in enumerate(mat)]
+    pivots, ech = _echelon_mod(aug, size, p)
+    if len(pivots) != size:
+        raise ArithmeticError("singular matrix mod p")
+    _back_substitute(pivots, ech, p)
+    return tuple(tuple(row[size:]) for row in ech)
+
+
+def _field_prime(n: int, p: int) -> FieldPrime:
+    primes = _prime_factors(n)
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // n, p)
+        if all(pow(omega, n // q, p) != 1 for q in primes):
+            break
+    roots = tuple(pow(omega, a, p) for a in range(1, n + 1) if gcd(a, n) == 1)
+    phi = len(roots)
+    vinv = _inverse_mod([[pow(r, i, p) for i in range(phi)] for r in roots], p)
+    return FieldPrime(p, roots, vinv)
+
+
+_FIELD_PRIMES: dict[int, list[FieldPrime]] = {}
+
+
+def field_primes(n: int) -> list[FieldPrime]:
+    """The PRIME_BUDGET largest primes p = 1 mod n below 2^61, in the order
+    :func:`certified_rank` tries them; computed once per n."""
+    found = _FIELD_PRIMES.get(n)
+    if found is None:
+        found = []
+        t = ((1 << _PRIME_BITS) - 2) // n
+        while len(found) < PRIME_BUDGET:
+            if _is_prime(n * t + 1):
+                found.append(_field_prime(n, n * t + 1))
+            t -= 1
+        _FIELD_PRIMES[n] = found
+    return found
+
+
+def reduce_mod(x, p: int, root: int) -> int | None:
+    """Image of an int, Fraction or CycloNumber in F_p under zeta -> root,
+    where root is the image of the CycloNumber's own zeta; None when p
+    divides a denominator."""
+    if isinstance(x, int):
+        return x % p
+    coeffs = x.coeffs if isinstance(x, CycloNumber) else (Fraction(x),)
+    acc, power = 0, 1
+    for c in coeffs:
+        if c:
+            den = c.denominator
+            if den == 1:
+                acc += c.numerator * power
+            elif den % p:
+                acc += c.numerator * pow(den, -1, p) * power
+            else:
+                return None
+        power = power * root % p
+    return acc % p
+
+
+def _echelon_mod(rows, ncols, p):
+    """Row echelon form mod p with unit pivots, consuming ``rows``.
+
+    Returns (pivot columns, echelon rows).  Rows still waiting are zero left
+    of the current column, so updates touch only the tail.
+    """
+    pivots, done = [], []
+    for c in range(ncols):
+        if not rows:
+            break
+        pivot = next((i for i, row in enumerate(rows) if row[c]), None)
+        if pivot is None:
+            continue
+        prow = rows.pop(pivot)
+        inv = pow(prow[c], -1, p)
+        tail = [x * inv % p for x in prow[c:]]
+        prow[c:] = tail
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f:
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+        pivots.append(c)
+        done.append(prow)
+    return pivots, done
+
+
+def _back_substitute(pivots, echelon, p):
+    """Turn an echelon form with unit pivots into the reduced one, in place."""
+    for t in range(len(pivots) - 1, 0, -1):
+        c = pivots[t]
+        tail = echelon[t][c:]
+        for s in range(t):
+            row = echelon[s]
+            f = row[c]
+            if f:
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+
+
+def _kernel_mod(pivots, echelon, ncols, p):
+    """One kernel vector per free column: 1 there, 0 at the other free columns."""
+    _back_substitute(pivots, echelon, p)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for c, row in zip(pivots, echelon):
+            vec[c] = -row[free] % p
+        basis.append(vec)
+    return basis
+
+
+def _rational(u: int, m: int) -> Fraction | None:
+    """The fraction a/b = u mod m with |a|, b <= sqrt(m/2), if there is one."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _kernel_holds(m: Matrix, vectors) -> bool:
+    """M x = 0 exactly over Q(zeta_order) for every vector of power-basis
+    coordinate lists; rows and vectors are cleared of denominators first."""
+    modulus = cyclotomic_polynomial(m.order)
+    phi = len(modulus) - 1
+    xs = []
+    for vec in vectors:
+        den = lcm(*(c.denominator for entry in vec for c in entry))
+        xs.append([(j, [c.numerator * (den // c.denominator) for c in entry])
+                   for j, entry in enumerate(vec) if any(entry)])
+    for i in range(m.rows):
+        row = [x.coeffs if isinstance(x, CycloNumber) else (x,) for x in m.row(i)]
+        den = lcm(*(c.denominator for entry in row for c in entry))
+        row = [[c.numerator * (den // c.denominator) for c in entry] for entry in row]
+        for x in xs:
+            acc = [0] * (2 * phi - 1)
+            for j, xe in x:
+                for s, a in enumerate(row[j]):
+                    if a:
+                        for t, b in enumerate(xe):
+                            acc[s + t] += a * b
+            for top in range(2 * phi - 2, phi - 1, -1):
+                lead = acc[top]
+                if lead:
+                    for s, coeff in enumerate(modulus):
+                        acc[top - phi + s] -= lead * coeff
+            if any(acc[:phi]):
+                return False
+    return True
+
+
+class CertifiedRank(NamedTuple):
+    """A rank with the way it was certified.
+
+    ``certificate`` is "full_rank" (rank_p == min(rows, cols)), "kernel_lift"
+    (lifted kernel vectors verified exactly) or "exact" (exact elimination
+    after the prime budget ran out); ``prime`` is the certifying prime.
+    """
+
+    rank: int
+    certificate: str
+    prime: int | None
+
+
+def certified_rank(shape: tuple[int, int], order: int,
+                   modular: Callable[[int, int], list | None],
+                   exact: Callable[[], Matrix]) -> CertifiedRank:
+    """Rank over Q(zeta_order) of the matrix of the given shape.
+
+    ``modular(p, root)`` returns its rows over F_p under zeta -> root as
+    lists of ints in [0, p), or None when the prime cannot be used (p
+    divides a denominator or another value the rows need).  ``exact()``
+    returns the matrix itself; it is called only to verify a lifted kernel
+    or for the exact fallback, at most once.
+    """
+    rows, cols = shape
+    full = min(rows, cols)
+    if full == 0:
+        return CertifiedRank(0, "full_rank", None)
+    phi = euler_phi(order)
+    exact_matrix = None
+    reading = None       # the pivots whose kernel residues are accumulated
+    modulus, residues = 1, None
+    for fp in field_primes(order):
+        p = fp.p
+        kernels = []
+        for root in fp.roots:
+            image = modular(p, root)
+            if image is None:
+                break
+            pivots, echelon = _echelon_mod(image, cols, p)
+            if not kernels:
+                rank_p = len(pivots)
+                if rank_p == full:
+                    return CertifiedRank(rank_p, "full_rank", p)
+                if pivots != reading:
+                    reading, modulus, residues = pivots, 1, None
+            elif pivots != reading:
+                break
+            kernels.append(_kernel_mod(pivots, echelon, cols, p))
+        if len(kernels) < phi:
+            continue
+        # Power-basis coordinates mod p of every entry of every kernel vector.
+        coords = [[[sum(w * ker[v][j] for w, ker in zip(row, kernels)) % p
+                    for row in fp.vinv]
+                   for j in range(cols)]
+                  for v in range(len(kernels[0]))]
+        if residues is None:
+            residues = coords
+        else:
+            inv = pow(modulus, -1, p)
+            residues = [[[a + modulus * ((b - a) * inv % p)
+                          for a, b in zip(ra, rb)]
+                         for ra, rb in zip(va, vb)]
+                        for va, vb in zip(residues, coords)]
+        modulus *= p
+        lifted = [[[_rational(c, modulus) for c in entry] for entry in vec]
+                  for vec in residues]
+        if any(c is None for vec in lifted for entry in vec for c in entry):
+            continue
+        if exact_matrix is None:
+            exact_matrix = exact()
+        if _kernel_holds(exact_matrix, lifted):
+            return CertifiedRank(cols - len(lifted), "kernel_lift", p)
+    if exact_matrix is None:
+        exact_matrix = exact()
+    return CertifiedRank(rank(exact_matrix), "exact", None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 For each eigenvalue index k (lambda = exp(2*pi*i*k/d)), the two graded
 Hodge pieces of the first Milnor fiber cohomology are cokernel dimensions
-of exact evaluation maps: homogeneous polynomials of degree k-3 are Taylor
+of evaluation maps: homogeneous polynomials of degree k-3 are Taylor
 expanded at the multiple points of the arrangement and truncated at orders
 read off the multiplier ideals of the point configuration,
 
@@ -15,6 +15,20 @@ integer) and the unconstrained map from all of C[X]_{k-3} are computed;
 their cokernels must agree and the disagreement is reported as an
 invariant violation, never expected.
 
+:func:`cokernel_dims` takes each rank with :func:`linalg.certified_rank`:
+the Taylor entries are built directly over F_p from chart coordinates
+reduced once per prime and root, and a rank read mod p is used only when
+it is full (min(rows, cols)) or its lifted kernel satisfies M x = 0 exactly
+over Q(zeta); otherwise the next prime, and last exact elimination, decide.
+The constrained map F.N (N a kernel basis of the outer-ideal conditions C,
+F the graded jet layer) is never formed, because
+
+    rank(F.N) = rank [C; F] - rank C.
+
+So every number reported is exact.  :func:`jet_matrix` and
+:func:`ideal_basis` build the same maps exactly over Q(zeta) and serve as
+the reference for tests.
+
 The piece of Hodge level one at k is the level-zero piece at d-k, so one
 report per k combines the two cokernels and their sum b_1.
 """
@@ -22,16 +36,14 @@ report per k combines the two cokernels and their sum b_1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 
-from .arrangement import Arrangement, IncidenceLattice, build_lattice
-from .linalg import Matrix, nullspace, rank
+from .arrangement import (Arrangement, IncidenceLattice, InvariantViolation,
+                          build_lattice)
+# `rank` is not called here any more; perfbench/tracing.py still wraps
+# `milnor.rank` by name, next to `milnor.nullspace`.
+from .linalg import Matrix, certified_rank, nullspace, rank, reduce_mod
 from . import resonance
-
-
-class InvariantViolation(AssertionError):
-    """A theorem-encoded internal check failed; indicates an implementation bug."""
 
 
 def monomial_basis(deg: int) -> list[tuple[int, int, int]]:
@@ -57,6 +69,28 @@ def _jet_monomials(order: int) -> list[tuple[int, int]]:
     return [(i, s - i) for s in range(order) for i in range(s, -1, -1)]
 
 
+def _layouts(lattice: IncidenceLattice, k: int):
+    """Rows of the three jet maps at k, as lists of (point index, [(i, j)]):
+    the truncated jets of the unconstrained map, the outer-ideal conditions,
+    and the graded jet layer at the points where m_y*k/d is an integer."""
+    d = lattice.d
+    tilde, outer, graded = [], [], []
+    for idx, p in enumerate(lattice.points):
+        m = p.multiplicity
+        if m < 3:
+            continue
+        t = truncation_order(m, k, d)
+        if t >= 1:
+            tilde.append((idx, _jet_monomials(t)))
+        s = ideal_order(m, k, d)
+        if s >= 1:
+            outer.append((idx, _jet_monomials(s)))
+        level = (m * k) // d - 2
+        if (m * k) % d == 0 and level >= 0:
+            graded.append((idx, [(i, level - i) for i in range(level, -1, -1)]))
+    return tilde, outer, graded
+
+
 def _chart_data(point, chart: int):
     coords = point.coords
     if coords[chart].is_zero():
@@ -66,13 +100,58 @@ def _chart_data(point, chart: int):
     return u_idx, v_idx, coords[u_idx] * inv, coords[v_idx] * inv
 
 
-def _taylor_entry(mono, chart_info, i: int, j: int):
-    """Coefficient of u^i v^j in the chart expansion of the monomial at the point."""
-    u_idx, v_idx, cu, cv = chart_info
-    au, av = mono[u_idx], mono[v_idx]
-    if i > au or j > av:
-        return 0
-    return comb(au, i) * comb(av, j) * cu ** (au - i) * cv ** (av - j)
+def _power_table(cu, cv, deg: int, p: int | None = None) -> list[list]:
+    """table[a][b] = cu^a * cv^b for a + b <= deg, reduced mod p when given."""
+    pu, pv = [1], [1]
+    for _ in range(deg):
+        pu.append(pu[-1] * cu if p is None else pu[-1] * cu % p)
+        pv.append(pv[-1] * cv if p is None else pv[-1] * cv % p)
+    return [[pu[a] * pv[b] if p is None else pu[a] * pv[b] % p
+             for b in range(deg + 1 - a)] for a in range(deg + 1)]
+
+
+def _exact_charts(lattice: IncidenceLattice, chart_of, layout, deg: int) -> dict:
+    """Per point of the layout: (u index, v index, power table over Q(zeta))."""
+    charts = {}
+    for idx, _ in layout:
+        u_idx, v_idx, cu, cv = _chart_data(lattice.points[idx].point, chart_of[idx])
+        charts[idx] = (u_idx, v_idx, _power_table(cu, cv, deg))
+    return charts
+
+
+def _modular_charts(lattice: IncidenceLattice, chart_of, deg: int, p: int,
+                    root: int) -> dict | None:
+    """The same chart data over F_p, zeta -> root, for every sigma-point;
+    None when a coordinate has p in a denominator or the chart coordinate
+    is 0 mod p."""
+    charts = {}
+    for idx, chart in chart_of.items():
+        coords = lattice.points[idx].point.coords
+        u_idx, v_idx = [i for i in range(3) if i != chart]
+        x, u, v = (reduce_mod(coords[i], p, root) for i in (chart, u_idx, v_idx))
+        if not x or u is None or v is None:
+            return None
+        inv = pow(x, -1, p)
+        charts[idx] = (u_idx, v_idx, _power_table(u * inv % p, v * inv % p, deg, p))
+    return charts
+
+
+def _taylor_rows(layout, basis, charts) -> list[list]:
+    """Row (y, i, j), column mono: the coefficient of u^i v^j in the chart
+    expansion of the monomial at y, in whatever ring the chart powers live."""
+    rows = []
+    for idx, jets in layout:
+        u_idx, v_idx, table = charts[idx]
+        for i, j in jets:
+            row = []
+            for mono in basis:
+                au, av = mono[u_idx], mono[v_idx]
+                if i > au or j > av:
+                    row.append(0)
+                else:
+                    row.append(table[au - i][av - j] * (comb(au, i) * comb(av, j)))
+            rows.append(row)
+    return rows
 
 
 def _charts_for(lattice: IncidenceLattice, charts) -> dict[int, int]:
@@ -88,6 +167,18 @@ def _charts_for(lattice: IncidenceLattice, charts) -> dict[int, int]:
     return chosen
 
 
+def _exact_matrix(arr: Arrangement, lattice: IncidenceLattice, chart_of, layout,
+                  deg: int) -> Matrix:
+    basis = monomial_basis(deg)
+    rows = _taylor_rows(layout, basis,
+                        _exact_charts(lattice, chart_of, layout, deg))
+    return Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)
+
+
+def _row_count(layout) -> int:
+    return sum(len(jets) for _, jets in layout)
+
+
 def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
                ideal_constrained: bool, charts=None) -> Matrix:
     """The evaluation matrix whose cokernel dimension is one Hodge piece.
@@ -95,86 +186,34 @@ def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
     Unconstrained (ideal_constrained=False): rows are truncated jets at every
     multiple point, columns the degree-(k-3) monomials.  Constrained: columns
     are a kernel basis of the outer-ideal conditions, rows the single graded
-    jet layer at the points where m_y*k/d is an integer.
+    jet layer at the points where m_y*k/d is an integer.  Built exactly; the
+    analysis path takes the same ranks over F_p in :func:`cokernel_dims`.
     """
     if deg != k - 3:
         raise ValueError("the evaluation maps are defined on degree k-3 forms")
-    if ideal_constrained:
-        mat, _, _ = _rho_matrix(arr, lattice, k, charts)
-    else:
-        mat, _ = _rho_tilde_matrix(arr, lattice, k, charts)
-    return mat
-
-
-def _rho_tilde_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int,
-                      charts=None):
-    d = lattice.d
-    basis = monomial_basis(k - 3)
+    tilde, _, graded = _layouts(lattice, k)
     chart_of = _charts_for(lattice, charts)
-    rows = []
-    row_index = []
-    for idx, p in enumerate(lattice.points):
-        if p.multiplicity < 3:
-            continue
-        t = truncation_order(p.multiplicity, k, d)
-        if t < 1:
-            continue
-        info = _chart_data(p.point, chart_of[idx])
-        for (i, j) in _jet_monomials(t):
-            rows.append([_taylor_entry(mono, info, i, j) for mono in basis])
-            row_index.append((idx, i, j))
-    mat = Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)
-    return mat, tuple(row_index)
+    if not ideal_constrained:
+        return _exact_matrix(arr, lattice, chart_of, tilde, deg)
+    ideal = ideal_basis(arr, lattice, deg, k, charts)
+    layer = _exact_matrix(arr, lattice, chart_of, graded, deg)
+    rows = [[sum(f * vec[t] for t, f in enumerate(layer.row(i))) for vec in ideal]
+            for i in range(layer.rows)]
+    return Matrix.from_rows(rows, cols=len(ideal), order=arr.field_order)
 
 
 def ideal_basis(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
                 charts=None) -> list[tuple]:
     """Basis of the degree-``deg`` forms vanishing to the outer-ideal order at
     every multiple point, as coefficient vectors over monomial_basis(deg)."""
-    d = lattice.d
-    basis = monomial_basis(deg)
-    chart_of = _charts_for(lattice, charts)
-    rows = []
-    for idx, p in enumerate(lattice.points):
-        if p.multiplicity < 3:
-            continue
-        s = ideal_order(p.multiplicity, k, d)
-        if s < 1:
-            continue
-        info = _chart_data(p.point, chart_of[idx])
-        for (i, j) in _jet_monomials(s):
-            rows.append([_taylor_entry(mono, info, i, j) for mono in basis])
-    if not rows:
-        return [tuple(1 if t == s else 0 for t in range(len(basis)))
-                for s in range(len(basis))]
-    constraints = Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)
+    _, outer, _ = _layouts(lattice, k)
+    size = len(monomial_basis(deg))
+    if not outer:
+        return [tuple(1 if t == s else 0 for t in range(size))
+                for s in range(size)]
+    constraints = _exact_matrix(arr, lattice, _charts_for(lattice, charts),
+                                outer, deg)
     return nullspace(constraints)
-
-
-def _rho_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int, charts=None):
-    d = lattice.d
-    basis = monomial_basis(k - 3)
-    ideal = ideal_basis(arr, lattice, k - 3, k, charts)
-    chart_of = _charts_for(lattice, charts)
-    rows = []
-    row_index = []
-    for idx, p in enumerate(lattice.points):
-        if p.multiplicity < 3:
-            continue
-        if (p.multiplicity * k) % d:
-            continue
-        level = (p.multiplicity * k) // d - 2
-        if level < 0:
-            continue
-        info = _chart_data(p.point, chart_of[idx])
-        for i in range(level, -1, -1):
-            j = level - i
-            functional = [_taylor_entry(mono, info, i, j) for mono in basis]
-            rows.append([sum(f * vec[t] for t, f in enumerate(functional))
-                         for vec in ideal])
-            row_index.append((idx, i, j))
-    mat = Matrix.from_rows(rows, cols=len(ideal), order=arr.field_order)
-    return mat, tuple(row_index), ideal
 
 
 def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
@@ -183,10 +222,36 @@ def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
 
     The two numbers are equal when the implementation is correct; callers
     that want the failure recorded rather than raised compare them here.
+
+    Every rank is a :func:`linalg.certified_rank` over F_p.  The constrained
+    map F.N, with N a kernel basis of the outer-ideal conditions C and F the
+    graded jet layer, is never formed: rank(F.N) = rank[C;F] - rank C.
+    Chart coordinates are reduced once per prime and root within this call.
     """
-    tilde, _ = _rho_tilde_matrix(arr, lattice, k, charts)
-    constrained, _, _ = _rho_matrix(arr, lattice, k, charts)
-    return tilde.rows - rank(tilde), constrained.rows - rank(constrained)
+    tilde, outer, graded = _layouts(lattice, k)
+    deg = k - 3
+    basis = monomial_basis(deg)
+    chart_of = _charts_for(lattice, charts)
+    reduced = {}
+
+    def certified(layout) -> int:
+        def modular(p, root):
+            if (p, root) not in reduced:
+                reduced[p, root] = _modular_charts(lattice, chart_of, deg, p, root)
+            charts_p = reduced[p, root]
+            if charts_p is None:
+                return None
+            return [[x % p for x in row]
+                    for row in _taylor_rows(layout, basis, charts_p)]
+
+        shape = (_row_count(layout), len(basis))
+        return certified_rank(
+            shape, arr.field_order, modular,
+            lambda: _exact_matrix(arr, lattice, chart_of, layout, deg)).rank
+
+    constrained_rank = certified(outer + graded) - certified(outer)
+    return (_row_count(tilde) - certified(tilde),
+            _row_count(graded) - constrained_rank)
 
 
 def grf_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
@@ -273,18 +338,25 @@ def _lambda_exponent(k: int, d: int) -> str:
     return f"{k // g}/{d // g}"
 
 
-def _aomoto_certificates(lattice: IncidenceLattice, cap: int,
-                         dist: int | None) -> dict[int, tuple[int, frozenset, str]]:
+def residue_searches(lattice: IncidenceLattice,
+                     cap: int = resonance.DEFAULT_SEARCH_CAP) -> dict:
+    """The residue-subset search result (or None) for every k <= d/2; empty
+    when d exceeds the search cap."""
+    try:
+        return {k: resonance.search_residue_subset(lattice, k, cap=cap)
+                for k in range(1, lattice.d // 2 + 1)}
+    except resonance.SearchCapExceeded:
+        return {}
+
+
+def _aomoto_certificates(lattice: IncidenceLattice,
+                         searches: dict) -> dict[int, tuple[int, frozenset, str]]:
     """For each low k, the first subset passing the residue check, resolved to
     the (k, I) the Aomoto computation should actually use: the branch avoiding
     negative integers routes through d-k and the complementary subset."""
     d = lattice.d
     certs = {}
-    for k in range(1, d // 2 + 1):
-        try:
-            found = resonance.search_residue_subset(lattice, k, cap=cap)
-        except resonance.SearchCapExceeded:
-            return {}
+    for k, found in searches.items():
         if found is None:
             continue
         I, verdict = found
@@ -298,11 +370,13 @@ def _aomoto_certificates(lattice: IncidenceLattice, cap: int,
 def spectrum_with_checks(arr: Arrangement, lattice: IncidenceLattice | None = None,
                          with_aomoto: bool = True,
                          cap: int = resonance.DEFAULT_SEARCH_CAP,
-                         dist: int | None = None):
+                         dist: int | None = None, searches: dict | None = None):
     """All per-k reports plus the raw cokernel agreement records.
 
-    Returns (reports, agreements) where agreements is a list of
-    (k, unconstrained cokernel, constrained cokernel) triples.
+    ``searches`` is a :func:`residue_searches` result the caller already
+    has; without it the searches run here.  Returns (reports, agreements)
+    where agreements is a list of (k, unconstrained cokernel, constrained
+    cokernel) triples.
     """
     if lattice is None:
         lattice = build_lattice(arr)
@@ -313,7 +387,11 @@ def spectrum_with_checks(arr: Arrangement, lattice: IncidenceLattice | None = No
         pair = cokernel_dims(arr, lattice, k)
         cokers[k] = pair
         agreements.append((k, pair[0], pair[1]))
-    certs = _aomoto_certificates(lattice, cap, dist) if with_aomoto else {}
+    certs = {}
+    if with_aomoto:
+        if searches is None:
+            searches = residue_searches(lattice, cap)
+        certs = _aomoto_certificates(lattice, searches)
     reports = []
     for k in range(1, d):
         pre_point, pre_lines = precheck_vanishing(lattice, k)

@@ -107,20 +107,20 @@ def analyze(arr: Arrangement, options: AnalyzeOptions | None = None,
         "b1_lambda_one": d - 1,
     }
 
+    searches = (milnor.residue_searches(lattice, options.search_cap)
+                if options.with_aomoto else {})
     reports, agreements = milnor.spectrum_with_checks(
         arr, lattice, with_aomoto=options.with_aomoto,
-        cap=options.search_cap, dist=options.dist)
+        cap=options.search_cap, dist=options.dist, searches=searches)
 
     residue_certs: dict = {}
-    if options.with_aomoto and d <= options.search_cap:
-        for k in range(1, d // 2 + 1):
-            found = resonance.search_residue_subset(lattice, k, cap=options.search_cap)
-            if found is None:
-                residue_certs[str(k)] = {"found": False}
-            else:
-                I, verdict = found
-                residue_certs[str(k)] = {
-                    "found": True, "I": sorted(I), "branch": verdict.branch}
+    for k, found in searches.items():
+        if found is None:
+            residue_certs[str(k)] = {"found": False}
+        else:
+            I, verdict = found
+            residue_certs[str(k)] = {
+                "found": True, "I": sorted(I), "branch": verdict.branch}
 
     nets: dict = {}
     partition_verdicts = []

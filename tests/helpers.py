@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import comb
 
 from milfib.arrangement import Arrangement, ArrangementError, ProjLine, build_lattice
+from milfib.cyclotomic import CycloNumber
 from milfib.linalg import Matrix, rank
 from milfib.milnor import ideal_order, monomial_basis
 
@@ -142,3 +143,17 @@ def random_arrangements(seed: int, count: int, dmin: int = 4, dmax: int = 8):
         arr = random_arrangement(rng, rng.randint(dmin, dmax))
         out.append((arr, build_lattice(arr)))
     return out
+
+
+def monomial_arrangement(n: int, full: bool = False) -> Arrangement:
+    """Ceva(n) = A(n,n,3), (x^n - y^n)(x^n - z^n)(y^n - z^n), over Q(zeta_n);
+    with ``full`` also the coordinate lines xyz, giving A(n,1,3)."""
+    zero, one = CycloNumber.zero(n), CycloNumber.one(n)
+    roots = [CycloNumber.zeta(n) ** a for a in range(n)]
+    lines = [ProjLine(one, -w, zero, n) for w in roots]
+    lines += [ProjLine(one, zero, -w, n) for w in roots]
+    lines += [ProjLine(zero, one, -w, n) for w in roots]
+    if full:
+        lines += [ProjLine(one, zero, zero, n), ProjLine(zero, one, zero, n),
+                  ProjLine(zero, zero, one, n)]
+    return Arrangement(lines, name=f"A({n},1,3)" if full else f"ceva{n}", order=n)

@@ -181,3 +181,11 @@ def test_arrangement_json_round_trip(arrangements):
         assert back.d == arr.d
         assert back.field_order == arr.field_order
         assert [l.key() for l in back.lines] == [l.key() for l in arr.lines]
+
+
+def test_non_integer_float_in_coefficient_array_is_rejected():
+    data = {"lines": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [[0.5], [1.5], [1]]]}
+    with pytest.raises(ValueError, match="non-integer float"):
+        Arrangement.from_json(data)
+    data["lines"][3] = [[1.0], [2.0], [1]]
+    assert Arrangement.from_json(data).lines[3] == ProjLine(1, 2, 1)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from milfib.arrangement import build_lattice, named_arrangement
+import milfib
+from milfib.arrangement import ProjLine, build_lattice, named_arrangement
 from milfib.cli import examples_suite, main
 from milfib.milnor import grf_dims
 
@@ -158,3 +162,21 @@ def test_examples_cli_subcommand(capsys):
     code, out, _ = run_cli(capsys, "examples", "--only", "braid")
     assert code == 0
     assert "PASS braid" in out
+
+
+def test_failed_pair_count_invariant_exits_2(monkeypatch, capsys):
+    # No line contains any intersection point: the pair count becomes 0.
+    monkeypatch.setattr(ProjLine, "contains", lambda self, point: False)
+    code, _, err = run_cli(capsys, "lattice", "--name", "braid")
+    assert code == 2
+    assert "pair-count identity violated" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(milfib.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "milfib", "analyze", "--name", "braid",
+         "--format", "json"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [r["b1"] for r in json.loads(done.stdout)["eigen"]] == [0, 1, 0, 1, 0]

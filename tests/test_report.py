@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from milfib import resonance
 from milfib.report import AnalyzeOptions, analyze, parse_document, render
 
 
@@ -75,3 +76,18 @@ def test_distinguished_line_choice_does_not_change_the_table(arrangements):
         doc = analyze(arrangements["braid"], AnalyzeOptions(dist=dist))
         assert [r.b1 for r in doc.eigen] == [r.b1 for r in base.eigen]
         assert [r.aomoto for r in doc.eigen] == [r.aomoto for r in base.eigen]
+
+
+def test_analyze_runs_the_residue_search_once_per_k(arrangements, lattices,
+                                                     monkeypatch):
+    calls = []
+    search = resonance.search_residue_subset
+
+    def counted(lattice, k, cap=resonance.DEFAULT_SEARCH_CAP):
+        calls.append(k)
+        return search(lattice, k, cap=cap)
+    monkeypatch.setattr(resonance, "search_residue_subset", counted)
+    doc = analyze(arrangements["pappus-dual"], lattice=lattices["pappus-dual"])
+    assert sorted(calls) == [1, 2, 3, 4]
+    assert sorted(doc.residue_certificates, key=int) == ["1", "2", "3", "4"]
+    assert any(r.aomoto_certificate for r in doc.eigen)
