@@ -17,7 +17,7 @@ from .linalg import (IntMatrix, Matrix, int_det, nullspace, rank,
 from .arrangement import (Arrangement, ArrangementError, GenericityError,
                           IncidenceLattice, LatticePoint, ProjLine, ProjPoint,
                           build_lattice, generic_section, named_arrangement,
-                          named_arrangement_names, sigma_k)
+                          named_arrangement_names)
 from .resonance import (PartitionPhi, ResidueWeights, alpha_components,
                         aomoto_h1, check_pencil_partition,
                         check_residue_integrality, net_detect,

@@ -93,10 +93,6 @@ class ProjPoint:
         self.order = n
         self.coords = _normalize_triple((x, y, z), n, leading_first=False)
 
-    def lift(self, order: int) -> "ProjPoint":
-        x, y, z = (v.lift(order) for v in self.coords)
-        return ProjPoint(x, y, z, order)
-
     def key(self):
         return tuple(v.coeffs for v in self.coords)
 
@@ -163,15 +159,41 @@ class Arrangement:
         }
 
     @classmethod
-    def from_json(cls, data) -> "Arrangement":
-        n = int(data.get("cyclotomic_order", 1))
+    def from_json(cls, data: dict) -> "Arrangement":
+        n = _json_count(data, "cyclotomic_order", 1)
         lines = []
-        for coeffs in data["lines"]:
-            if len(coeffs) != 3:
+        for coeffs in _json_array(data.get("lines"), "'lines'"):
+            if len(_json_array(coeffs, "a line")) != 3:
                 raise ArrangementError("each line needs exactly 3 coefficients")
             a, b, c = (CycloNumber.from_json(v, n) for v in coeffs)
             lines.append(ProjLine(a, b, c, n))
         return cls(lines, name=data.get("name", ""), order=n)
+
+
+def hyperplanes_from_json(data: dict) -> list[list[CycloNumber]]:
+    """The coefficient rows of a {"dimension", "hyperplanes"} input."""
+    n = _json_count(data, "cyclotomic_order", 1)
+    dim = _json_count(data, "dimension")
+    hyperplanes = []
+    for row in _json_array(data.get("hyperplanes"), "'hyperplanes'"):
+        if len(_json_array(row, "a hyperplane")) != dim:
+            raise ArrangementError("hyperplane coefficient count != dimension")
+        hyperplanes.append([CycloNumber.from_json(v, n) for v in row])
+    return hyperplanes
+
+
+def _json_count(data: dict, key: str, default=None) -> int:
+    """A positive integer field; floats, strings and booleans are rejected."""
+    value = data.get(key, default)
+    if type(value) is not int or value < 1:
+        raise ArrangementError(f"{key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _json_array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ArrangementError(f"{what} must be a JSON array, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -204,24 +226,11 @@ class IncidenceLattice:
         """The subset of sigma where m_y * k / d is an integer."""
         return [p for p in self.sigma() if (p.multiplicity * k) % self.d == 0]
 
-    def affine_points(self, dist: int) -> list[LatticePoint]:
-        """Points not lying on the distinguished line."""
-        return [p for p in self.points if dist not in p.lines]
-
-    def sigma_affine(self, dist: int) -> list[LatticePoint]:
-        return [p for p in self.sigma() if dist not in p.lines]
-
     def multiplicity_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
         for p in self.points:
             hist[p.multiplicity] = hist.get(p.multiplicity, 0) + 1
         return hist
-
-
-def sigma_k(lattice: IncidenceLattice, d: int, k: int) -> list[LatticePoint]:
-    if d != lattice.d:
-        raise ValueError("d does not match the lattice")
-    return lattice.sigma_k(k)
 
 
 def build_lattice(arr: Arrangement) -> IncidenceLattice:

@@ -14,9 +14,10 @@ import sys
 
 from . import milnor, realize, resonance
 from .arrangement import (Arrangement, ArrangementError, GenericityError,
-                          build_lattice, generic_section, named_arrangement,
-                          named_arrangement_names)
-from .report import AnalyzeOptions, analyze, render
+                          build_lattice, generic_section, hyperplanes_from_json,
+                          named_arrangement, named_arrangement_names)
+from .linalg import Matrix, int_det, nullspace, rank
+from .report import AnalyzeOptions, analyze, render, skip_note, skipped_stages
 
 
 def _add_input_flags(sub):
@@ -32,26 +33,20 @@ def _load_arrangement(args):
         raise ArrangementError("provide exactly one of --name or --input")
     if args.name:
         return named_arrangement(args.name)
-    with open(args.input) as fh:
-        data = json.load(fh)
+    data = _read_json_object(args.input)
     if "hyperplanes" in data:
-        hyperplanes = _parse_hyperplanes(data)
-        arr, _cert = generic_section(hyperplanes, seed=args.seed,
+        arr, _cert = generic_section(hyperplanes_from_json(data), seed=args.seed,
                                      name=data.get("name", "section"))
         return arr
     return Arrangement.from_json(data)
 
 
-def _parse_hyperplanes(data):
-    from .cyclotomic import CycloNumber
-    n = int(data.get("cyclotomic_order", 1))
-    dim = int(data["dimension"])
-    hyperplanes = []
-    for row in data["hyperplanes"]:
-        if len(row) != dim:
-            raise ArrangementError("hyperplane coefficient count != dimension")
-        hyperplanes.append([CycloNumber.from_json(v, n) for v in row])
-    return hyperplanes
+def _read_json_object(path):
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ArrangementError("the input must be a JSON object")
+    return data
 
 
 def _parse_indices(text):
@@ -66,10 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("lattice", help="intersection lattice summary")
+    p.set_defaults(func=_cmd_lattice)
     _add_input_flags(p)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = subs.add_parser("aomoto", help="Aomoto complex H^1 for weights from (k, I)")
+    p.set_defaults(func=_cmd_aomoto)
     _add_input_flags(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--I", required=True,
@@ -77,23 +74,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distinguished-line", type=int, default=None)
 
     p = subs.add_parser("milnor", help="jet-evaluation eigenspace dimensions")
+    p.set_defaults(func=_cmd_milnor)
     _add_input_flags(p)
     p.add_argument("--k", type=int, default=None,
                    help="one eigenvalue index; omit for the full table")
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = subs.add_parser("analyze", help="full analysis document")
+    p.set_defaults(func=_cmd_analyze)
     _add_input_flags(p)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--distinguished-line", type=int, default=None)
     p.add_argument("--search-cap", type=int, default=resonance.DEFAULT_SEARCH_CAP)
 
     p = subs.add_parser("net", help="detect pencil-type partitions (nets)")
+    p.set_defaults(func=_cmd_net)
     _add_input_flags(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--search-cap", type=int, default=resonance.DEFAULT_SEARCH_CAP)
 
     p = subs.add_parser("cond02", help="residue integrality check or search")
+    p.set_defaults(func=_cmd_cond02)
     _add_input_flags(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--I", default=None,
@@ -101,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-cap", type=int, default=resonance.DEFAULT_SEARCH_CAP)
 
     p = subs.add_parser("theorem1", help="partition-based bound/exact verdicts")
+    p.set_defaults(func=_cmd_theorem1)
     _add_input_flags(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--partition", required=True,
@@ -108,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distinguished-line", type=int, default=None)
 
     p = subs.add_parser("realize", help="group-valued realization search")
+    p.set_defaults(func=_cmd_realize)
     _add_input_flags(p)
     p.add_argument("--mod", required=True,
                    help="comma-separated moduli of the abelian group (<= 2)")
@@ -115,11 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-candidates", type=int, default=6)
 
     p = subs.add_parser("section", help="certified generic plane section to P^2")
+    p.set_defaults(func=_cmd_section)
     p.add_argument("--input", required=True,
                    help="JSON with 'dimension' and 'hyperplanes'")
     p.add_argument("--seed", type=int, default=0)
 
     p = subs.add_parser("examples", help="run the built-in fixture suite")
+    p.set_defaults(func=lambda args: examples_suite(only=args.only))
     p.add_argument("--only", default=None, help="run a single fixture by name")
 
     return parser
@@ -129,7 +134,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.func(args)
     except (ArrangementError, GenericityError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -141,30 +146,6 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
-
-
-def _dispatch(args) -> int:
-    if args.command == "lattice":
-        return _cmd_lattice(args)
-    if args.command == "aomoto":
-        return _cmd_aomoto(args)
-    if args.command == "milnor":
-        return _cmd_milnor(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "net":
-        return _cmd_net(args)
-    if args.command == "cond02":
-        return _cmd_cond02(args)
-    if args.command == "theorem1":
-        return _cmd_theorem1(args)
-    if args.command == "realize":
-        return _cmd_realize(args)
-    if args.command == "section":
-        return _cmd_section(args)
-    if args.command == "examples":
-        return examples_suite(only=args.only)
-    raise ValueError(f"unknown command {args.command}")
 
 
 def _cmd_lattice(args) -> int:
@@ -211,11 +192,14 @@ def _cmd_milnor(args) -> int:
         print(f"k={args.k} grf0={grf0} grf1={grf1} b1={grf0 + grf1}")
         return 0
     reports = milnor.full_spectrum(arr, lat)
+    for entry in skipped_stages(lat.d, resonance.DEFAULT_SEARCH_CAP,
+                                ["residue_search"]):
+        print(skip_note(entry), file=sys.stderr)
     if args.format == "json":
         print(json.dumps([r.as_dict() for r in reports], sort_keys=True, indent=2))
         return 0
     for r in reports:
-        print(f"k={r.k} lambda={r.lam} sigma_k={r.sigma_k_size} "
+        print(f"k={r.k} lambda={r.lambda_exponent} sigma_k={r.sigma_k_size} "
               f"grf0={r.grf0} grf1={r.grf1} b1={r.b1}")
     return 0
 
@@ -272,6 +256,8 @@ def _cmd_theorem1(args) -> int:
             labels = json.load(fh)
     else:
         labels = json.loads(text)
+    if not isinstance(labels, list) or any(type(x) is not int for x in labels):
+        raise ArrangementError("--partition must be a JSON array of integer labels")
     phi = resonance.PartitionPhi(tuple(labels))
     verdict = resonance.check_pencil_partition(lat, phi, args.m,
                                                args.distinguished_line)
@@ -303,12 +289,10 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_section(args) -> int:
-    with open(args.input) as fh:
-        data = json.load(fh)
+    data = _read_json_object(args.input)
     if "hyperplanes" not in data:
         raise ArrangementError("section input needs a 'hyperplanes' field")
-    hyperplanes = _parse_hyperplanes(data)
-    arr, cert = generic_section(hyperplanes, seed=args.seed,
+    arr, cert = generic_section(hyperplanes_from_json(data), seed=args.seed,
                                 name=data.get("name", "section"))
     payload = {
         "arrangement": arr.to_json(),
@@ -326,20 +310,35 @@ def _cmd_section(args) -> int:
 # The fixture suite: every built-in arrangement against its known values.
 
 
+# Expected values of the named fixtures and of the braid section: the b1
+# vector over k = 1..d-1, the lattice summary entries, grf pairs per k,
+# residue certificates found (True) or not (False) per k, the number of
+# nets per m, and the m of a partition that must carry an exact verdict.
+EXPECTED = {
+    "braid": {"b1": [0, 1, 0, 1, 0], "grf": {2: (0, 1)}, "nets": {"3": 1}},
+    "pappus-dual": {"b1": [0, 0, 1, 0, 0, 1, 0, 0], "residue": {"3": True},
+                    "exact_partition": 3},
+    "ex-3-1-iii": {"b1": [0] * 8, "residue": {"3": False}, "nets": {"3": 0}},
+    "ceva3": {"b1": [0, 0, 2, 0, 0, 2, 0, 0],
+              "lattice": {"sigma_size": 12, "double_count": 0}},
+    "hesse": {"b1": [0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0],
+              "lattice": {"sigma_size": 9,
+                          "multiplicity_histogram": {"2": 12, "4": 9}},
+              "exact_partition": 4},
+    "section": {"b1": [0, 1, 0, 1, 0],
+                "lattice": {"multiplicity_histogram": {"2": 3, "3": 4}}},
+}
+NAMED_FIXTURES = ("braid", "pappus-dual", "ex-3-1-iii", "ceva3", "hesse")
+
+
 def examples_suite(only: str | None = None, registry=None, out=print) -> int:
     """Run the built-in fixtures end to end; nonzero exit on any mismatch."""
     registry = registry if registry is not None else {
-        name: (lambda n=name: named_arrangement(n)) for name in
-        ("braid", "pappus-dual", "ex-3-1-iii", "ceva3", "hesse")}
-    fixtures = [
-        ("braid", _expect_braid),
-        ("pappus-dual", _expect_pappus_dual),
-        ("ex-3-1-iii", _expect_ex_3_1_iii),
-        ("ceva3", _expect_ceva3),
-        ("hesse", _expect_hesse),
-        ("realization", _expect_realization),
-        ("section", _expect_section),
-    ]
+        name: (lambda n=name: named_arrangement(n)) for name in NAMED_FIXTURES}
+    fixtures = [(name, lambda n=name: _expect_named(registry, n))
+                for name in NAMED_FIXTURES]
+    fixtures += [("realization", lambda: _expect_realization(registry)),
+                 ("section", _expect_section)]
     if only is not None:
         fixtures = [f for f in fixtures if f[0] == only]
         if not fixtures:
@@ -348,7 +347,7 @@ def examples_suite(only: str | None = None, registry=None, out=print) -> int:
     failures = 0
     for name, expect in fixtures:
         try:
-            problems = expect(registry)
+            problems = expect()
         except Exception as exc:  # a crash is a failed fixture, not a crash of the suite
             problems = [f"exception: {exc!r}"]
         if problems:
@@ -361,121 +360,75 @@ def examples_suite(only: str | None = None, registry=None, out=print) -> int:
     return 2 if failures else 0
 
 
-def _spectrum_of(registry, name):
+def _document_problems(doc, expected) -> list[str]:
+    problems = []
+    b1 = [r.b1 for r in doc.eigen]
+    if b1 != expected["b1"]:
+        problems.append(f"b1 vector {b1} != {expected['b1']}")
+    for key, value in expected.get("lattice", {}).items():
+        if doc.lattice_summary[key] != value:
+            problems.append(f"lattice {key} {doc.lattice_summary[key]} != {value}")
+    for k, pair in expected.get("grf", {}).items():
+        r = doc.eigen[k - 1]
+        if (r.grf0, r.grf1) != pair:
+            problems.append(f"grf({k}) = {(r.grf0, r.grf1)} != {pair}")
+    for k, found in expected.get("residue", {}).items():
+        if bool(doc.residue_certificates.get(k, {}).get("found")) != found:
+            problems.append(f"residue certificate at k={k} found is not {found}")
+    for m, count in expected.get("nets", {}).items():
+        if len(doc.nets.get(m) or []) != count:
+            problems.append(f"expected exactly {count} nets for m={m}")
+    m = expected.get("exact_partition")
+    if m is not None and not any(v["exact_holds"] for v in doc.partition_verdicts
+                                 if v["m"] == m):
+        problems.append(f"no exact partition certificate with m={m}")
+    if not doc.all_checks_pass:
+        problems.append("consistency checks failed")
+    return problems
+
+
+def _expect_named(registry, name):
     arr = registry[name]()
     lat = build_lattice(arr)
-    doc = analyze(arr)
-    return arr, lat, doc
-
-
-def _b1_vector(doc):
-    return [r.b1 for r in doc.eigen]
-
-
-def _expect_braid(registry):
-    problems = []
-    arr, lat, doc = _spectrum_of(registry, "braid")
-    if _b1_vector(doc) != [0, 1, 0, 1, 0]:
-        problems.append(f"b1 vector {_b1_vector(doc)} != [0,1,0,1,0]")
-    r2 = doc.eigen[1]
-    if (r2.grf0, r2.grf1) != (0, 1):
-        problems.append(f"grf(2) = {(r2.grf0, r2.grf1)} != (0, 1)")
-    if not doc.all_checks_pass:
-        problems.append("consistency checks failed")
-    if doc.nets.get("3") is None or len(doc.nets["3"]) != 1:
-        problems.append("expected exactly one net for m=3")
+    doc = analyze(arr, lattice=lat)
+    problems = _document_problems(doc, EXPECTED[name])
+    if name == "ceva3":
+        problems += _ceva3_jets(arr, lat, doc)
+    elif name == "hesse":
+        problems += _hesse_jets(arr, lat)
     return problems
 
 
-def _expect_pappus_dual(registry):
+def _ceva3_jets(arr, lat, doc):
     problems = []
-    arr, lat, doc = _spectrum_of(registry, "pappus-dual")
-    if _b1_vector(doc) != [0, 0, 1, 0, 0, 1, 0, 0]:
-        problems.append(f"b1 vector {_b1_vector(doc)}")
-    if not doc.residue_certificates.get("3", {}).get("found"):
-        problems.append("no residue certificate at k=3")
-    exact = [dict(v) for v in doc.partition_verdicts if dict(v)["m"] == 3]
-    if not any(v["exact_holds"] for v in exact):
-        problems.append("no exact partition certificate with m=3")
-    if not doc.all_checks_pass:
-        problems.append("consistency checks failed")
-    return problems
-
-
-def _expect_ex_3_1_iii(registry):
-    problems = []
-    arr, lat, doc = _spectrum_of(registry, "ex-3-1-iii")
-    if any(b != 0 for b in _b1_vector(doc)):
-        problems.append(f"b1 vector {_b1_vector(doc)} not identically zero")
-    if doc.residue_certificates.get("3", {}).get("found"):
-        problems.append("unexpected residue certificate at k=3")
-    if doc.nets.get("3"):
-        problems.append("unexpected net for m=3")
-    if not doc.all_checks_pass:
-        problems.append("consistency checks failed")
-    return problems
-
-
-def _expect_ceva3(registry):
-    problems = []
-    arr, lat, doc = _spectrum_of(registry, "ceva3")
-    if doc.lattice_summary["sigma_size"] != 12 or doc.lattice_summary["double_count"]:
-        problems.append("lattice is not 12 triple points")
-    if _b1_vector(doc) != [0, 0, 2, 0, 0, 2, 0, 0]:
-        problems.append(f"b1 vector {_b1_vector(doc)}")
-    mat = milnor.jet_matrix(arr, lat, 3, 6, False)
-    from .linalg import nullspace as _ns
-    if _ns(mat):
+    if nullspace(milnor.jet_matrix(arr, lat, 6, False)):
         problems.append("cubic evaluation at the 12 points is not injective")
     weights = resonance.weights_from_kI(9, 3, frozenset({0, 1, 2}))
     a = resonance.aomoto_h1(lat, weights)
     if not a < doc.eigen[2].b1:
         problems.append(f"aomoto {a} not strictly below b1 {doc.eigen[2].b1}")
-    if not doc.all_checks_pass:
-        problems.append("consistency checks failed")
     return problems
 
 
-def _expect_hesse(registry):
+def _hesse_jets(arr, lat):
     problems = []
-    arr, lat, doc = _spectrum_of(registry, "hesse")
-    hist = doc.lattice_summary["multiplicity_histogram"]
-    if doc.lattice_summary["sigma_size"] != 9 or hist.get("4") != 9:
-        problems.append("lattice is not 9 points of multiplicity 4")
-    if _b1_vector(doc) != [0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0]:
-        problems.append(f"b1 vector {_b1_vector(doc)}")
-    mat = milnor.jet_matrix(arr, lat, 3, 6, False)
-    from .linalg import nullspace as _ns
-    kernel = _ns(mat)
+    kernel = nullspace(milnor.jet_matrix(arr, lat, 6, False))
     if len(kernel) != 2:
         problems.append(f"evaluation kernel dimension {len(kernel)} != 2")
     basis = milnor.monomial_basis(3)
+    span = rank(Matrix.from_rows(kernel, cols=len(basis), order=arr.field_order))
     for poly in (((3, 0, 0), (0, 3, 0), (0, 0, 3)), ((1, 1, 1),)):
         vec = [1 if mono in poly else 0 for mono in basis]
-        if not _in_span(kernel, vec, arr.field_order):
+        rows = kernel + [vec]
+        if rank(Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)) != span:
             problems.append(f"{poly} not in the evaluation kernel span")
-    exact = [dict(v) for v in doc.partition_verdicts if dict(v)["m"] == 4]
-    if not any(v["exact_holds"] for v in exact):
-        problems.append("no exact partition certificate with m=4")
-    if not doc.all_checks_pass:
-        problems.append("consistency checks failed")
     return problems
-
-
-def _in_span(vectors, target, order):
-    from .linalg import Matrix, rank as _rank
-    rows = [list(v) for v in vectors]
-    base = _rank(Matrix.from_rows(rows, cols=len(target), order=order))
-    rows.append(list(target))
-    return _rank(Matrix.from_rows(rows, cols=len(target), order=order)) == base
 
 
 def _expect_realization(registry):
     problems = []
-    arr = registry["ex-3-1-iii"]()
-    lat = build_lattice(arr)
+    lat = build_lattice(registry["ex-3-1-iii"]())
     system = realize.incidence_from_lattice(lat)
-    from .linalg import int_det
     if abs(int_det(system.matrix())) != 27:
         problems.append("|det| of the incidence matrix != 27")
     result = realize.search_realizations(system, [27])
@@ -489,8 +442,7 @@ def _expect_realization(registry):
     return problems
 
 
-def _expect_section(registry):
-    problems = []
+def _expect_section():
     hyperplanes = []
     for i in range(4):
         for j in range(i + 1, 4):
@@ -498,12 +450,4 @@ def _expect_section(registry):
             v[i], v[j] = 1, -1
             hyperplanes.append(v)
     arr, _cert = generic_section(hyperplanes, seed=0, name="braid-section")
-    lat = build_lattice(arr)
-    if lat.multiplicity_histogram() != {3: 4, 2: 3}:
-        problems.append(f"section lattice {lat.multiplicity_histogram()}")
-    doc = analyze(arr)
-    if _b1_vector(doc) != [0, 1, 0, 1, 0]:
-        problems.append(f"section b1 vector {_b1_vector(doc)}")
-    if not doc.all_checks_pass:
-        problems.append("consistency checks failed")
-    return problems
+    return _document_problems(analyze(arr), EXPECTED["section"])

@@ -17,70 +17,29 @@ from functools import lru_cache
 from math import lcm
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient function."""
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in prime_factors(n):
+        result -= result // p
     return result
-
-
-def _int_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _int_poly_div_exact(num, den):
-    """Exact quotient of dense integer polynomials, constant term first."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [0] * (len(num) - dn)
-    for shift in range(len(num) - dn - 1, -1, -1):
-        c = num[shift + dn]
-        if c % lead:
-            raise ArithmeticError("polynomial division is not exact")
-        c //= lead
-        quot[shift] = c
-        if c:
-            for i, dc in enumerate(den):
-                num[shift + i] -= c * dc
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Dense coefficients of Phi_n, constant term first, monic of degree phi(n).
-
-    Computed by dividing t^n - 1 by the product of Phi_d over the proper
-    divisors d of n.
-    """
-    if n < 1:
-        raise ValueError("cyclotomic_polynomial requires n >= 1")
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _int_poly_mul(den, cyclotomic_polynomial(d))
-    return tuple(_int_poly_div_exact(num, den))
 
 
 # Dense polynomials over Q, constant term first, used only inside this module.
@@ -102,21 +61,6 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _prem(num, den):
-    """Remainder of num modulo den (den nonzero), both dense Fraction lists."""
-    num = list(num)
-    _trim(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    while len(num) - 1 >= dn and num:
-        c = num[-1] / lead
-        shift = len(num) - 1 - dn
-        for i, dc in enumerate(den):
-            num[shift + i] -= c * dc
-        _trim(num)
-    return num
-
-
 def _psub(a, b):
     n = max(len(a), len(b))
     out = [
@@ -127,6 +71,7 @@ def _psub(a, b):
 
 
 def _pdivmod(num, den):
+    """(quotient, remainder) of num by den (den nonzero), dense Fraction lists."""
     num = list(num)
     _trim(num)
     dn = len(den) - 1
@@ -140,6 +85,28 @@ def _pdivmod(num, den):
             num[shift + i] -= c * dc
         _trim(num)
     return quot, num
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Dense coefficients of Phi_n, constant term first, monic of degree phi(n).
+
+    Computed by dividing t^n - 1 by the product of Phi_d over the proper
+    divisors d of n.
+    """
+    if n < 1:
+        raise ValueError("cyclotomic_polynomial requires n >= 1")
+    if n == 1:
+        return (-1, 1)
+    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    den = [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _pmul(den, cyclotomic_polynomial(d))
+    quot, rem = _pdivmod(num, den)
+    if rem:
+        raise ArithmeticError("t^n - 1 is not divisible by its proper cyclotomic factors")
+    return tuple(int(c) for c in quot)
 
 
 class CycloNumber:
@@ -196,7 +163,7 @@ class CycloNumber:
     @classmethod
     def _from_poly(cls, order: int, poly) -> "CycloNumber":
         phi_mod = [Fraction(c) for c in cyclotomic_polynomial(order)]
-        rem = _prem([Fraction(c) for c in poly], phi_mod)
+        _, rem = _pdivmod(poly, phi_mod)
         phi = euler_phi(order)
         rem = rem + [Fraction(0)] * (phi - len(rem))
         return cls(order, rem)
@@ -368,17 +335,23 @@ class CycloNumber:
 
         Floats are accepted only when they are integers, in either form.
         """
-        if isinstance(data, (str, int, float)):
-            return cls.from_rational(_json_rational(data), order)
-        return cls(order, [_json_rational(c) for c in data])
+        if isinstance(data, list):
+            return cls(order, [_json_rational(c) for c in data])
+        return cls.from_rational(_json_rational(data), order)
 
 
 def _json_rational(value) -> Fraction:
+    """An int, an integral float or a "p/q" string; nothing else is coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"not a rational coefficient: {value!r}")
     if isinstance(value, float):
         if not value.is_integer():
             raise ValueError("non-integer float coefficients are not accepted")
         return Fraction(int(value))
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def as_cyclo(value, order: int = 1) -> CycloNumber:

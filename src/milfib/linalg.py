@@ -1,10 +1,14 @@
-"""Dense linear algebra over Q(zeta_n): exact elimination, certified ranks
-over F_p, and integer Smith normal form.
+"""Dense linear algebra over Q(zeta_n): one Gaussian elimination core for
+exact and F_p entries, certified ranks, and integer Smith normal form.
 
-Exact elimination (:func:`rank`, :func:`nullspace`) works over Fraction
-(order 1) or CycloNumber entries with plain division steps.  Pivots are
-chosen deterministically: first nonzero entry in column order, so kernel
-bases are reproducible.  It is the reference path and the last resort.
+:func:`_echelon` is the only elimination.  With ``p=None`` it works on exact
+Fraction (order 1) or CycloNumber entries, otherwise on ints mod p.  It
+takes the first nonzero entry of each column as pivot, scales pivot rows to
+1 and updates only the tails right of the pivot column; :func:`_kernel`
+back-substitutes to the reduced form and reads off one kernel vector per
+free column.  The reduced row echelon form and its pivot columns are unique,
+so :func:`rank` and :func:`nullspace` (exact, the reference path and the
+last resort) and the modular kernels are reproducible.
 
 :func:`certified_rank` takes the rank of a matrix over Q(zeta_n) from its
 images over F_p, for primes p = 1 mod n of about 61 bits with zeta sent to
@@ -33,7 +37,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
-from .cyclotomic import CycloNumber, cyclotomic_polynomial, euler_phi
+from .cyclotomic import CycloNumber, cyclotomic_polynomial, euler_phi, prime_factors
 
 
 class Matrix:
@@ -69,12 +73,6 @@ class Matrix:
                 flat.append(_coerce_scalar(v, n))
         return cls(nrows, ncols, n, tuple(flat))
 
-    @classmethod
-    def identity(cls, n: int, order: int = 1) -> "Matrix":
-        one, zero = _one_zero(order)
-        return cls(n, n, order, tuple(one if i == j else zero
-                                      for i in range(n) for j in range(n)))
-
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -105,65 +103,81 @@ def _one_zero(order: int):
     return CycloNumber.one(order), CycloNumber.zero(order)
 
 
-def _rref(rows_list, ncols):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    pivots = []
-    r = 0
+def _subtract(row, c, f, tail, p):
+    """row[c:] -= f * tail, reduced mod p when p is given."""
+    if p is None:
+        row[c:] = [a - f * b for a, b in zip(row[c:], tail)]
+    else:
+        row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+
+
+def _echelon(rows, ncols, p=None):
+    """Row echelon form with unit pivots, consuming ``rows``: exact when p is
+    None, else over F_p on ints in [0, p).
+
+    Returns (pivot columns, echelon rows).  Rows still waiting are zero left
+    of the current column, so updates touch only the tail.
+    """
+    pivots, done = [], []
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows_list)):
-            if rows_list[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        if not rows:
+            break
+        pivot = next((i for i, row in enumerate(rows) if row[c]), None)
+        if pivot is None:
             continue
-        rows_list[r], rows_list[pivot_row] = rows_list[pivot_row], rows_list[r]
-        pv = rows_list[r][c]
-        if pv != 1:
+        prow = rows.pop(pivot)
+        pv = prow[c]
+        if p is not None:
+            inv = pow(pv, -1, p)
+            prow[c:] = [x * inv % p for x in prow[c:]]
+        elif pv != 1:
             inv = 1 / pv if isinstance(pv, Fraction) else pv.inverse()
-            rows_list[r] = [x * inv for x in rows_list[r]]
-        for i in range(len(rows_list)):
-            if i != r and rows_list[i][c]:
-                f = rows_list[i][c]
-                rows_list[i] = [a - f * b for a, b in zip(rows_list[i], rows_list[r])]
+            prow[c:] = [x * inv for x in prow[c:]]
+        tail = prow[c:]
+        for row in rows:
+            if row[c]:
+                _subtract(row, c, row[c], tail, p)
         pivots.append(c)
-        r += 1
-    return pivots
+        done.append(prow)
+    return pivots, done
+
+
+def _back_substitute(pivots, echelon, p=None):
+    """Turn an echelon form with unit pivots into the reduced one, in place."""
+    for t in range(len(pivots) - 1, 0, -1):
+        c = pivots[t]
+        tail = echelon[t][c:]
+        for row in echelon[:t]:
+            if row[c]:
+                _subtract(row, c, row[c], tail, p)
+
+
+def _kernel(pivots, echelon, ncols, p=None, one=1, zero=0):
+    """One kernel vector per free column: ``one`` there, ``zero`` at the
+    other free columns; reduces ``echelon`` in place."""
+    _back_substitute(pivots, echelon, p)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[free] = one
+        for c, row in zip(pivots, echelon):
+            vec[c] = -row[free] if p is None else -row[free] % p
+        basis.append(vec)
+    return basis
 
 
 def rank(m: Matrix) -> int:
     """Rank over the fraction field, by exact Gaussian elimination."""
-    rows_list = m.to_rows()
-    return len(_rref(rows_list, m.cols))
+    return len(_echelon(m.to_rows(), m.cols)[0])
 
 
 def nullspace(m: Matrix) -> list[tuple]:
     """Deterministic exact basis of the right kernel, one vector per free column."""
-    rows_list = m.to_rows()
-    pivots = _rref(rows_list, m.cols)
+    pivots, echelon = _echelon(m.to_rows(), m.cols)
     one, zero = _one_zero(m.order)
-    pivot_of_col = {c: r for r, c in enumerate(pivots)}
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_of_col:
-            continue
-        vec = [zero] * m.cols
-        vec[free] = one
-        for c, r in pivot_of_col.items():
-            vec[c] = -rows_list[r][free]
-        basis.append(tuple(vec))
-    return basis
-
-
-def mat_vec(m: Matrix, vec) -> list:
-    one, zero = _one_zero(m.order)
-    out = []
-    for i in range(m.rows):
-        acc = zero
-        for j in range(m.cols):
-            acc = acc + m.entry(i, j) * vec[j]
-        out.append(acc)
-    return out
+    return [tuple(v) for v in _kernel(pivots, echelon, m.cols, None, one, zero)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +212,6 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class FieldPrime(NamedTuple):
     """A prime p = 1 mod n with the phi(n) roots of Phi_n mod p.
 
@@ -229,7 +230,7 @@ def _inverse_mod(mat, p):
     size = len(mat)
     aug = [list(row) + [int(i == j) for j in range(size)]
            for i, row in enumerate(mat)]
-    pivots, ech = _echelon_mod(aug, size, p)
+    pivots, ech = _echelon(aug, size, p)
     if len(pivots) != size:
         raise ArithmeticError("singular matrix mod p")
     _back_substitute(pivots, ech, p)
@@ -237,7 +238,7 @@ def _inverse_mod(mat, p):
 
 
 def _field_prime(n: int, p: int) -> FieldPrime:
-    primes = _prime_factors(n)
+    primes = prime_factors(n)
     for g in range(2, p):
         omega = pow(g, (p - 1) // n, p)
         if all(pow(omega, n // q, p) != 1 for q in primes):
@@ -285,59 +286,6 @@ def reduce_mod(x, p: int, root: int) -> int | None:
                 return None
         power = power * root % p
     return acc % p
-
-
-def _echelon_mod(rows, ncols, p):
-    """Row echelon form mod p with unit pivots, consuming ``rows``.
-
-    Returns (pivot columns, echelon rows).  Rows still waiting are zero left
-    of the current column, so updates touch only the tail.
-    """
-    pivots, done = [], []
-    for c in range(ncols):
-        if not rows:
-            break
-        pivot = next((i for i, row in enumerate(rows) if row[c]), None)
-        if pivot is None:
-            continue
-        prow = rows.pop(pivot)
-        inv = pow(prow[c], -1, p)
-        tail = [x * inv % p for x in prow[c:]]
-        prow[c:] = tail
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f:
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
-        pivots.append(c)
-        done.append(prow)
-    return pivots, done
-
-
-def _back_substitute(pivots, echelon, p):
-    """Turn an echelon form with unit pivots into the reduced one, in place."""
-    for t in range(len(pivots) - 1, 0, -1):
-        c = pivots[t]
-        tail = echelon[t][c:]
-        for s in range(t):
-            row = echelon[s]
-            f = row[c]
-            if f:
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
-
-
-def _kernel_mod(pivots, echelon, ncols, p):
-    """One kernel vector per free column: 1 there, 0 at the other free columns."""
-    _back_substitute(pivots, echelon, p)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for c, row in zip(pivots, echelon):
-            vec[c] = -row[free] % p
-        basis.append(vec)
-    return basis
 
 
 def _rational(u: int, m: int) -> Fraction | None:
@@ -423,7 +371,7 @@ def certified_rank(shape: tuple[int, int], order: int,
             image = modular(p, root)
             if image is None:
                 break
-            pivots, echelon = _echelon_mod(image, cols, p)
+            pivots, echelon = _echelon(image, cols, p)
             if not kernels:
                 rank_p = len(pivots)
                 if rank_p == full:
@@ -432,7 +380,7 @@ def certified_rank(shape: tuple[int, int], order: int,
                     reading, modulus, residues = pivots, 1, None
             elif pivots != reading:
                 break
-            kernels.append(_kernel_mod(pivots, echelon, cols, p))
+            kernels.append(_kernel(pivots, echelon, cols, p))
         if len(kernels) < phi:
             continue
         # Power-basis coordinates mod p of every entry of every kernel vector.
@@ -509,16 +457,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
-
-
-def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch")
-    out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            out.append(sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols)))
-    return IntMatrix(a.rows, b.cols, tuple(out))
 
 
 def int_det(m: IntMatrix) -> int:

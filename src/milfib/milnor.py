@@ -35,7 +35,7 @@ report per k combines the two cokernels and their sum b_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, gcd
 
 from .arrangement import (Arrangement, IncidenceLattice, InvariantViolation,
@@ -91,15 +91,6 @@ def _layouts(lattice: IncidenceLattice, k: int):
     return tilde, outer, graded
 
 
-def _chart_data(point, chart: int):
-    coords = point.coords
-    if coords[chart].is_zero():
-        raise ValueError("chart coordinate vanishes at the point")
-    u_idx, v_idx = [i for i in range(3) if i != chart]
-    inv = coords[chart].inverse()
-    return u_idx, v_idx, coords[u_idx] * inv, coords[v_idx] * inv
-
-
 def _power_table(cu, cv, deg: int, p: int | None = None) -> list[list]:
     """table[a][b] = cu^a * cv^b for a + b <= deg, reduced mod p when given."""
     pu, pv = [1], [1]
@@ -114,8 +105,13 @@ def _exact_charts(lattice: IncidenceLattice, chart_of, layout, deg: int) -> dict
     """Per point of the layout: (u index, v index, power table over Q(zeta))."""
     charts = {}
     for idx, _ in layout:
-        u_idx, v_idx, cu, cv = _chart_data(lattice.points[idx].point, chart_of[idx])
-        charts[idx] = (u_idx, v_idx, _power_table(cu, cv, deg))
+        coords, chart = lattice.points[idx].point.coords, chart_of[idx]
+        if coords[chart].is_zero():
+            raise ValueError("chart coordinate vanishes at the point")
+        u_idx, v_idx = [i for i in range(3) if i != chart]
+        inv = coords[chart].inverse()
+        charts[idx] = (u_idx, v_idx,
+                       _power_table(coords[u_idx] * inv, coords[v_idx] * inv, deg))
     return charts
 
 
@@ -179,7 +175,7 @@ def _row_count(layout) -> int:
     return sum(len(jets) for _, jets in layout)
 
 
-def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
+def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int,
                ideal_constrained: bool, charts=None) -> Matrix:
     """The evaluation matrix whose cokernel dimension is one Hodge piece.
 
@@ -189,8 +185,7 @@ def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
     jet layer at the points where m_y*k/d is an integer.  Built exactly; the
     analysis path takes the same ranks over F_p in :func:`cokernel_dims`.
     """
-    if deg != k - 3:
-        raise ValueError("the evaluation maps are defined on degree k-3 forms")
+    deg = k - 3
     tilde, _, graded = _layouts(lattice, k)
     chart_of = _charts_for(lattice, charts)
     if not ideal_constrained:
@@ -261,13 +256,12 @@ def grf_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be in [1, d-1]; k=0 (lambda=1) is the "
                          f"unipotent part, outside this computation")
-    grf0 = _checked_coker(arr, lattice, k, charts)
-    grf1 = _checked_coker(arr, lattice, d - k, charts)
-    return grf0, grf1
+    return (_agreed(k, *cokernel_dims(arr, lattice, k, charts)),
+            _agreed(d - k, *cokernel_dims(arr, lattice, d - k, charts)))
 
 
-def _checked_coker(arr, lattice, k, charts=None) -> int:
-    tilde, constrained = cokernel_dims(arr, lattice, k, charts)
+def _agreed(k: int, tilde: int, constrained: int) -> int:
+    """The cokernel both evaluation maps give at k; raises if they differ."""
     if tilde != constrained:
         raise InvariantViolation(
             f"cokernel mismatch at k={k}: unconstrained {tilde} != constrained "
@@ -297,7 +291,7 @@ class EigenReport:
 
     k: int
     k_conj: int
-    lam: str
+    lambda_exponent: str
     sigma_k_size: int
     precheck_point: bool
     precheck_lines: bool
@@ -308,29 +302,11 @@ class EigenReport:
     aomoto_certificate: dict | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "k_conj": self.k_conj,
-            "lambda_exponent": self.lam,
-            "sigma_k_size": self.sigma_k_size,
-            "precheck_point": self.precheck_point,
-            "precheck_lines": self.precheck_lines,
-            "grf0": self.grf0,
-            "grf1": self.grf1,
-            "b1": self.b1,
-            "aomoto": self.aomoto,
-            "aomoto_certificate": self.aomoto_certificate,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EigenReport":
-        cert = data.get("aomoto_certificate")
-        return cls(k=data["k"], k_conj=data["k_conj"], lam=data["lambda_exponent"],
-                   sigma_k_size=data["sigma_k_size"],
-                   precheck_point=data["precheck_point"],
-                   precheck_lines=data["precheck_lines"],
-                   grf0=data["grf0"], grf1=data["grf1"], b1=data["b1"],
-                   aomoto=data.get("aomoto"), aomoto_certificate=cert)
+        return cls(**data)
 
 
 def _lambda_exponent(k: int, d: int) -> str:
@@ -341,81 +317,49 @@ def _lambda_exponent(k: int, d: int) -> str:
 def residue_searches(lattice: IncidenceLattice,
                      cap: int = resonance.DEFAULT_SEARCH_CAP) -> dict:
     """The residue-subset search result (or None) for every k <= d/2; empty
-    when d exceeds the search cap."""
-    try:
-        return {k: resonance.search_residue_subset(lattice, k, cap=cap)
-                for k in range(1, lattice.d // 2 + 1)}
-    except resonance.SearchCapExceeded:
+    when d exceeds the search cap, which the caller reports as a skip."""
+    if lattice.d > cap:
         return {}
+    return {k: resonance.search_residue_subset(lattice, k, cap=cap)
+            for k in range(1, lattice.d // 2 + 1)}
 
 
-def _aomoto_certificates(lattice: IncidenceLattice,
-                         searches: dict) -> dict[int, tuple[int, frozenset, str]]:
-    """For each low k, the first subset passing the residue check, resolved to
-    the (k, I) the Aomoto computation should actually use: the branch avoiding
-    negative integers routes through d-k and the complementary subset."""
+def spectrum_with_checks(arr: Arrangement, lattice: IncidenceLattice,
+                         searches: dict, dist: int | None = None):
+    """All per-k reports plus the raw cokernel agreement records.
+
+    ``searches`` is a :func:`residue_searches` result; {} leaves the Aomoto
+    route out.  The first subset passing the residue check at each low k is
+    resolved to the (k, I) the Aomoto computation should actually use: the
+    branch avoiding negative integers routes through d-k and the
+    complementary subset.  Returns (reports, agreements) where agreements is
+    a list of (k, unconstrained cokernel, constrained cokernel) triples.
+    """
     d = lattice.d
-    certs = {}
-    for k, found in searches.items():
+    agreements = [(k, *cokernel_dims(arr, lattice, k)) for k in range(1, d)]
+    aomoto = {}
+    for low, found in searches.items():
         if found is None:
             continue
         I, verdict = found
-        if verdict.branch == "avoids_positive":
-            certs[k] = (k, I, verdict.branch)
-        else:
-            certs[k] = (d - k, frozenset(range(d)) - I, verdict.branch)
-    return certs
-
-
-def spectrum_with_checks(arr: Arrangement, lattice: IncidenceLattice | None = None,
-                         with_aomoto: bool = True,
-                         cap: int = resonance.DEFAULT_SEARCH_CAP,
-                         dist: int | None = None, searches: dict | None = None):
-    """All per-k reports plus the raw cokernel agreement records.
-
-    ``searches`` is a :func:`residue_searches` result the caller already
-    has; without it the searches run here.  Returns (reports, agreements)
-    where agreements is a list of (k, unconstrained cokernel, constrained
-    cokernel) triples.
-    """
-    if lattice is None:
-        lattice = build_lattice(arr)
-    d = lattice.d
-    cokers = {}
-    agreements = []
-    for k in range(1, d):
-        pair = cokernel_dims(arr, lattice, k)
-        cokers[k] = pair
-        agreements.append((k, pair[0], pair[1]))
-    certs = {}
-    if with_aomoto:
-        if searches is None:
-            searches = residue_searches(lattice, cap)
-        certs = _aomoto_certificates(lattice, searches)
+        k_eff, I_eff = low, I
+        if verdict.branch != "avoids_positive":
+            k_eff, I_eff = d - low, frozenset(range(d)) - I
+        weights = resonance.weights_from_kI(d, k_eff, I_eff)
+        aomoto[low] = (resonance.aomoto_h1(lattice, weights, dist),
+                       {"searched_k": low, "k": k_eff, "I": sorted(I_eff),
+                        "branch": verdict.branch})
     reports = []
     for k in range(1, d):
         pre_point, pre_lines = precheck_vanishing(lattice, k)
-        grf0 = cokers[k][0]
-        grf1 = cokers[d - k][0]
-        aomoto = None
-        certificate = None
-        low = min(k, d - k)
-        if low in certs:
-            k_eff, I_eff, branch = certs[low]
-            weights = resonance.weights_from_kI(d, k_eff, I_eff)
-            aomoto = resonance.aomoto_h1(lattice, weights, dist)
-            certificate = {
-                "searched_k": low,
-                "k": k_eff,
-                "I": sorted(I_eff),
-                "branch": branch,
-            }
+        grf0, grf1 = agreements[k - 1][1], agreements[d - k - 1][1]
+        value, certificate = aomoto.get(min(k, d - k), (None, None))
         reports.append(EigenReport(
-            k=k, k_conj=d - k, lam=_lambda_exponent(k, d),
+            k=k, k_conj=d - k, lambda_exponent=_lambda_exponent(k, d),
             sigma_k_size=len(lattice.sigma_k(k)),
             precheck_point=pre_point, precheck_lines=pre_lines,
             grf0=grf0, grf1=grf1, b1=grf0 + grf1,
-            aomoto=aomoto, aomoto_certificate=certificate))
+            aomoto=value, aomoto_certificate=certificate))
     return reports, agreements
 
 
@@ -425,9 +369,10 @@ def full_spectrum(arr: Arrangement, lattice: IncidenceLattice | None = None,
                   dist: int | None = None) -> list[EigenReport]:
     """One EigenReport per k in [1, d-1]; raises InvariantViolation if the two
     cokernel computations ever disagree."""
-    reports, agreements = spectrum_with_checks(arr, lattice, with_aomoto, cap, dist)
-    for k, tilde, constrained in agreements:
-        if tilde != constrained:
-            raise InvariantViolation(
-                f"cokernel mismatch at k={k}: {tilde} != {constrained}")
+    if lattice is None:
+        lattice = build_lattice(arr)
+    searches = residue_searches(lattice, cap) if with_aomoto else {}
+    reports, agreements = spectrum_with_checks(arr, lattice, searches, dist)
+    for agreement in agreements:
+        _agreed(*agreement)
     return reports

@@ -12,11 +12,11 @@ The geometric step of placing the labels on a cubic curve is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from .arrangement import IncidenceLattice
-from .linalg import IntMatrix, kernel_mod_generators, smith_normal_form
+from .linalg import IntMatrix, solve_mod
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
@@ -73,14 +73,7 @@ def enumerate_kernel(system: IncidenceSystem, moduli,
     closure over the Smith-form generators, capped at ``cap`` elements.
     """
     moduli = list(moduli)
-    m = system.matrix()
-    snf = smith_normal_form(m)
-    width = len(moduli)
-    gens = []
-    for t, a in enumerate(moduli):
-        for g in kernel_mod_generators(m, a, snf=snf):
-            gens.append(tuple(tuple(g[i] if w == t else 0 for w in range(width))
-                              for i in range(system.d)))
+    gens = solve_mod(system.matrix(), moduli)
     zero = tuple(_group_zero(moduli) for _ in range(system.d))
     elements = {zero}
     frontier = [zero]
@@ -105,7 +98,6 @@ class RealizationCandidate:
 
     moduli: tuple
     vector: tuple
-    distinct: bool
     induced_triples: int
     new_triples: int
 
@@ -147,7 +139,7 @@ def search_realizations(system: IncidenceSystem, moduli,
             continue
         induced = len(_zero_sum_triples(vec, moduli))
         candidates.append(RealizationCandidate(
-            moduli=moduli, vector=vec, distinct=True,
+            moduli=moduli, vector=vec,
             induced_triples=induced, new_triples=induced - system.q))
     return RealizationSearch(candidates=tuple(candidates),
                              kernel_size=len(vectors), truncated=truncated)
@@ -169,43 +161,14 @@ def annotate_membership(system: IncidenceSystem, vector, moduli) -> dict:
             for triple in _zero_sum_triples(vector, moduli)}
 
 
-def _units(moduli):
-    sizes = [range(a) for a in moduli]
-    out = []
-
-    def rec(prefix, rest):
-        if not rest:
-            out.append(tuple(prefix))
-            return
-        a = rest[0]
-        for u in range(1, a):
-            if gcd(u, a) == 1:
-                rec(prefix + [u], rest[1:])
-    rec([], list(moduli))
-    return out
-
-
-def _translations(moduli):
-    """Group elements t with 3t = 0, the only translations preserving kernels."""
-    out = []
-
-    def rec(prefix, rest):
-        if not rest:
-            out.append(tuple(prefix))
-            return
-        a = rest[0]
-        step = a // gcd(3, a)
-        for t in range(0, a, step):
-            rec(prefix + [t], rest[1:])
-    rec([], list(moduli))
-    return out
-
-
 def same_affine_orbit(vec_a, vec_b, moduli) -> bool:
-    """Whether vec_b = u * vec_a + t componentwise for a unit u and 3t = 0."""
+    """Whether vec_b = u * vec_a + t componentwise for a unit u and 3t = 0
+    (the only translations that preserve kernels)."""
     moduli = tuple(int(a) for a in moduli)
-    for u in _units(moduli):
-        for t in _translations(moduli):
+    units = product(*([u for u in range(1, a) if gcd(u, a) == 1] for a in moduli))
+    translations = list(product(*(range(0, a, a // gcd(3, a)) for a in moduli)))
+    for u in units:
+        for t in translations:
             mapped = tuple(
                 tuple((uu * x + tt) % a for uu, x, tt, a in zip(u, entry, t, moduli))
                 for entry in vec_a)

@@ -14,7 +14,7 @@ strings, and deterministic orderings everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from math import gcd
 
 from . import milnor, resonance
@@ -36,7 +36,7 @@ class ConsistencyCheck:
     details: str = ""
 
     def as_dict(self):
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,14 @@ class AnalysisDocument:
     nets: dict
     partition_verdicts: tuple
     consistency: tuple
+    skipped: tuple = ()
 
     @property
     def all_checks_pass(self) -> bool:
         return all(c.passed for c in self.consistency)
 
     def as_dict(self) -> dict:
-        return {
+        data = {
             "name": self.name,
             "d": self.d,
             "field_order": self.field_order,
@@ -64,9 +65,12 @@ class AnalysisDocument:
             "eigen": [r.as_dict() for r in self.eigen],
             "residue_certificates": self.residue_certificates,
             "nets": self.nets,
-            "partition_verdicts": [dict(v) for v in self.partition_verdicts],
+            "partition_verdicts": list(self.partition_verdicts),
             "consistency": [c.as_dict() for c in self.consistency],
         }
+        if self.skipped:
+            data["skipped"] = list(self.skipped)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisDocument":
@@ -76,20 +80,21 @@ class AnalysisDocument:
             eigen=tuple(milnor.EigenReport.from_dict(r) for r in data["eigen"]),
             residue_certificates=data["residue_certificates"],
             nets=data["nets"],
-            partition_verdicts=tuple(_freeze_verdict(v)
-                                     for v in data["partition_verdicts"]),
+            partition_verdicts=tuple(data["partition_verdicts"]),
             consistency=tuple(ConsistencyCheck(c["name"], c["passed"],
                                                c.get("details", ""))
                               for c in data["consistency"]),
+            skipped=tuple(data.get("skipped", ())),
         )
 
 
-def _freeze_verdict(v: dict):
-    return tuple(sorted(v.items()))
+def skipped_stages(d: int, cap: int, stages) -> list[dict]:
+    """One entry per search stage left out because d exceeds the search cap."""
+    return [{"stage": stage, "d": d, "cap": cap} for stage in stages] if d > cap else []
 
 
-def _thaw_verdicts(verdicts):
-    return [dict(v) for v in verdicts]
+def skip_note(entry: dict) -> str:
+    return f"skipped {entry['stage']}: d={entry['d']} > search cap {entry['cap']}"
 
 
 def analyze(arr: Arrangement, options: AnalyzeOptions | None = None,
@@ -109,9 +114,18 @@ def analyze(arr: Arrangement, options: AnalyzeOptions | None = None,
 
     searches = (milnor.residue_searches(lattice, options.search_cap)
                 if options.with_aomoto else {})
-    reports, agreements = milnor.spectrum_with_checks(
-        arr, lattice, with_aomoto=options.with_aomoto,
-        cap=options.search_cap, dist=options.dist, searches=searches)
+    if options.net_moduli is not None:
+        candidates = list(options.net_moduli)
+    else:
+        candidates = [m for m in range(3, d) if d % m == 0]
+    stages = []
+    if options.with_aomoto:
+        stages.append("residue_search")
+    if candidates:
+        stages.append("net_detect")
+    skipped = skipped_stages(d, options.search_cap, stages)
+    reports, agreements = milnor.spectrum_with_checks(arr, lattice, searches,
+                                                      options.dist)
 
     residue_certs: dict = {}
     for k, found in searches.items():
@@ -124,10 +138,6 @@ def analyze(arr: Arrangement, options: AnalyzeOptions | None = None,
 
     nets: dict = {}
     partition_verdicts = []
-    if options.net_moduli is not None:
-        candidates = list(options.net_moduli)
-    else:
-        candidates = [m for m in range(3, d) if d % m == 0]
     if d <= options.search_cap:
         for m in candidates:
             found = resonance.net_detect(lattice, m, cap=options.search_cap)
@@ -135,17 +145,16 @@ def analyze(arr: Arrangement, options: AnalyzeOptions | None = None,
             for phi in found:
                 verdict = resonance.check_pencil_partition(
                     lattice, phi, m, dist=options.dist)
-                partition_verdicts.append(_freeze_verdict({
+                partition_verdicts.append({
                     "m": m,
                     "labels": list(phi.labels),
                     "bound_holds": verdict.bound_holds,
                     "exact_holds": verdict.exact_holds,
                     "predicted_lower": verdict.predicted_lower,
                     "predicted_exact": verdict.predicted_exact,
-                }))
+                })
 
-    consistency = _consistency_checks(d, reports, agreements,
-                                      _thaw_verdicts(partition_verdicts))
+    consistency = _consistency_checks(d, reports, agreements, partition_verdicts)
     return AnalysisDocument(
         name=arr.name, d=d, field_order=arr.field_order,
         lattice_summary=lattice_summary,
@@ -154,6 +163,7 @@ def analyze(arr: Arrangement, options: AnalyzeOptions | None = None,
         nets=nets,
         partition_verdicts=tuple(partition_verdicts),
         consistency=tuple(consistency),
+        skipped=tuple(skipped),
     )
 
 
@@ -249,7 +259,7 @@ def _render_table(doc: AnalysisDocument) -> str:
                     f"({r.aomoto_certificate['branch']})")
         aom = "-" if r.aomoto is None else str(r.aomoto)
         lines.append(
-            f"k={r.k:<2} {r.lam:>8} {r.sigma_k_size:>6} "
+            f"k={r.k:<2} {r.lambda_exponent:>8} {r.sigma_k_size:>6} "
             f"{str(r.precheck_point):>6} {str(r.precheck_lines):>6} "
             f"{r.grf0:>4} {r.grf1:>4} b1={r.b1:<2} {aom:>5}  {cert}")
     lines.append("")
@@ -265,13 +275,17 @@ def _render_table(doc: AnalysisDocument) -> str:
         for m, partitions in sorted(doc.nets.items(), key=lambda t: int(t[0])):
             if partitions:
                 for labels in partitions:
-                    lines.append(f"  m={m}: blocks {_blocks_of(labels)}")
+                    blocks = resonance.PartitionPhi(labels).blocks()
+                    lines.append(f"  m={m}: blocks {blocks}")
             else:
                 lines.append(f"  m={m}: none")
-    for v in _thaw_verdicts(doc.partition_verdicts):
-        lines.append(f"partition m={v['m']} blocks {_blocks_of(v['labels'])}: "
+    for v in doc.partition_verdicts:
+        blocks = resonance.PartitionPhi(v["labels"]).blocks()
+        lines.append(f"partition m={v['m']} blocks {blocks}: "
                      f"bound={v['bound_holds']} (>= {v['predicted_lower']}), "
                      f"exact={v['exact_holds']} (= {v['predicted_exact']})")
+    for entry in doc.skipped:
+        lines.append(skip_note(entry))
     lines.append("")
     lines.append("consistency checks:")
     for c in doc.consistency:
@@ -279,11 +293,3 @@ def _render_table(doc: AnalysisDocument) -> str:
         suffix = f" [{c.details}]" if c.details else ""
         lines.append(f"  {status}  {c.name}{suffix}")
     return "\n".join(lines) + "\n"
-
-
-def _blocks_of(labels):
-    r = max(labels) + 1 if labels else 0
-    blocks = [[] for _ in range(r)]
-    for i, lab in enumerate(labels):
-        blocks[lab].append(i)
-    return [tuple(b) for b in blocks]

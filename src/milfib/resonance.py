@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arrangement import Arrangement, IncidenceLattice
-from .cyclotomic import CycloNumber
+from .arrangement import IncidenceLattice
 from .linalg import Matrix, nullspace
 
 DEFAULT_SEARCH_CAP = 16
@@ -53,30 +52,15 @@ class ResidueWeights:
     lines: frozenset | None = None
 
     def __post_init__(self):
-        total = sum(self.alphas, start=Fraction(0)) if all(
-            isinstance(a, Fraction) for a in self.alphas) else None
-        if total is None:
-            acc = CycloNumber.zero(1)
-            for a in self.alphas:
-                acc = acc + a
-            if not acc.is_zero():
-                raise ValueError("residue weights must sum to zero")
-        elif total != 0:
+        if sum(self.alphas, Fraction(0)) != 0:
             raise ValueError("residue weights must sum to zero")
 
     @property
     def d(self) -> int:
         return len(self.alphas)
 
-    def is_zero_at(self, i: int) -> bool:
-        a = self.alphas[i]
-        return a.is_zero() if isinstance(a, CycloNumber) else a == 0
-
     def point_sum(self, lines):
-        acc = None
-        for i in lines:
-            acc = self.alphas[i] if acc is None else acc + self.alphas[i]
-        return acc
+        return sum((self.alphas[i] for i in lines), Fraction(0))
 
 
 def weights_from_kI(d: int, k: int, I) -> ResidueWeights:
@@ -101,8 +85,8 @@ def _default_dist(d: int, dist: int | None) -> int:
     return dist
 
 
-@dataclass(frozen=True)
-class AomotoSystem:
+def build_aomoto_system(lattice: IncidenceLattice, weights: ResidueWeights,
+                        dist: int | None = None) -> Matrix:
     """The block matrix of (omega wedge): A^1 -> A^2 in anchored bases.
 
     Columns are indexed by the lines other than the distinguished one, rows
@@ -110,15 +94,6 @@ class AomotoSystem:
     and i in I_V minus the anchor k0(V) = max(I_V).  The row implements
     beta |-> alpha_i * beta_V - alpha_V * beta_i.
     """
-
-    dist: int
-    columns: tuple
-    row_index: tuple
-    matrix: Matrix
-
-
-def build_aomoto_system(lattice: IncidenceLattice, weights: ResidueWeights,
-                        dist: int | None = None) -> AomotoSystem:
     d = lattice.d
     if weights.d != d:
         raise ValueError("weights length does not match the arrangement")
@@ -126,8 +101,7 @@ def build_aomoto_system(lattice: IncidenceLattice, weights: ResidueWeights,
     columns = tuple(i for i in range(d) if i != dist)
     col_pos = {i: t for t, i in enumerate(columns)}
     rows = []
-    row_index = []
-    for p_idx, p in enumerate(lattice.points):
+    for p in lattice.points:
         if dist in p.lines:
             continue
         incident = sorted(p.lines)
@@ -139,10 +113,7 @@ def build_aomoto_system(lattice: IncidenceLattice, weights: ResidueWeights,
                 row[col_pos[j]] = weights.alphas[i]
             row[col_pos[i]] = row[col_pos[i]] - alpha_v
             rows.append(row)
-            row_index.append((p_idx, i))
-    matrix = Matrix.from_rows(rows, cols=len(columns))
-    return AomotoSystem(dist=dist, columns=columns,
-                        row_index=tuple(row_index), matrix=matrix)
+    return Matrix.from_rows(rows, cols=len(columns))
 
 
 def aomoto_h1(lattice: IncidenceLattice, weights: ResidueWeights,
@@ -151,10 +122,9 @@ def aomoto_h1(lattice: IncidenceLattice, weights: ResidueWeights,
     one, the subtracted dimension being the image of (omega wedge) on A^0."""
     d = lattice.d
     dist = _default_dist(d, dist)
-    if all(weights.is_zero_at(i) for i in range(d) if i != dist):
+    if all(weights.alphas[i] == 0 for i in range(d) if i != dist):
         raise ValueError("omega = 0: the Aomoto quotient convention differs; refusing")
-    system = build_aomoto_system(lattice, weights, dist)
-    return len(nullspace(system.matrix)) - 1
+    return len(nullspace(build_aomoto_system(lattice, weights, dist))) - 1
 
 
 def alpha_components(lattice: IncidenceLattice, weights: ResidueWeights,
@@ -168,7 +138,7 @@ def alpha_components(lattice: IncidenceLattice, weights: ResidueWeights,
     d = lattice.d
     dist = _default_dist(d, dist)
     for i in range(d):
-        if i != dist and weights.is_zero_at(i):
+        if i != dist and weights.alphas[i] == 0:
             raise ValueError(f"alpha_{i} = 0: alpha-connectivity needs nonzero weights")
     parent = {i: i for i in range(d) if i != dist}
 
@@ -186,9 +156,7 @@ def alpha_components(lattice: IncidenceLattice, weights: ResidueWeights,
     for p in lattice.points:
         if dist in p.lines:
             continue
-        alpha_y = weights.point_sum(p.lines)
-        zero = alpha_y.is_zero() if isinstance(alpha_y, CycloNumber) else alpha_y == 0
-        if p.multiplicity == 2 or not zero:
+        if p.multiplicity == 2 or weights.point_sum(p.lines) != 0:
             incident = sorted(p.lines)
             for i in incident[1:]:
                 union(incident[0], i)
@@ -334,7 +302,8 @@ def check_pencil_partition(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
     r = phi.r
     dist = _default_dist(d, dist)
     details = []
-    if not (3 <= m <= d - 1 and 3 <= r <= d - 1):
+    in_range = 3 <= m <= d - 1 and 3 <= r <= d - 1
+    if not in_range:
         details.append(f"m={m}, r={r} outside [3, d-1]")
     blocks = phi.blocks()
 
@@ -374,8 +343,7 @@ def check_pencil_partition(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
         if not good:
             bound = False
             details.append(f"no block of size d/m={target} capturing 1/m of each point")
-    if not (3 <= m <= d - 1 and 3 <= r <= d - 1):
-        bound = False
+    bound = bound and in_range
 
     exact = True
     if m != r:
@@ -405,8 +373,7 @@ def check_pencil_partition(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
                 details.append("no block passes the residue integrality check")
     if certificate_block is not None:
         details.append(f"residue certificate block {certificate_block}")
-    if not (3 <= m <= d - 1 and 3 <= r <= d - 1):
-        exact = False
+    exact = exact and in_range
 
     return PartitionVerdict(
         m=m, r=r, bound_holds=bound, exact_holds=exact,

@@ -20,7 +20,7 @@ from math import comb
 
 from milfib.arrangement import Arrangement, ArrangementError, ProjLine, build_lattice
 from milfib.cyclotomic import CycloNumber
-from milfib.linalg import Matrix, rank
+from milfib.linalg import IntMatrix, Matrix, rank
 from milfib.milnor import ideal_order, monomial_basis
 
 
@@ -157,3 +157,28 @@ def monomial_arrangement(n: int, full: bool = False) -> Arrangement:
         lines += [ProjLine(one, zero, zero, n), ProjLine(zero, one, zero, n),
                   ProjLine(zero, zero, one, n)]
     return Arrangement(lines, name=f"A({n},1,3)" if full else f"ceva{n}", order=n)
+
+
+def identity_matrix(n: int, order: int = 1) -> Matrix:
+    one = Fraction(1) if order == 1 else CycloNumber.one(order)
+    zero = Fraction(0) if order == 1 else CycloNumber.zero(order)
+    return Matrix(n, n, order, tuple(one if i == j else zero
+                                     for i in range(n) for j in range(n)))
+
+
+def mat_vec(m: Matrix, vec) -> list:
+    out = []
+    for i in range(m.rows):
+        acc = 0
+        for j in range(m.cols):
+            acc = acc + m.entry(i, j) * vec[j]
+        out.append(acc)
+    return out
+
+
+def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    return IntMatrix(a.rows, b.cols, tuple(
+        sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)))

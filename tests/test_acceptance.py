@@ -62,7 +62,7 @@ def test_criterion_4_ceva3(arrangements, lattices):
     assert all(p.multiplicity == 3 for p in lat.sigma())
     reports = full_spectrum(arr, lat, with_aomoto=False)
     assert _b1(reports) == [0, 0, 2, 0, 0, 2, 0, 0]
-    cubic_eval = jet_matrix(arr, lat, 3, 6, False)
+    cubic_eval = jet_matrix(arr, lat, 6, False)
     assert (cubic_eval.rows, cubic_eval.cols) == (12, 10)
     assert nullspace(cubic_eval) == []  # injective
     aomoto = aomoto_h1(lat, weights_from_kI(9, 3, frozenset({0, 1, 2})))
@@ -74,7 +74,7 @@ def test_criterion_5_hesse(arrangements, lattices):
     arr, lat = arrangements["hesse"], lattices["hesse"]
     assert len(lat.sigma()) == 9
     assert all(p.multiplicity == 4 for p in lat.sigma())
-    mat = jet_matrix(arr, lat, 3, 6, False)
+    mat = jet_matrix(arr, lat, 6, False)
     kernel = nullspace(mat)
     assert len(kernel) == 2
     basis = monomial_basis(3)
@@ -166,7 +166,7 @@ def test_criterion_7_property_battery(arrangements, lattices):
             for kk in range(2 * d // 3 + 1, d):
                 if 3 * kk <= 2 * d:
                     continue
-                mat = jet_matrix(arr, lat, kk - 3, kk, False)
+                mat = jet_matrix(arr, lat, kk, False)
                 if mat.rows - rank(mat) != 0:
                     failures.append(("g", arr.name, kk))
         # (h) ideal dimension against the directional oracle

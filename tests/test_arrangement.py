@@ -9,7 +9,7 @@ from helpers import random_arrangements
 from milfib.arrangement import (Arrangement, ArrangementError, GenericityError,
                                 ProjLine, ProjPoint, build_lattice,
                                 generic_section, line_intersection,
-                                named_arrangement, rank2_flats, sigma_k)
+                                named_arrangement, rank2_flats)
 from milfib.cyclotomic import CycloNumber
 
 
@@ -103,11 +103,9 @@ def test_lattice_invariant_under_projective_change_of_coordinates(lattices):
 
 def test_sigma_k_examples(lattices):
     braid = lattices["braid"]
-    assert len(sigma_k(braid, 6, 2)) == 4
-    assert sigma_k(braid, 6, 1) == []
+    assert len(braid.sigma_k(2)) == 4
+    assert braid.sigma_k(1) == []
     assert len(lattices["hesse"].sigma_k(6)) == 9
-    with pytest.raises(ValueError):
-        sigma_k(braid, 7, 2)
 
 
 def test_duplicate_lines_rejected():

@@ -21,8 +21,8 @@ from milfib.milnor import cokernel_dims, jet_matrix
 
 
 def _exact_cokernels(arr, lat, k, charts=None):
-    tilde = jet_matrix(arr, lat, k - 3, k, False, charts)
-    constrained = jet_matrix(arr, lat, k - 3, k, True, charts)
+    tilde = jet_matrix(arr, lat, k, False, charts)
+    constrained = jet_matrix(arr, lat, k, True, charts)
     return (tilde.rows - rank(tilde), constrained.rows - rank(constrained))
 
 
@@ -74,8 +74,8 @@ def _sympy_rank(m: Matrix):
 def test_nonzero_cokernels_against_sympy(name, k):
     arr = monomial_arrangement(4) if name == "ceva4" else named_arrangement(name)
     lat = build_lattice(arr)
-    tilde = jet_matrix(arr, lat, k - 3, k, False)
-    constrained = jet_matrix(arr, lat, k - 3, k, True)
+    tilde = jet_matrix(arr, lat, k, False)
+    constrained = jet_matrix(arr, lat, k, True)
     expected = (tilde.rows - _sympy_rank(tilde),
                 constrained.rows - _sympy_rank(constrained))
     assert expected[0] > 0

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import identity_matrix, int_mat_mul, mat_vec
 from milfib.cyclotomic import CycloNumber, euler_phi
-from milfib.linalg import (IntMatrix, Matrix, int_det, int_mat_mul,
-                           kernel_mod_generators, mat_vec, nullspace, rank,
-                           smith_normal_form, solve_mod)
+from milfib.linalg import (IntMatrix, Matrix, int_det, kernel_mod_generators,
+                           nullspace, rank, smith_normal_form, solve_mod)
 
 
 def test_rank_basics():
     assert rank(Matrix.from_rows([])) == 0
-    assert rank(Matrix.identity(3)) == 3
+    assert rank(identity_matrix(3)) == 3
 
 
 def test_rank_of_point_evaluation_matrix():
@@ -22,7 +22,7 @@ def test_rank_of_point_evaluation_matrix():
 
 
 def test_nullspace_basics():
-    assert nullspace(Matrix.identity(2)) == []
+    assert nullspace(identity_matrix(2)) == []
     basis = nullspace(Matrix.from_rows([(1, -1)]))
     assert basis == [(Fraction(1), Fraction(1))]
 

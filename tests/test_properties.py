@@ -151,7 +151,7 @@ def test_evaluation_surjective_above_two_thirds(lattices, arrangements):
         for k in range(2 * d // 3 + 1, d):
             if 3 * k <= 2 * d:
                 continue
-            mat = jet_matrix(arr, lat, k - 3, k, False)
+            mat = jet_matrix(arr, lat, k, False)
             assert mat.rows - rank(mat) == 0, (arr.name, k)
 
 
