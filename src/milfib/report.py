@@ -90,7 +90,9 @@ class AnalysisDocument:
 
 def skipped_stages(d: int, cap: int, stages) -> list[dict]:
     """One entry per search stage left out because d exceeds the search cap."""
-    return [{"stage": stage, "d": d, "cap": cap} for stage in stages] if d > cap else []
+    if d <= cap:
+        return []
+    return [{"stage": stage, "d": d, "cap": cap} for stage in stages]
 
 
 def skip_note(entry: dict) -> str:

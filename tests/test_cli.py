@@ -180,3 +180,55 @@ def test_python_dash_m_runs_the_cli():
          "--format", "json"], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert [r["b1"] for r in json.loads(done.stdout)["eigen"]] == [0, 1, 0, 1, 0]
+
+
+LINES = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 0]]
+PLANES = [[1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0],
+          [0, 1, 0, -1], [0, 0, 1, -1]]
+MALFORMED = {
+    "float order": {"cyclotomic_order": 2.5, "lines": LINES},
+    "string order": {"cyclotomic_order": "3", "lines": LINES},
+    "boolean order": {"cyclotomic_order": True, "lines": LINES},
+    "float dimension": {"dimension": 4.7, "hyperplanes": PLANES},
+    "boolean coefficient": {"lines": [[True, 0, 0]] + LINES[1:]},
+    "null coefficient": {"lines": [[None, 0, 0]] + LINES[1:]},
+    "zero denominator": {"lines": [["1/0", 0, 0]] + LINES[1:]},
+    "top-level array": [1, 2],
+    "lines not an array": {"lines": 5},
+    "hyperplanes not an array": {"hyperplanes": 5},
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, "partition not an array"])
+def test_malformed_input_is_a_user_error(case, tmp_path, capsys):
+    if case in MALFORMED:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(MALFORMED[case]))
+        argv = ["analyze", "--input", str(path)]
+    else:
+        argv = ["theorem1", "--name", "braid", "--m", "3", "--partition", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_search_cap_skips_are_reported(tmp_path, capsys):
+    # Duals of 17 points of the cuspidal cubic: d = 17 > the default cap 16.
+    path = tmp_path / "cubic17.json"
+    path.write_text(json.dumps(
+        {"lines": [[t, t ** 3, 1] for t in range(-8, 10) if t]}))
+    note = "skipped residue_search: d=17 > search cap 16"
+    code, out, _ = run_cli(capsys, "analyze", "--input", str(path),
+                           "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["residue_certificates"] == {}
+    assert doc["skipped"] == [{"stage": "residue_search", "d": 17, "cap": 16}]
+    code, out, _ = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 0 and note in out.splitlines()
+    code, out, err = run_cli(capsys, "milnor", "--input", str(path))
+    assert code == 0 and err == note + "\n"
+
+    code, out, _ = run_cli(capsys, "analyze", "--name", "pappus-dual",
+                           "--search-cap", "8", "--format", "json")
+    assert [s["stage"] for s in json.loads(out)["skipped"]] == \
+        ["residue_search", "net_detect"]
