@@ -42,6 +42,28 @@ def euler_phi(n: int) -> int:
     return result
 
 
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Dense coefficients of Phi_n, constant term first, monic of degree phi(n).
+
+    Computed by dividing t^n - 1 by the product of Phi_d over the proper
+    divisors d of n.
+    """
+    if n < 1:
+        raise ValueError("cyclotomic_polynomial requires n >= 1")
+    if n == 1:
+        return (-1, 1)
+    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    den = [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _pmul(den, cyclotomic_polynomial(d))
+    quot, rem = _pdivmod(num, den)
+    if rem:
+        raise ArithmeticError("t^n - 1 is not divisible by its proper cyclotomic factors")
+    return tuple(int(c) for c in quot)
+
+
 # Dense polynomials over Q, constant term first, used only inside this module.
 
 def _trim(p):
@@ -85,28 +107,6 @@ def _pdivmod(num, den):
             num[shift + i] -= c * dc
         _trim(num)
     return quot, num
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Dense coefficients of Phi_n, constant term first, monic of degree phi(n).
-
-    Computed by dividing t^n - 1 by the product of Phi_d over the proper
-    divisors d of n.
-    """
-    if n < 1:
-        raise ValueError("cyclotomic_polynomial requires n >= 1")
-    if n == 1:
-        return (-1, 1)
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    den = [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _pmul(den, cyclotomic_polynomial(d))
-    quot, rem = _pdivmod(num, den)
-    if rem:
-        raise ArithmeticError("t^n - 1 is not divisible by its proper cyclotomic factors")
-    return tuple(int(c) for c in quot)
 
 
 class CycloNumber:
