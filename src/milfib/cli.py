@@ -46,6 +46,8 @@ def _read_json_object(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ArrangementError("the input must be a JSON object")
+    if not isinstance(data.get("name", ""), str):
+        raise ArrangementError("'name' must be a string")
     return data
 
 

@@ -194,6 +194,7 @@ MALFORMED = {
     "null coefficient": {"lines": [[None, 0, 0]] + LINES[1:]},
     "zero denominator": {"lines": [["1/0", 0, 0]] + LINES[1:]},
     "top-level array": [1, 2],
+    "name not a string": {"name": [1, 2], "lines": LINES},
     "lines not an array": {"lines": 5},
     "hyperplanes not an array": {"hyperplanes": 5},
 }
