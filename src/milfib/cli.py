@@ -115,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_realize)
     _add_input_flags(p)
     p.add_argument("--mod", required=True,
-                   help="comma-separated moduli of the abelian group (<= 2)")
-    p.add_argument("--cap", type=int, default=realize.DEFAULT_ENUM_CAP)
+                   help="comma-separated moduli of the abelian group")
+    p.add_argument("--cap", type=int, default=realize.DEFAULT_ENUM_CAP,
+                   help="refuse kernels with more elements than this")
     p.add_argument("--max-candidates", type=int, default=6)
 
     p = subs.add_parser("section", help="certified generic plane section to P^2")
@@ -132,10 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Lower bounds of the numeric options, checked here rather than by argparse,
+# whose usage errors exit 2: that code means a consistency failure.
+MINIMUMS = {"m": 1, "cap": 1, "search_cap": 1, "max_candidates": 0}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, low in MINIMUMS.items():
+            if getattr(args, name, low) < low:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
         return args.func(args)
     except (ArrangementError, GenericityError, ValueError, OSError,
             json.JSONDecodeError) as exc:
@@ -279,8 +288,7 @@ def _cmd_realize(args) -> int:
     moduli = [int(tok) for tok in args.mod.split(",") if tok != ""]
     result = realize.search_realizations(system, moduli, cap=args.cap)
     print(f"incidence matrix {system.q}x{system.d}; kernel size "
-          f"{result.kernel_size}{' (truncated)' if result.truncated else ''}; "
-          f"{len(result.candidates)} distinct-entry candidates")
+          f"{result.kernel_size}; {len(result.candidates)} distinct-entry candidates")
     for cand in result.candidates[:args.max_candidates]:
         vec = realize.as_plain_vector(cand.vector, moduli)
         print(f"  x={vec} induced_triples={cand.induced_triples} "

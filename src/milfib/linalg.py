@@ -568,25 +568,27 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def kernel_mod_generators(m: IntMatrix, modulus: int,
                           snf: tuple[IntMatrix, IntMatrix, IntMatrix] | None = None
-                          ) -> list[tuple[int, ...]]:
-    """Generators of {x in (Z/modulus)^cols : m x = 0}, via the Smith form."""
+                          ) -> list[tuple[tuple[int, ...], int]]:
+    """(generator, order) pairs of {x in (Z/modulus)^cols : m x = 0}, via the
+    Smith form: x = V y solves it iff s_j y_j = 0 for all j, so the kernel is
+    the direct product of the cyclic groups of order gcd(s_j, modulus)
+    spanned by the scaled columns of the unimodular V."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     s, _, v = snf if snf is not None else smith_normal_form(m)
     gens = []
     for j in range(m.cols):
-        d = s.entry(j, j) if j < min(m.rows, m.cols) else 0
-        step = modulus // gcd(abs(d), modulus)
-        if step % modulus == 0:
-            continue
-        g = tuple(v.entry(i, j) * step % modulus for i in range(m.cols))
-        if any(g):
-            gens.append(g)
+        order = gcd(s.entry(j, j) if j < min(m.rows, m.cols) else 0, modulus)
+        if order > 1:
+            step = modulus // order
+            gens.append((tuple(v.entry(i, j) * step % modulus
+                               for i in range(m.cols)), order))
     return gens
 
 
-def solve_mod(m: IntMatrix, moduli) -> list[tuple[tuple[int, ...], ...]]:
-    """Generators of the kernel of m over G^cols, G = Z/a1 x Z/a2 x ...
+def solve_mod(m: IntMatrix, moduli) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """(generator, order) pairs of the kernel of m over G^cols, G = Z/a1 x
+    Z/a2 x ...; the kernel is the direct product of their cyclic groups.
 
     Each generator is a length-``cols`` vector whose entries are tuples with
     one component per modulus.  Solved componentwise through the Smith form.
@@ -598,8 +600,8 @@ def solve_mod(m: IntMatrix, moduli) -> list[tuple[tuple[int, ...], ...]]:
     width = len(moduli)
     gens = []
     for t, a in enumerate(moduli):
-        for g in kernel_mod_generators(m, a, snf=snf):
+        for g, order in kernel_mod_generators(m, a, snf=snf):
             vec = tuple(tuple(g[i] if w == t else 0 for w in range(width))
                         for i in range(m.cols))
-            gens.append(vec)
+            gens.append((vec, order))
     return gens

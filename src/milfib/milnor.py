@@ -38,10 +38,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import comb, gcd
 
+# `build_lattice` and `rank` are not called here; perfbench/tracing.py wraps
+# them by name, as tests/test_bench_hooks.py checks.
 from .arrangement import (Arrangement, IncidenceLattice, InvariantViolation,
                           build_lattice)
-# `rank` is not called here any more; perfbench/tracing.py still wraps
-# `milnor.rank` by name, next to `milnor.nullspace`.
 from .linalg import Matrix, certified_rank, nullspace, rank, reduce_mod
 from . import resonance
 
@@ -363,16 +363,11 @@ def spectrum_with_checks(arr: Arrangement, lattice: IncidenceLattice,
     return reports, agreements
 
 
-def full_spectrum(arr: Arrangement, lattice: IncidenceLattice | None = None,
-                  with_aomoto: bool = True,
-                  cap: int = resonance.DEFAULT_SEARCH_CAP,
-                  dist: int | None = None) -> list[EigenReport]:
+def full_spectrum(arr: Arrangement, lattice: IncidenceLattice) -> list[EigenReport]:
     """One EigenReport per k in [1, d-1]; raises InvariantViolation if the two
     cokernel computations ever disagree."""
-    if lattice is None:
-        lattice = build_lattice(arr)
-    searches = residue_searches(lattice, cap) if with_aomoto else {}
-    reports, agreements = spectrum_with_checks(arr, lattice, searches, dist)
+    reports, agreements = spectrum_with_checks(arr, lattice,
+                                               residue_searches(lattice))
     for agreement in agreements:
         _agreed(*agreement)
     return reports

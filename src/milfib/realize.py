@@ -7,13 +7,17 @@ x_i is a combinatorial realization certificate: labeling the lines by the
 x_i reproduces every original triple point as a zero-sum label triple
 (possibly along with new zero-sum triples, which are counted separately).
 The geometric step of placing the labels on a cubic curve is out of scope.
+
+The kernel of M over G^d is the direct product of the cyclic groups spanned
+by its Smith-form generators, so its size is known before any vector is
+built: a kernel above the enumeration cap is refused, not truncated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 from .arrangement import IncidenceLattice
 from .linalg import IntMatrix, solve_mod
@@ -60,36 +64,29 @@ def _group_add(a, b, moduli):
     return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
 
 
-def _group_zero(moduli):
-    return tuple(0 for _ in moduli)
-
-
 def enumerate_kernel(system: IncidenceSystem, moduli,
                      cap: int = DEFAULT_ENUM_CAP):
-    """All solutions of M x = 0 over (prod Z/a)^d, deterministically ordered.
-
-    Returns (vectors, truncated).  Vectors are tuples of group elements; the
-    group is closed under addition so the kernel is grown by breadth-first
-    closure over the Smith-form generators, capped at ``cap`` elements.
-    """
-    moduli = list(moduli)
+    """Yield each solution of M x = 0 over (prod Z/a)^d once, as a tuple of
+    group elements, by running through the multiples of every Smith-form
+    generator.  Their orders multiply to the kernel size, which is checked
+    against ``cap`` (ValueError) before the first vector is built."""
+    moduli = tuple(moduli)
     gens = solve_mod(system.matrix(), moduli)
-    zero = tuple(_group_zero(moduli) for _ in range(system.d))
-    elements = {zero}
-    frontier = [zero]
-    truncated = False
-    while frontier:
-        current = frontier.pop()
-        for g in gens:
-            nxt = tuple(_group_add(x, y, moduli) for x, y in zip(current, g))
-            if nxt not in elements:
-                if len(elements) >= cap:
-                    truncated = True
-                    frontier = []
-                    break
-                elements.add(nxt)
-                frontier.append(nxt)
-    return sorted(elements), truncated
+    size = prod(order for _, order in gens)
+    if size > cap:
+        raise ValueError(f"the kernel has {size} elements, more than the "
+                         f"enumeration cap {cap}")
+
+    def span(base, rest):
+        if not rest:
+            yield base
+            return
+        g, order = rest[0]
+        for _ in range(order):
+            yield from span(base, rest[1:])
+            base = tuple(_group_add(x, y, moduli) for x, y in zip(base, g))
+
+    yield from span(((0,) * len(moduli),) * system.d, gens)
 
 
 @dataclass(frozen=True)
@@ -106,11 +103,10 @@ class RealizationCandidate:
 class RealizationSearch:
     candidates: tuple
     kernel_size: int
-    truncated: bool
 
 
 def _zero_sum_triples(vector, moduli):
-    zero = _group_zero(moduli)
+    zero = (0,) * len(moduli)
     found = []
     for i, j, l in combinations(range(len(vector)), 3):
         total = _group_add(_group_add(vector[i], vector[j], moduli),
@@ -122,33 +118,33 @@ def _zero_sum_triples(vector, moduli):
 
 def search_realizations(system: IncidenceSystem, moduli,
                         cap: int = DEFAULT_ENUM_CAP) -> RealizationSearch:
-    """Kernel vectors with pairwise distinct entries, with triple counts.
+    """Kernel vectors with pairwise distinct entries, sorted, with triple
+    counts; a kernel of more than ``cap`` elements is refused (ValueError).
 
     induced_triples counts every zero-sum 3-subset of labels; the original
     rows are always among them, so new_triples = induced - q >= 0.
     """
     moduli = tuple(int(a) for a in moduli)
-    if not moduli or any(a < 2 for a in moduli):
-        raise ValueError("moduli must be a nonempty list of integers >= 2")
-    vectors, truncated = enumerate_kernel(system, moduli, cap)
+    kernel_size = 0
+    distinct = []
+    for vec in enumerate_kernel(system, moduli, cap):
+        kernel_size += 1
+        if len(set(vec)) == len(vec):
+            distinct.append(vec)
     candidates = []
-    for vec in vectors:
-        if all(x == _group_zero(moduli) for x in vec):
-            continue
-        if len(set(vec)) != len(vec):
-            continue
+    for vec in sorted(distinct):
         induced = len(_zero_sum_triples(vec, moduli))
         candidates.append(RealizationCandidate(
             moduli=moduli, vector=vec,
             induced_triples=induced, new_triples=induced - system.q))
     return RealizationSearch(candidates=tuple(candidates),
-                             kernel_size=len(vectors), truncated=truncated)
+                             kernel_size=kernel_size)
 
 
 def annotate_membership(system: IncidenceSystem, vector, moduli) -> dict:
     """Label each zero-sum 3-subset of the vector "original" or "new"."""
     moduli = tuple(int(a) for a in moduli)
-    zero = _group_zero(moduli)
+    zero = (0,) * len(moduli)
     for triple in system.rows:
         total = zero
         for i in triple:

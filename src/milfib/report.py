@@ -24,9 +24,7 @@ from .arrangement import Arrangement, IncidenceLattice, build_lattice
 @dataclass(frozen=True)
 class AnalyzeOptions:
     dist: int | None = None
-    with_aomoto: bool = True
     search_cap: int = resonance.DEFAULT_SEARCH_CAP
-    net_moduli: tuple | None = None  # which m to try; default all divisors in [3, d-1]
 
 
 @dataclass(frozen=True)
@@ -114,17 +112,9 @@ def analyze(arr: Arrangement, options: AnalyzeOptions | None = None,
         "b1_lambda_one": d - 1,
     }
 
-    searches = (milnor.residue_searches(lattice, options.search_cap)
-                if options.with_aomoto else {})
-    if options.net_moduli is not None:
-        candidates = list(options.net_moduli)
-    else:
-        candidates = [m for m in range(3, d) if d % m == 0]
-    stages = []
-    if options.with_aomoto:
-        stages.append("residue_search")
-    if candidates:
-        stages.append("net_detect")
+    searches = milnor.residue_searches(lattice, options.search_cap)
+    candidates = [m for m in range(3, d) if d % m == 0]
+    stages = ["residue_search", "net_detect"] if candidates else ["residue_search"]
     skipped = skipped_stages(d, options.search_cap, stages)
     reports, agreements = milnor.spectrum_with_checks(arr, lattice, searches,
                                                       options.dist)

@@ -29,7 +29,7 @@ def _b1(reports):
 
 def test_criterion_1_braid_spectrum(arrangements, lattices):
     arr, lat = arrangements["braid"], lattices["braid"]
-    reports = full_spectrum(arr, lat, with_aomoto=False)
+    reports = full_spectrum(arr, lat)
     assert _b1(reports) == [0, 1, 0, 1, 0]
     assert grf_dims(arr, lat, 2) == (0, 1)
     print("criterion 1 (braid spectrum): PASS")
@@ -37,7 +37,7 @@ def test_criterion_1_braid_spectrum(arrangements, lattices):
 
 def test_criterion_2_pappus_dual(arrangements, lattices):
     arr, lat = arrangements["pappus-dual"], lattices["pappus-dual"]
-    reports = full_spectrum(arr, lat, with_aomoto=False)
+    reports = full_spectrum(arr, lat)
     assert _b1(reports) == [0, 0, 1, 0, 0, 1, 0, 0]
     found = search_residue_subset(lat, 3)
     assert found is not None and found[1].holds
@@ -49,7 +49,7 @@ def test_criterion_2_pappus_dual(arrangements, lattices):
 
 def test_criterion_3_all_zero_example(arrangements, lattices):
     arr, lat = arrangements["ex-3-1-iii"], lattices["ex-3-1-iii"]
-    reports = full_spectrum(arr, lat, with_aomoto=False)
+    reports = full_spectrum(arr, lat)
     assert _b1(reports) == [0] * 8
     assert search_residue_subset(lat, 3) is None
     assert net_detect(lat, 3) == []
@@ -60,7 +60,7 @@ def test_criterion_4_ceva3(arrangements, lattices):
     arr, lat = arrangements["ceva3"], lattices["ceva3"]
     assert len(lat.sigma()) == 12
     assert all(p.multiplicity == 3 for p in lat.sigma())
-    reports = full_spectrum(arr, lat, with_aomoto=False)
+    reports = full_spectrum(arr, lat)
     assert _b1(reports) == [0, 0, 2, 0, 0, 2, 0, 0]
     cubic_eval = jet_matrix(arr, lat, 6, False)
     assert (cubic_eval.rows, cubic_eval.cols) == (12, 10)
@@ -84,7 +84,7 @@ def test_criterion_5_hesse(arrangements, lattices):
         stacked = [list(v) for v in kernel] + [target]
         assert rank(Matrix.from_rows(stacked, cols=10, order=3)) == 2
     assert mat.rows - rank(mat) == 1  # cokernel
-    reports = full_spectrum(arr, lat, with_aomoto=False)
+    reports = full_spectrum(arr, lat)
     assert _b1(reports) == [0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0]
     nets = net_detect(lat, 4)
     from milfib.resonance import check_pencil_partition
@@ -117,7 +117,7 @@ def test_criterion_7_property_battery(arrangements, lattices):
 
     for arr, lat in cases:
         d = lat.d
-        reports = {r.k: r for r in full_spectrum(arr, lat, with_aomoto=False)}
+        reports = {r.k: r for r in full_spectrum(arr, lat)}
         for k in range(1, d):
             # (a) the two cokernel routes agree
             tilde, constrained = cokernel_dims(arr, lat, k)
@@ -200,10 +200,9 @@ def test_criterion_8_generic_section_of_braid_c4():
     arr, cert = generic_section(hyperplanes, seed=0, name="braid-section")
     lat = build_lattice(arr)
     assert lat.multiplicity_histogram() == {3: 4, 2: 3}
-    reports = full_spectrum(arr, lat, with_aomoto=False)
+    reports = full_spectrum(arr, lat)
     planar = named_arrangement("braid")
-    planar_reports = full_spectrum(planar, build_lattice(planar),
-                                   with_aomoto=False)
+    planar_reports = full_spectrum(planar, build_lattice(planar))
     assert [(r.k, r.grf0, r.grf1, r.b1) for r in reports] == \
         [(r.k, r.grf0, r.grf1, r.b1) for r in planar_reports]
     print("criterion 8 (generic section): PASS")

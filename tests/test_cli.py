@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -38,6 +39,14 @@ def test_realize_prints_reference_counts(capsys):
     assert code == 0
     assert "9x9" in out
     assert "induced_triples=9" in out and "new_triples=0" in out
+
+
+def test_realize_refuses_a_kernel_above_the_cap(capsys):
+    code, out, err = run_cli(capsys, "realize", "--name", "ceva3",
+                             "--mod", "3,3", "--cap", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert re.search(r"\b729\b.*\b10\b", err)
 
 
 def test_aomoto_valid_invocation(capsys):
@@ -200,14 +209,27 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", [*MALFORMED, "partition not an array"])
+BAD_OPTIONS = {
+    "partition not an array": ["theorem1", "--name", "braid", "--m", "3",
+                               "--partition", "5"],
+    "m zero": ["theorem1", "--name", "braid", "--m", "0",
+               "--partition", "[0,0,1,1,2,2]"],
+    "negative max-candidates": ["realize", "--name", "ex-3-1-iii", "--mod", "27",
+                                "--max-candidates", "-1"],
+    "negative search cap": ["analyze", "--name", "braid", "--search-cap", "-5"],
+    "zero enumeration cap": ["realize", "--name", "braid", "--mod", "4",
+                             "--cap", "0"],
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, *BAD_OPTIONS])
 def test_malformed_input_is_a_user_error(case, tmp_path, capsys):
     if case in MALFORMED:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(MALFORMED[case]))
         argv = ["analyze", "--input", str(path)]
     else:
-        argv = ["theorem1", "--name", "braid", "--m", "3", "--partition", "5"]
+        argv = BAD_OPTIONS[case]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err

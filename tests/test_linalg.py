@@ -145,7 +145,7 @@ def test_solve_mod_zero_matrix_spans_everything():
     gens = solve_mod(IntMatrix.from_rows([[0, 0, 0]]), [5])
     elements = {(0, 0, 0)}
     frontier = [(0, 0, 0)]
-    flat = [tuple(entry[0] for entry in g) for g in gens]
+    flat = [tuple(entry[0] for entry in g) for g, _order in gens]
     while frontier:
         x = frontier.pop()
         for g in flat:
@@ -167,7 +167,7 @@ def test_solve_mod_generators_satisfy_the_equation():
         m = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(c)]
                                  for _ in range(r)])
         moduli = rng.choice(([4], [27], [3, 9], [2, 6]))
-        for g in solve_mod(m, moduli):
+        for g, _order in solve_mod(m, moduli):
             for i in range(r):
                 total = [0] * len(moduli)
                 for j in range(c):

@@ -26,7 +26,7 @@ FIXED = settings(derandomize=True, deadline=None, max_examples=12,
 
 
 def spectrum(arr):
-    reports = full_spectrum(arr, build_lattice(arr), with_aomoto=False)
+    reports = full_spectrum(arr, build_lattice(arr))
     return [(r.grf0, r.grf1) for r in reports]
 
 

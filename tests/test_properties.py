@@ -44,7 +44,7 @@ def test_cokernel_routes_agree_everywhere(lattices, arrangements):
 
 def test_conjugation_symmetry_of_spectra(lattices, arrangements):
     for arr, lat in _all_cases(lattices, arrangements):
-        reports = full_spectrum(arr, lat, with_aomoto=False)
+        reports = full_spectrum(arr, lat)
         by_k = {r.k: r for r in reports}
         for r in reports:
             conj = by_k[lat.d - r.k]
@@ -92,7 +92,7 @@ def test_aomoto_below_b1_with_equality_under_certificate(lattices, arrangements)
     rng = random.Random(33)
     for arr, lat in _all_cases(lattices, arrangements):
         d = lat.d
-        reports = {r.k: r for r in full_spectrum(arr, lat, with_aomoto=False)}
+        reports = {r.k: r for r in full_spectrum(arr, lat)}
         for _ in range(4):
             k = rng.randint(1, d // 2)
             I = frozenset(rng.sample(range(d), k))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -44,7 +45,6 @@ def test_determinant_and_smith_form(ex3_system):
 
 def test_reference_vector_is_a_kernel_candidate(ex3_system):
     result = search_realizations(ex3_system, [27])
-    assert not result.truncated
     assert result.kernel_size == 27
     reference = from_plain_vector(REFERENCE, [27])
     match = next((c for c in result.candidates if c.vector == reference), None)
@@ -91,8 +91,7 @@ def test_modulus_two_has_no_distinct_labelings(ex3_system):
 
 
 def test_kernel_vectors_satisfy_the_equation(ex3_system):
-    vectors, truncated = enumerate_kernel(ex3_system, [27])
-    assert not truncated
+    vectors = list(enumerate_kernel(ex3_system, [27]))
     m = ex3_system.matrix()
     for vec in vectors:
         for i in range(m.rows):
@@ -100,10 +99,29 @@ def test_kernel_vectors_satisfy_the_equation(ex3_system):
             assert total == 0
 
 
-def test_enumeration_cap_truncates(ceva_system):
-    result = search_realizations(ceva_system, [3, 3], cap=10)
-    assert result.truncated
-    assert result.kernel_size <= 10
+def test_enumeration_cap_refuses(ceva_system):
+    with pytest.raises(ValueError, match=r"\b729\b.*\b10\b"):
+        search_realizations(ceva_system, [3, 3], cap=10)
+    assert search_realizations(ceva_system, [3, 3], cap=729).kernel_size == 729
+
+
+# (fixture, moduli, kernel size): small enough to test every vector of G^d.
+ORACLE_CASES = [("braid", (4,), 32), ("braid", (6,), 72), ("braid", (2, 2), 64),
+                ("ex-3-1-iii", (3,), 3), ("ceva3", (3,), 27)]
+
+
+@pytest.mark.parametrize("name, moduli, size", ORACLE_CASES)
+def test_enumeration_matches_brute_force(lattices, name, moduli, size):
+    system = incidence_from_lattice(lattices[name])
+    group = list(itertools.product(*(range(a) for a in moduli)))
+    expected = {
+        x for x in itertools.product(group, repeat=system.d)
+        if all(sum(x[i][t] for i in row) % a == 0
+               for row in system.rows for t, a in enumerate(moduli))}
+    vectors = list(enumerate_kernel(system, moduli))
+    assert len(vectors) == len(set(vectors)) == size
+    assert set(vectors) == expected
+    assert search_realizations(system, moduli).kernel_size == size
 
 
 def test_induced_counts_are_affine_invariants(ex3_system):

@@ -61,15 +61,6 @@ def test_render_rejects_unknown_format(braid_doc):
         render(braid_doc, "yaml")
 
 
-def test_options_allow_disabling_search(arrangements):
-    doc = analyze(arrangements["braid"],
-                  AnalyzeOptions(with_aomoto=False, net_moduli=()))
-    assert all(r.aomoto is None for r in doc.eigen)
-    assert doc.residue_certificates == {}
-    assert doc.nets == {}
-    assert doc.all_checks_pass
-
-
 def test_distinguished_line_choice_does_not_change_the_table(arrangements):
     base = analyze(arrangements["braid"])
     for dist in (0, 3):
