@@ -12,8 +12,7 @@ All arithmetic is exact, over Q or a cyclotomic field Q(zeta_n).
 """
 
 from .cyclotomic import CycloNumber, cyclotomic_polynomial, euler_phi
-from .linalg import (IntMatrix, Matrix, int_det, nullspace, rank,
-                     smith_normal_form, solve_mod)
+from .linalg import IntMatrix, Matrix, nullspace, rank, smith_normal_form, solve_mod
 from .arrangement import (Arrangement, ArrangementError, GenericityError,
                           IncidenceLattice, LatticePoint, ProjLine, ProjPoint,
                           build_lattice, generic_section, named_arrangement,
@@ -23,11 +22,9 @@ from .resonance import (PartitionPhi, ResidueWeights, alpha_components,
                         check_residue_integrality, net_detect,
                         search_residue_subset, weights_from_kI)
 from .milnor import (EigenReport, InvariantViolation, full_spectrum, grf_dims,
-                     ideal_basis, jet_matrix, monomial_basis,
-                     precheck_vanishing)
+                     monomial_basis, precheck_vanishing)
 from .realize import (IncidenceSystem, RealizationCandidate,
-                      annotate_membership, incidence_from_lattice,
-                      same_affine_orbit, search_realizations)
-from .report import AnalysisDocument, AnalyzeOptions, analyze, parse_document, render
+                      incidence_from_lattice, search_realizations)
+from .report import AnalysisDocument, AnalyzeOptions, analyze, render
 
 __all__ = [name for name in dir() if not name.startswith("_")]

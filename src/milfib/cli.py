@@ -16,7 +16,6 @@ from . import milnor, realize, resonance
 from .arrangement import (Arrangement, ArrangementError, GenericityError,
                           build_lattice, generic_section, hyperplanes_from_json,
                           named_arrangement, named_arrangement_names)
-from .linalg import Matrix, int_det, nullspace, rank
 from .report import AnalyzeOptions, analyze, render, skip_note, skipped_stages
 
 
@@ -55,8 +54,15 @@ def _parse_indices(text):
     return frozenset(int(tok) for tok in text.split(",") if tok != "")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are user errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="milfib",
         description="Exact first Milnor cohomology eigenspace dimensions of "
                     "projective line arrangements, by two independent methods.")
@@ -126,22 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON with 'dimension' and 'hyperplanes'")
     p.add_argument("--seed", type=int, default=0)
 
-    p = subs.add_parser("examples", help="run the built-in fixture suite")
-    p.set_defaults(func=lambda args: examples_suite(only=args.only))
-    p.add_argument("--only", default=None, help="run a single fixture by name")
-
     return parser
 
 
-# Lower bounds of the numeric options, checked here rather than by argparse,
-# whose usage errors exit 2: that code means a consistency failure.
-MINIMUMS = {"m": 1, "cap": 1, "search_cap": 1, "max_candidates": 0}
+# Lower bounds of numeric options.  `--m` has none here: net_detect and
+# check_pencil_partition reject a bad m themselves.
+MINIMUMS = {"cap": 1, "search_cap": 1, "max_candidates": 0}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name, low in MINIMUMS.items():
             if getattr(args, name, low) < low:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
@@ -314,150 +315,3 @@ def _cmd_section(args) -> int:
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
-
-
-# ---------------------------------------------------------------------------
-# The fixture suite: every built-in arrangement against its known values.
-
-
-# Expected values of the named fixtures and of the braid section: the b1
-# vector over k = 1..d-1, the lattice summary entries, grf pairs per k,
-# residue certificates found (True) or not (False) per k, the number of
-# nets per m, and the m of a partition that must carry an exact verdict.
-EXPECTED = {
-    "braid": {"b1": [0, 1, 0, 1, 0], "grf": {2: (0, 1)}, "nets": {"3": 1}},
-    "pappus-dual": {"b1": [0, 0, 1, 0, 0, 1, 0, 0], "residue": {"3": True},
-                    "exact_partition": 3},
-    "ex-3-1-iii": {"b1": [0] * 8, "residue": {"3": False}, "nets": {"3": 0}},
-    "ceva3": {"b1": [0, 0, 2, 0, 0, 2, 0, 0],
-              "lattice": {"sigma_size": 12, "double_count": 0}},
-    "hesse": {"b1": [0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0],
-              "lattice": {"sigma_size": 9,
-                          "multiplicity_histogram": {"2": 12, "4": 9}},
-              "exact_partition": 4},
-    "section": {"b1": [0, 1, 0, 1, 0],
-                "lattice": {"multiplicity_histogram": {"2": 3, "3": 4}}},
-}
-NAMED_FIXTURES = ("braid", "pappus-dual", "ex-3-1-iii", "ceva3", "hesse")
-
-
-def examples_suite(only: str | None = None, registry=None, out=print) -> int:
-    """Run the built-in fixtures end to end; nonzero exit on any mismatch."""
-    registry = registry if registry is not None else {
-        name: (lambda n=name: named_arrangement(n)) for name in NAMED_FIXTURES}
-    fixtures = [(name, lambda n=name: _expect_named(registry, n))
-                for name in NAMED_FIXTURES]
-    fixtures += [("realization", lambda: _expect_realization(registry)),
-                 ("section", _expect_section)]
-    if only is not None:
-        fixtures = [f for f in fixtures if f[0] == only]
-        if not fixtures:
-            out(f"unknown fixture {only!r}")
-            return 1
-    failures = 0
-    for name, expect in fixtures:
-        try:
-            problems = expect()
-        except Exception as exc:  # a crash is a failed fixture, not a crash of the suite
-            problems = [f"exception: {exc!r}"]
-        if problems:
-            failures += 1
-            out(f"FAIL {name}")
-            for p in problems:
-                out(f"     {p}")
-        else:
-            out(f"PASS {name}")
-    return 2 if failures else 0
-
-
-def _document_problems(doc, expected) -> list[str]:
-    problems = []
-    b1 = [r.b1 for r in doc.eigen]
-    if b1 != expected["b1"]:
-        problems.append(f"b1 vector {b1} != {expected['b1']}")
-    for key, value in expected.get("lattice", {}).items():
-        if doc.lattice_summary[key] != value:
-            problems.append(f"lattice {key} {doc.lattice_summary[key]} != {value}")
-    for k, pair in expected.get("grf", {}).items():
-        r = doc.eigen[k - 1]
-        if (r.grf0, r.grf1) != pair:
-            problems.append(f"grf({k}) = {(r.grf0, r.grf1)} != {pair}")
-    for k, found in expected.get("residue", {}).items():
-        if bool(doc.residue_certificates.get(k, {}).get("found")) != found:
-            problems.append(f"residue certificate at k={k} found is not {found}")
-    for m, count in expected.get("nets", {}).items():
-        if len(doc.nets.get(m) or []) != count:
-            problems.append(f"expected exactly {count} nets for m={m}")
-    m = expected.get("exact_partition")
-    if m is not None and not any(v["exact_holds"] for v in doc.partition_verdicts
-                                 if v["m"] == m):
-        problems.append(f"no exact partition certificate with m={m}")
-    if not doc.all_checks_pass:
-        problems.append("consistency checks failed")
-    return problems
-
-
-def _expect_named(registry, name):
-    arr = registry[name]()
-    lat = build_lattice(arr)
-    doc = analyze(arr, lattice=lat)
-    problems = _document_problems(doc, EXPECTED[name])
-    if name == "ceva3":
-        problems += _ceva3_jets(arr, lat, doc)
-    elif name == "hesse":
-        problems += _hesse_jets(arr, lat)
-    return problems
-
-
-def _ceva3_jets(arr, lat, doc):
-    problems = []
-    if nullspace(milnor.jet_matrix(arr, lat, 6, False)):
-        problems.append("cubic evaluation at the 12 points is not injective")
-    weights = resonance.weights_from_kI(9, 3, frozenset({0, 1, 2}))
-    a = resonance.aomoto_h1(lat, weights)
-    if not a < doc.eigen[2].b1:
-        problems.append(f"aomoto {a} not strictly below b1 {doc.eigen[2].b1}")
-    return problems
-
-
-def _hesse_jets(arr, lat):
-    problems = []
-    kernel = nullspace(milnor.jet_matrix(arr, lat, 6, False))
-    if len(kernel) != 2:
-        problems.append(f"evaluation kernel dimension {len(kernel)} != 2")
-    basis = milnor.monomial_basis(3)
-    span = rank(Matrix.from_rows(kernel, cols=len(basis), order=arr.field_order))
-    for poly in (((3, 0, 0), (0, 3, 0), (0, 0, 3)), ((1, 1, 1),)):
-        vec = [1 if mono in poly else 0 for mono in basis]
-        rows = kernel + [vec]
-        if rank(Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)) != span:
-            problems.append(f"{poly} not in the evaluation kernel span")
-    return problems
-
-
-def _expect_realization(registry):
-    problems = []
-    lat = build_lattice(registry["ex-3-1-iii"]())
-    system = realize.incidence_from_lattice(lat)
-    if abs(int_det(system.matrix())) != 27:
-        problems.append("|det| of the incidence matrix != 27")
-    result = realize.search_realizations(system, [27])
-    reference = realize.from_plain_vector([7, 1, 4, 19, 22, 16, 13, 10, 25], [27])
-    hit = next((c for c in result.candidates
-                if realize.same_affine_orbit(reference, c.vector, [27])), None)
-    if hit is None:
-        problems.append("no candidate in the reference affine orbit")
-    elif (hit.induced_triples, hit.new_triples) != (9, 0):
-        problems.append(f"triple counts {(hit.induced_triples, hit.new_triples)}")
-    return problems
-
-
-def _expect_section():
-    hyperplanes = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            v = [0] * 4
-            v[i], v[j] = 1, -1
-            hyperplanes.append(v)
-    arr, _cert = generic_section(hyperplanes, seed=0, name="braid-section")
-    return _document_problems(analyze(arr), EXPECTED["section"])

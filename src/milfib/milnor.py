@@ -25,9 +25,9 @@ F the graded jet layer) is never formed, because
 
     rank(F.N) = rank [C; F] - rank C.
 
-So every number reported is exact.  :func:`jet_matrix` and
-:func:`ideal_basis` build the same maps exactly over Q(zeta) and serve as
-the reference for tests.
+So every number reported is exact.  ``jet_matrix`` and ``ideal_basis`` in
+tests/helpers.py build the same maps exactly over Q(zeta), from the layouts
+and charts used here, and serve as the reference for tests.
 
 The piece of Hodge level one at k is the level-zero piece at d-k, so one
 report per k combines the two cokernels and their sum b_1.
@@ -38,8 +38,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import comb, gcd
 
-# `build_lattice` and `rank` are not called here; perfbench/tracing.py wraps
-# them by name, as tests/test_bench_hooks.py checks.
+# `build_lattice`, `rank` and `nullspace` are not called here;
+# perfbench/tracing.py wraps them by name, as tests/test_bench_hooks.py checks.
 from .arrangement import (Arrangement, IncidenceLattice, InvariantViolation,
                           build_lattice)
 from .linalg import Matrix, certified_rank, nullspace, rank, reduce_mod
@@ -175,42 +175,6 @@ def _row_count(layout) -> int:
     return sum(len(jets) for _, jets in layout)
 
 
-def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int,
-               ideal_constrained: bool, charts=None) -> Matrix:
-    """The evaluation matrix whose cokernel dimension is one Hodge piece.
-
-    Unconstrained (ideal_constrained=False): rows are truncated jets at every
-    multiple point, columns the degree-(k-3) monomials.  Constrained: columns
-    are a kernel basis of the outer-ideal conditions, rows the single graded
-    jet layer at the points where m_y*k/d is an integer.  Built exactly; the
-    analysis path takes the same ranks over F_p in :func:`cokernel_dims`.
-    """
-    deg = k - 3
-    tilde, _, graded = _layouts(lattice, k)
-    chart_of = _charts_for(lattice, charts)
-    if not ideal_constrained:
-        return _exact_matrix(arr, lattice, chart_of, tilde, deg)
-    ideal = ideal_basis(arr, lattice, deg, k, charts)
-    layer = _exact_matrix(arr, lattice, chart_of, graded, deg)
-    rows = [[sum(f * vec[t] for t, f in enumerate(layer.row(i))) for vec in ideal]
-            for i in range(layer.rows)]
-    return Matrix.from_rows(rows, cols=len(ideal), order=arr.field_order)
-
-
-def ideal_basis(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
-                charts=None) -> list[tuple]:
-    """Basis of the degree-``deg`` forms vanishing to the outer-ideal order at
-    every multiple point, as coefficient vectors over monomial_basis(deg)."""
-    _, outer, _ = _layouts(lattice, k)
-    size = len(monomial_basis(deg))
-    if not outer:
-        return [tuple(1 if t == s else 0 for t in range(size))
-                for s in range(size)]
-    constraints = _exact_matrix(arr, lattice, _charts_for(lattice, charts),
-                                outer, deg)
-    return nullspace(constraints)
-
-
 def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
                   charts=None) -> tuple[int, int]:
     """(cokernel of the unconstrained map, cokernel of the ideal-constrained map).
@@ -303,10 +267,6 @@ class EigenReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EigenReport":
-        return cls(**data)
 
 
 def _lambda_exponent(k: int, d: int) -> str:

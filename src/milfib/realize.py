@@ -16,8 +16,8 @@ built: a kernel above the enumeration cap is refused, not truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import gcd, prod
+from itertools import combinations
+from math import prod
 
 from .arrangement import IncidenceLattice
 from .linalg import IntMatrix, solve_mod
@@ -141,55 +141,9 @@ def search_realizations(system: IncidenceSystem, moduli,
                              kernel_size=kernel_size)
 
 
-def annotate_membership(system: IncidenceSystem, vector, moduli) -> dict:
-    """Label each zero-sum 3-subset of the vector "original" or "new"."""
-    moduli = tuple(int(a) for a in moduli)
-    zero = (0,) * len(moduli)
-    for triple in system.rows:
-        total = zero
-        for i in triple:
-            total = _group_add(total, vector[i], moduli)
-        if total != zero:
-            raise ValueError(
-                f"vector is not a kernel element: row {sorted(triple)} sums to {total}")
-    original = set(system.rows)
-    return {triple: ("original" if triple in original else "new")
-            for triple in _zero_sum_triples(vector, moduli)}
-
-
-def same_affine_orbit(vec_a, vec_b, moduli) -> bool:
-    """Whether vec_b = u * vec_a + t componentwise for a unit u and 3t = 0
-    (the only translations that preserve kernels)."""
-    moduli = tuple(int(a) for a in moduli)
-    units = product(*([u for u in range(1, a) if gcd(u, a) == 1] for a in moduli))
-    translations = list(product(*(range(0, a, a // gcd(3, a)) for a in moduli)))
-    for u in units:
-        for t in translations:
-            mapped = tuple(
-                tuple((uu * x + tt) % a for uu, x, tt, a in zip(u, entry, t, moduli))
-                for entry in vec_a)
-            if mapped == vec_b:
-                return True
-    return False
-
-
 def as_plain_vector(vector, moduli):
     """Single-modulus vectors rendered as plain ints, else tuples."""
     if len(moduli) == 1:
         return [entry[0] for entry in vector]
     return [list(entry) for entry in vector]
 
-
-def from_plain_vector(values, moduli):
-    width = len(moduli)
-    out = []
-    for v in values:
-        if isinstance(v, (list, tuple)):
-            if len(v) != width:
-                raise ValueError("group element width does not match moduli")
-            out.append(tuple(int(x) % a for x, a in zip(v, moduli)))
-        else:
-            if width != 1:
-                raise ValueError("scalar entries need a single modulus")
-            out.append((int(v) % moduli[0],))
-    return tuple(out)

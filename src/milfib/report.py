@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from math import gcd
 
 from . import milnor, resonance
-from .arrangement import Arrangement, IncidenceLattice, build_lattice
+from .arrangement import Arrangement, build_lattice
 
 
 @dataclass(frozen=True)
@@ -70,21 +70,6 @@ class AnalysisDocument:
             data["skipped"] = list(self.skipped)
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalysisDocument":
-        return cls(
-            name=data["name"], d=data["d"], field_order=data["field_order"],
-            lattice_summary=data["lattice"],
-            eigen=tuple(milnor.EigenReport.from_dict(r) for r in data["eigen"]),
-            residue_certificates=data["residue_certificates"],
-            nets=data["nets"],
-            partition_verdicts=tuple(data["partition_verdicts"]),
-            consistency=tuple(ConsistencyCheck(c["name"], c["passed"],
-                                               c.get("details", ""))
-                              for c in data["consistency"]),
-            skipped=tuple(data.get("skipped", ())),
-        )
-
 
 def skipped_stages(d: int, cap: int, stages) -> list[dict]:
     """One entry per search stage left out because d exceeds the search cap."""
@@ -97,11 +82,9 @@ def skip_note(entry: dict) -> str:
     return f"skipped {entry['stage']}: d={entry['d']} > search cap {entry['cap']}"
 
 
-def analyze(arr: Arrangement, options: AnalyzeOptions | None = None,
-            lattice: IncidenceLattice | None = None) -> AnalysisDocument:
+def analyze(arr: Arrangement, options: AnalyzeOptions | None = None) -> AnalysisDocument:
     options = options or AnalyzeOptions()
-    if lattice is None:
-        lattice = build_lattice(arr)
+    lattice = build_lattice(arr)
     d = lattice.d
 
     hist = lattice.multiplicity_histogram()
@@ -224,10 +207,6 @@ def render(doc: AnalysisDocument, fmt: str = "table") -> str:
     if fmt == "table":
         return _render_table(doc)
     raise ValueError(f"unknown format {fmt!r}; use 'json' or 'table'")
-
-
-def parse_document(text: str) -> AnalysisDocument:
-    return AnalysisDocument.from_dict(json.loads(text))
 
 
 def _render_table(doc: AnalysisDocument) -> str:

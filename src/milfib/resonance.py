@@ -195,6 +195,8 @@ def check_residue_integrality(lattice: IncidenceLattice, k: int, I) -> ResidueVe
         raise ValueError(f"|I| = {len(I)} != k = {k}")
     if not 1 <= k or 2 * k > d:
         raise ValueError(f"k must be in [1, d/2] = [1, {d // 2}], got {k}")
+    if min(I) < 0 or max(I) >= d:
+        raise ValueError(f"line index out of range [0, {d - 1}] in I")
     positive = []
     negative = []
     for idx, p in enumerate(lattice.points):
@@ -219,6 +221,8 @@ def search_residue_subset(lattice: IncidenceLattice, k: int,
                           cap: int = DEFAULT_SEARCH_CAP):
     """First k-subset (lexicographic) passing the integrality check, or None."""
     d = lattice.d
+    if not 1 <= k or 2 * k > d:
+        raise ValueError(f"k must be in [1, d/2] = [1, {d // 2}], got {k}")
     _check_cap(d, cap)
     for I in combinations(range(d), k):
         verdict = check_residue_integrality(lattice, k, I)
@@ -247,18 +251,6 @@ class PartitionPhi:
                 seen[lab] = len(seen)
         normalized = tuple(seen[lab] for lab in self.labels)
         object.__setattr__(self, "labels", normalized)
-
-    @classmethod
-    def from_blocks(cls, blocks, d: int) -> "PartitionPhi":
-        labels = [None] * d
-        for b, block in enumerate(blocks):
-            for i in block:
-                if labels[i] is not None:
-                    raise ValueError(f"line {i} appears in two blocks")
-                labels[i] = b
-        if any(lab is None for lab in labels):
-            raise ValueError("partition does not cover all lines")
-        return cls(tuple(labels))
 
     @property
     def r(self) -> int:
@@ -299,6 +291,8 @@ def check_pencil_partition(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
     d = lattice.d
     if len(phi.labels) != d:
         raise ValueError("partition length does not match the arrangement")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     r = phi.r
     dist = _default_dist(d, dist)
     details = []

@@ -10,18 +10,26 @@ path, so agreement is evidence and not tautology:
 * ``ideal_dim_oracle`` imposes "vanishes to order s at y" through univariate
   restrictions along s distinct directions instead of per-monomial Taylor
   jets.
+
+The exact references live here too: ``jet_matrix`` and ``ideal_basis`` build
+the jet maps over Q(zeta) that ``milnor.cokernel_dims`` ranks over F_p,
+``int_det`` checks the Smith diagonal by Bareiss elimination, and
+``same_affine_orbit`` compares realization vectors up to the affine group.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, gcd
 
-from milfib.arrangement import Arrangement, ArrangementError, ProjLine, build_lattice
+from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
+                                ProjLine, build_lattice)
 from milfib.cyclotomic import CycloNumber
-from milfib.linalg import IntMatrix, Matrix, rank
-from milfib.milnor import ideal_order, monomial_basis
+from milfib.linalg import IntMatrix, Matrix, nullspace, rank
+from milfib.milnor import (_charts_for, _exact_matrix, _layouts, ideal_order,
+                           monomial_basis)
 
 
 def aomoto_h1_oracle(lattice, weights, dist=None):
@@ -109,6 +117,98 @@ def ideal_dim_oracle(arr, lattice, deg, k):
         return len(basis)
     constraints = Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)
     return len(basis) - rank(constraints)
+
+
+def int_det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int,
+               ideal_constrained: bool, charts=None) -> Matrix:
+    """The evaluation matrix whose cokernel dimension is one Hodge piece.
+
+    Unconstrained (ideal_constrained=False): rows are truncated jets at every
+    multiple point, columns the degree-(k-3) monomials.  Constrained: columns
+    are a kernel basis of the outer-ideal conditions, rows the single graded
+    jet layer at the points where m_y*k/d is an integer.  Built exactly; the
+    analysis path takes the same ranks over F_p in ``milnor.cokernel_dims``.
+    """
+    deg = k - 3
+    tilde, _, graded = _layouts(lattice, k)
+    chart_of = _charts_for(lattice, charts)
+    if not ideal_constrained:
+        return _exact_matrix(arr, lattice, chart_of, tilde, deg)
+    ideal = ideal_basis(arr, lattice, deg, k, charts)
+    layer = _exact_matrix(arr, lattice, chart_of, graded, deg)
+    rows = [[sum(f * vec[t] for t, f in enumerate(layer.row(i))) for vec in ideal]
+            for i in range(layer.rows)]
+    return Matrix.from_rows(rows, cols=len(ideal), order=arr.field_order)
+
+
+def ideal_basis(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
+                charts=None) -> list[tuple]:
+    """Basis of the degree-``deg`` forms vanishing to the outer-ideal order at
+    every multiple point, as coefficient vectors over monomial_basis(deg)."""
+    _, outer, _ = _layouts(lattice, k)
+    size = len(monomial_basis(deg))
+    if not outer:
+        return [tuple(1 if t == s else 0 for t in range(size))
+                for s in range(size)]
+    constraints = _exact_matrix(arr, lattice, _charts_for(lattice, charts),
+                                outer, deg)
+    return nullspace(constraints)
+
+
+def same_affine_orbit(vec_a, vec_b, moduli) -> bool:
+    """Whether vec_b = u * vec_a + t componentwise for a unit u and 3t = 0
+    (the only translations that preserve kernels)."""
+    moduli = tuple(int(a) for a in moduli)
+    units = product(*([u for u in range(1, a) if gcd(u, a) == 1] for a in moduli))
+    translations = list(product(*(range(0, a, a // gcd(3, a)) for a in moduli)))
+    for u in units:
+        for t in translations:
+            mapped = tuple(
+                tuple((uu * x + tt) % a for uu, x, tt, a in zip(u, entry, t, moduli))
+                for entry in vec_a)
+            if mapped == vec_b:
+                return True
+    return False
+
+
+def from_plain_vector(values, moduli):
+    width = len(moduli)
+    out = []
+    for v in values:
+        if isinstance(v, (list, tuple)):
+            if len(v) != width:
+                raise ValueError("group element width does not match moduli")
+            out.append(tuple(int(x) % a for x, a in zip(v, moduli)))
+        else:
+            if width != 1:
+                raise ValueError("scalar entries need a single modulus")
+            out.append((int(v) % moduli[0],))
+    return tuple(out)
 
 
 def random_arrangement(rng: random.Random, d: int) -> Arrangement:

@@ -1,8 +1,8 @@
 """The certified F_p rank kernel behind the jet route.
 
 ``cokernel_dims`` takes every rank over F_p (linalg.certified_rank); the
-exact matrices of ``jet_matrix`` with exact ``rank`` are the oracle here,
-and sympy's DomainMatrix over QQ<zeta_n> an independent one.
+exact matrices of ``jet_matrix`` (tests/helpers.py) with exact ``rank`` are
+the oracle here, and sympy's DomainMatrix over QQ<zeta_n> an independent one.
 """
 
 import random
@@ -10,14 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import monomial_arrangement, random_arrangement
+from helpers import jet_matrix, monomial_arrangement, random_arrangement
 from milfib import milnor
 from milfib.arrangement import (Arrangement, ProjLine, ProjPoint, build_lattice,
                                 named_arrangement)
 from milfib.cyclotomic import CycloNumber, euler_phi
 from milfib.linalg import (PRIME_BUDGET, CertifiedRank, Matrix,
                            certified_rank, field_primes, rank, reduce_mod)
-from milfib.milnor import cokernel_dims, jet_matrix
+from milfib.milnor import cokernel_dims
 
 
 def _exact_cokernels(arr, lat, k, charts=None):

@@ -8,7 +8,7 @@ import pytest
 
 import milfib
 from milfib.arrangement import ProjLine, build_lattice, named_arrangement
-from milfib.cli import examples_suite, main
+from milfib.cli import main
 from milfib.milnor import grf_dims
 
 
@@ -146,33 +146,6 @@ def test_input_and_name_are_mutually_exclusive(capsys):
     assert "exactly one" in err
 
 
-def test_examples_suite_passes_and_filters(capsys):
-    assert examples_suite(out=lambda *_: None) == 0
-    lines = []
-    assert examples_suite(only="braid", out=lines.append) == 0
-    assert lines == ["PASS braid"]
-    assert examples_suite(only="nope", out=lines.append) == 1
-
-
-def test_examples_suite_detects_corruption():
-    # Corrupting a named arrangement through the registry hook must flip the
-    # fixture to FAIL and the exit code to 2.
-    registry = {name: (lambda n=name: named_arrangement(n))
-                for name in ("braid", "pappus-dual", "ex-3-1-iii",
-                             "ceva3", "hesse")}
-    registry["braid"] = lambda: named_arrangement("pappus-dual")
-    messages = []
-    assert examples_suite(registry=registry, out=messages.append) == 2
-    assert any(m.startswith("FAIL braid") for m in messages)
-    assert any(m.startswith("PASS ceva3") for m in messages)
-
-
-def test_examples_cli_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "examples", "--only", "braid")
-    assert code == 0
-    assert "PASS braid" in out
-
-
 def test_failed_pair_count_invariant_exits_2(monkeypatch, capsys):
     # No line contains any intersection point: the pair count becomes 0.
     monkeypatch.setattr(ProjLine, "contains", lambda self, point: False)
@@ -219,6 +192,11 @@ BAD_OPTIONS = {
     "negative search cap": ["analyze", "--name", "braid", "--search-cap", "-5"],
     "zero enumeration cap": ["realize", "--name", "braid", "--mod", "4",
                              "--cap", "0"],
+    "unknown subcommand": ["examples"],
+    "k not an integer": ["milnor", "--name", "braid", "--k", "x"],
+    "missing required option": ["realize", "--name", "braid"],
+    "k above d/2": ["cond02", "--name", "braid", "--k", "9"],
+    "index out of range": ["cond02", "--name", "braid", "--k", "2", "--I", "0,9"],
 }
 
 

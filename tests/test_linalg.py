@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import identity_matrix, int_mat_mul, mat_vec
+from helpers import identity_matrix, int_det, int_mat_mul, mat_vec
 from milfib.cyclotomic import CycloNumber, euler_phi
-from milfib.linalg import (IntMatrix, Matrix, int_det, kernel_mod_generators,
-                           nullspace, rank, smith_normal_form, solve_mod)
+from milfib.linalg import (IntMatrix, Matrix, kernel_mod_generators, nullspace,
+                           rank, smith_normal_form, solve_mod)
 
 
 def test_rank_basics():

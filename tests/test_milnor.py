@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ideal_dim_oracle, random_arrangements
+from helpers import ideal_basis, ideal_dim_oracle, jet_matrix, random_arrangements
 from milfib.arrangement import build_lattice, named_arrangement
 from milfib.linalg import Matrix, nullspace, rank
-from milfib.milnor import (EigenReport, InvariantViolation, cokernel_dims,
-                           full_spectrum, grf_dims, ideal_basis, ideal_order,
-                           jet_matrix, monomial_basis, precheck_vanishing,
-                           truncation_order)
+from milfib.milnor import (InvariantViolation, cokernel_dims, full_spectrum,
+                           grf_dims, ideal_order, monomial_basis,
+                           precheck_vanishing, truncation_order)
 
 
 def test_monomial_basis_sizes_and_edges():
@@ -153,9 +152,3 @@ def test_cokernel_pair_agreement_on_randoms():
         for k in range(1, lat.d):
             tilde, constrained = cokernel_dims(arr, lat, k)
             assert tilde == constrained, (arr.name, k)
-
-
-def test_eigenreport_json_round_trip(lattices, arrangements):
-    reports = full_spectrum(arrangements["braid"], lattices["braid"])
-    for r in reports:
-        assert EigenReport.from_dict(r.as_dict()) == r

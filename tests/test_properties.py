@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ideal_dim_oracle, random_arrangements
+from helpers import ideal_basis, ideal_dim_oracle, jet_matrix, random_arrangements
 from milfib.arrangement import build_lattice, named_arrangement
 from milfib.linalg import rank
-from milfib.milnor import (cokernel_dims, full_spectrum, grf_dims, ideal_basis,
-                           jet_matrix, precheck_vanishing)
+from milfib.milnor import (cokernel_dims, full_spectrum, grf_dims,
+                           precheck_vanishing)
 from milfib.resonance import (ResidueWeights, alpha_components, aomoto_h1,
                               check_residue_integrality, search_residue_subset,
                               weights_from_kI)

@@ -5,11 +5,10 @@ import random
 import pytest
 
 from milfib.arrangement import build_lattice, named_arrangement
-from milfib.linalg import int_det, smith_normal_form
-from milfib.realize import (annotate_membership, as_plain_vector,
-                            enumerate_kernel, from_plain_vector,
-                            incidence_from_lattice, same_affine_orbit,
-                            search_realizations)
+from helpers import from_plain_vector, int_det, same_affine_orbit
+from milfib.linalg import smith_normal_form
+from milfib.realize import (as_plain_vector, enumerate_kernel,
+                            incidence_from_lattice, search_realizations)
 
 REFERENCE = [7, 1, 4, 19, 22, 16, 13, 10, 25]
 
@@ -60,19 +59,6 @@ def test_all_candidates_share_the_reference_orbit(ex3_system):
     assert result.candidates
     for cand in result.candidates:
         assert same_affine_orbit(reference, cand.vector, [27])
-
-
-def test_annotate_membership_reference(ex3_system):
-    labels = annotate_membership(ex3_system, from_plain_vector(REFERENCE, [27]), [27])
-    assert len(labels) == 9
-    assert set(labels.values()) == {"original"}
-    assert set(labels.keys()) == set(ex3_system.rows)
-
-
-def test_annotate_membership_rejects_non_kernel_vector(ex3_system):
-    bad = from_plain_vector([1] + [0] * 8, [27])
-    with pytest.raises(ValueError, match="not a kernel element"):
-        annotate_membership(ex3_system, bad, [27])
 
 
 def test_ceva3_group_labeling(ceva_system):

@@ -158,7 +158,8 @@ def test_second_branch_routes_through_complement(lattices):
 
 
 def test_partition_checks_braid(lattices):
-    phi = PartitionPhi.from_blocks(BRAID_NET, 6)
+    phi = PartitionPhi((0, 1, 2, 2, 1, 0))
+    assert tuple(phi.blocks()) == BRAID_NET
     verdict = check_pencil_partition(lattices["braid"], phi, 3)
     assert verdict.bound_holds and verdict.exact_holds
     assert verdict.predicted_exact == 1
@@ -175,7 +176,7 @@ def test_partition_checks_hesse(lattices):
 
 
 def test_partition_checks_ceva3_bound_without_exact(lattices):
-    phi = PartitionPhi.from_blocks(((0, 1, 2), (3, 4, 5), (6, 7, 8)), 9)
+    phi = PartitionPhi((0, 0, 0, 1, 1, 1, 2, 2, 2))
     verdict = check_pencil_partition(lattices["ceva3"], phi, 3)
     assert verdict.bound_holds
     assert not verdict.exact_holds
@@ -186,7 +187,7 @@ def test_partition_malformed_rejected(lattices):
     with pytest.raises(ValueError):
         check_pencil_partition(lattices["braid"], PartitionPhi((0, 1, 0)), 3)
     with pytest.raises(ValueError):
-        PartitionPhi.from_blocks(((0, 1), (1, 2)), 3)
+        check_pencil_partition(lattices["braid"], PartitionPhi((0, 0, 1, 1, 2, 2)), 0)
 
 
 def test_net_detect_braid_unique(lattices):
