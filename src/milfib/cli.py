@@ -1,9 +1,10 @@
 """Command-line surface: every library operation behind one executable.
 
 Exit codes: 0 success with all consistency checks passing, 1 user error
-(bad input, unmet precondition), 2 theorem-encoded consistency failure.
-Eigenvalues are always addressed by the integer k (lambda = exp(2*pi*i*k/d)),
-never by a floating-point number, and line indices are 0-based everywhere.
+(bad input or usage, unmet precondition), 2 theorem-encoded consistency
+failure.  Eigenvalues are always addressed by the integer k (lambda =
+exp(2*pi*i*k/d)), never by a floating-point number, and line indices are
+0-based everywhere.
 """
 
 from __future__ import annotations
