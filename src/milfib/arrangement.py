@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 from .cyclotomic import CycloNumber, as_cyclo
@@ -62,11 +63,6 @@ class ProjLine:
 
     def key(self):
         return tuple(v.coeffs for v in self.coeffs)
-
-    def contains(self, point: "ProjPoint") -> bool:
-        a, b, c = self.coeffs
-        x, y, z = point.coords
-        return (a * x + b * y + c * z).is_zero()
 
     def __eq__(self, other):
         return isinstance(other, ProjLine) and self.order == other.order \
@@ -234,22 +230,22 @@ class IncidenceLattice:
 
 
 def build_lattice(arr: Arrangement) -> IncidenceLattice:
-    """All pairwise intersections, deduplicated exactly, with I_y recomputed.
+    """All pairwise intersections, grouped exactly by point.
 
-    Raises if the pair-count identity sum C(m_y, 2) = C(d, 2) fails, which
-    would indicate an arithmetic bug rather than bad input.
+    Every pair of lines meets in exactly one point, so I_y is the union of
+    the pairs whose intersection is y.  The pair-count identity
+    sum C(m_y, 2) = C(d, 2) holds exactly when the pairs at each point form
+    a clique; a failure indicates an arithmetic bug rather than bad input.
     """
     d = arr.d
     found: dict = {}
     for i in range(d):
         for j in range(i + 1, d):
             pt = line_intersection(arr.lines[i], arr.lines[j])
-            key = pt.key()
-            if key not in found:
-                incident = frozenset(
-                    idx for idx, line in enumerate(arr.lines) if line.contains(pt))
-                found[key] = LatticePoint(pt, incident)
-    points = tuple(sorted(found.values(), key=lambda p: p.point.key()))
+            _, incident = found.setdefault(pt.key(), (pt, set()))
+            incident.update((i, j))
+    points = tuple(LatticePoint(found[key][0], frozenset(found[key][1]))
+                   for key in sorted(found))
     pair_count = sum(comb(p.multiplicity, 2) for p in points)
     if pair_count != comb(d, 2):
         raise InvariantViolation(
@@ -276,15 +272,23 @@ def _vector_rank(vectors, order):
 
 
 def rank2_flats(hyperplanes, order: int = 1) -> list[frozenset]:
-    """Index sets of the codimension-2 flats of a central essential arrangement."""
+    """Index sets of the codimension-2 flats of a central essential arrangement
+    of pairwise distinct hyperplanes.
+
+    Each pair spans exactly one flat, so a pair inside a flat already found
+    is skipped, and only the other d - 2 hyperplanes are rank-tested.
+    """
     d = len(hyperplanes)
-    flats = set()
-    for i in range(d):
-        for j in range(i + 1, d):
-            members = [l for l in range(d)
-                       if _vector_rank([hyperplanes[i], hyperplanes[j],
-                                        hyperplanes[l]], order) <= 2]
-            flats.add(frozenset(members))
+    flats = []
+    covered = set()
+    for i, j in combinations(range(d), 2):
+        if (i, j) in covered:
+            continue
+        flat = [l for l in range(d) if l in (i, j)
+                or _vector_rank([hyperplanes[i], hyperplanes[j],
+                                 hyperplanes[l]], order) <= 2]
+        covered.update(combinations(flat, 2))
+        flats.append(frozenset(flat))
     return sorted(flats, key=sorted)
 
 

@@ -51,8 +51,19 @@ def _read_json_object(path):
     return data
 
 
+def _parse_ints(text, option):
+    """Comma-separated integers; an empty entry is an error, not skipped."""
+    tokens = text.split(",")
+    if "" in tokens:
+        raise ValueError(f"{option} has an empty entry: {text!r}")
+    return [int(tok) for tok in tokens]
+
+
 def _parse_indices(text):
-    return frozenset(int(tok) for tok in text.split(",") if tok != "")
+    indices = _parse_ints(text, "--I")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"--I repeats a line index: {text!r}")
+    return frozenset(indices)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,7 +213,11 @@ def _cmd_milnor(args) -> int:
     lat = build_lattice(arr)
     if args.k is not None:
         grf0, grf1 = milnor.grf_dims(arr, lat, args.k)
-        print(f"k={args.k} grf0={grf0} grf1={grf1} b1={grf0 + grf1}")
+        if args.format == "json":
+            print(json.dumps({"k": args.k, "grf0": grf0, "grf1": grf1,
+                              "b1": grf0 + grf1}, sort_keys=True, indent=2))
+        else:
+            print(f"k={args.k} grf0={grf0} grf1={grf1} b1={grf0 + grf1}")
         return 0
     reports = milnor.full_spectrum(arr, lat)
     for entry in skipped_stages(lat.d, resonance.DEFAULT_SEARCH_CAP,
@@ -287,7 +302,7 @@ def _cmd_realize(args) -> int:
     arr = _load_arrangement(args)
     lat = build_lattice(arr)
     system = realize.incidence_from_lattice(lat)
-    moduli = [int(tok) for tok in args.mod.split(",") if tok != ""]
+    moduli = _parse_ints(args.mod, "--mod")
     result = realize.search_realizations(system, moduli, cap=args.cap)
     print(f"incidence matrix {system.q}x{system.d}; kernel size "
           f"{result.kernel_size}; {len(result.candidates)} distinct-entry candidates")

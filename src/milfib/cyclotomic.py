@@ -243,6 +243,8 @@ class CycloNumber:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
+        if len(a.coeffs) == 1:  # phi(n) = 1: the field is Q itself
+            return CycloNumber(a.order, (a.coeffs[0] * b.coeffs[0],))
         return CycloNumber._from_poly(a.order, _pmul(list(a.coeffs), list(b.coeffs)))
 
     __rmul__ = __mul__
@@ -251,6 +253,8 @@ class CycloNumber:
         """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
+        if len(self.coeffs) == 1:
+            return CycloNumber(self.order, (1 / self.coeffs[0],))
         phi_mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         # Extended Euclid on (self, Phi_n): track s with s*self = r mod Phi_n.
         r0, r1 = phi_mod, _trim(list(self.coeffs))

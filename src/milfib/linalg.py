@@ -448,9 +448,6 @@ class IntMatrix:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]
 
-    def diagonal(self):
-        return [self.entry(i, i) for i in range(min(self.rows, self.cols))]
-
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .arrangement import IncidenceLattice
+from .arrangement import IncidenceLattice, InvariantViolation
 from .linalg import Matrix, nullspace
 
 DEFAULT_SEARCH_CAP = 16
@@ -167,7 +166,8 @@ def alpha_components(lattice: IncidenceLattice, weights: ResidueWeights,
 
 
 # ---------------------------------------------------------------------------
-# Residue-sum integrality condition and its exhaustive search.
+# Residue-sum integrality condition and the count-pruned search for a subset
+# that passes it.
 
 
 @dataclass(frozen=True)
@@ -219,16 +219,56 @@ def check_residue_integrality(lattice: IncidenceLattice, k: int, I) -> ResidueVe
 
 def search_residue_subset(lattice: IncidenceLattice, k: int,
                           cap: int = DEFAULT_SEARCH_CAP):
-    """First k-subset (lexicographic) passing the integrality check, or None."""
+    """First k-subset (lexicographic) passing the integrality check, or None.
+
+    Only the points of sigma_k constrain I: there c_y = k m_y/d is an integer
+    and alpha_{I,y} = c_y - |I & I_y|, so I avoids positive integers iff
+    every |I & I_y| >= c_y, and negative ones iff every |I & I_y| <= c_y.
+    Lines are added in increasing order, depth first, and a branch is cut
+    once neither bound can still hold: some count exceeds c_y, and some
+    count cannot reach c_y with the lines of I_y still ahead and the slots
+    left.  The first complete subset is then the lexicographically first
+    passing one; its verdict comes from ``check_residue_integrality``.
+    """
     d = lattice.d
     if not 1 <= k or 2 * k > d:
         raise ValueError(f"k must be in [1, d/2] = [1, {d // 2}], got {k}")
     _check_cap(d, cap)
-    for I in combinations(range(d), k):
-        verdict = check_residue_integrality(lattice, k, I)
-        if verdict.holds:
-            return frozenset(I), verdict
-    return None
+    points = [p.lines for p in lattice.sigma_k(k)]
+    targets = [k * len(lines) // d for lines in points]
+    through = [[s for s, lines in enumerate(points) if i in lines] for i in range(d)]
+    # ahead[i][s]: lines of point s with index above i.
+    ahead = [[sum(l > i for l in lines) for lines in points] for i in range(d)]
+    counts = [0] * len(points)
+    chosen: list[int] = []
+
+    def reachable(last: int, slots: int) -> bool:
+        below = all(n <= c for n, c in zip(counts, targets))
+        return below or all(n + min(a, slots) >= c for n, a, c
+                            in zip(counts, ahead[last], targets))
+
+    def extend(start: int) -> bool:
+        slots = k - len(chosen)
+        if slots == 0:
+            return True
+        for i in range(start, d - slots + 1):
+            chosen.append(i)
+            for s in through[i]:
+                counts[s] += 1
+            if reachable(i, slots - 1) and extend(i + 1):
+                return True
+            for s in through[i]:
+                counts[s] -= 1
+            chosen.pop()
+        return False
+
+    if not extend(0):
+        return None
+    I = frozenset(chosen)
+    verdict = check_residue_integrality(lattice, k, I)
+    if not verdict.holds:
+        raise InvariantViolation(f"residue search returned I={sorted(I)}, which fails")
+    return I, verdict
 
 
 # ---------------------------------------------------------------------------

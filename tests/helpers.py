@@ -15,21 +15,59 @@ The exact references live here too: ``jet_matrix`` and ``ideal_basis`` build
 the jet maps over Q(zeta) that ``milnor.cokernel_dims`` ranks over F_p,
 ``int_det`` checks the Smith diagonal by Bareiss elimination, and
 ``same_affine_orbit`` compares realization vectors up to the affine group.
+
+The combinatorial route has two oracles of its own:
+``lattice_by_incidence`` finds I_y by testing every line against each
+intersection point instead of grouping the pairs, and
+``exhaustive_residue_subset`` checks every k-subset in lexicographic order
+instead of pruning by counts.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, gcd
 
 from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
-                                ProjLine, build_lattice)
+                                LatticePoint, ProjLine, ProjPoint, build_lattice,
+                                line_intersection)
 from milfib.cyclotomic import CycloNumber
 from milfib.linalg import IntMatrix, Matrix, nullspace, rank
 from milfib.milnor import (_charts_for, _exact_matrix, _layouts, ideal_order,
                            monomial_basis)
+from milfib.resonance import check_residue_integrality
+
+
+def line_contains(line: ProjLine, point: ProjPoint) -> bool:
+    a, b, c = line.coeffs
+    x, y, z = point.coords
+    return (a * x + b * y + c * z).is_zero()
+
+
+def lattice_by_incidence(arr: Arrangement) -> IncidenceLattice:
+    """The incidence lattice with I_y found by testing all d lines against
+    each new intersection point."""
+    found = {}
+    for i, j in combinations(range(arr.d), 2):
+        pt = line_intersection(arr.lines[i], arr.lines[j])
+        if pt.key() not in found:
+            incident = frozenset(idx for idx, line in enumerate(arr.lines)
+                                 if line_contains(line, pt))
+            found[pt.key()] = LatticePoint(pt, incident)
+    points = tuple(sorted(found.values(), key=lambda p: p.point.key()))
+    return IncidenceLattice(arr.d, points)
+
+
+def exhaustive_residue_subset(lattice: IncidenceLattice, k: int):
+    """First k-subset (lexicographic) passing the integrality check, or None,
+    by checking every subset."""
+    for I in combinations(range(lattice.d), k):
+        verdict = check_residue_integrality(lattice, k, I)
+        if verdict.holds:
+            return frozenset(I), verdict
+    return None
 
 
 def aomoto_h1_oracle(lattice, weights, dist=None):
@@ -117,6 +155,10 @@ def ideal_dim_oracle(arr, lattice, deg, k):
         return len(basis)
     constraints = Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)
     return len(basis) - rank(constraints)
+
+
+def diagonal(m: IntMatrix) -> list[int]:
+    return [m.entry(i, i) for i in range(min(m.rows, m.cols))]
 
 
 def int_det(m: IntMatrix) -> int:

@@ -9,8 +9,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from helpers import (from_plain_vector, ideal_basis, ideal_dim_oracle, int_det,
-                     jet_matrix, random_arrangements, same_affine_orbit)
+from helpers import (diagonal, from_plain_vector, ideal_basis, ideal_dim_oracle,
+                     int_det, jet_matrix, random_arrangements, same_affine_orbit)
 from milfib.arrangement import build_lattice, generic_section, named_arrangement
 from milfib.linalg import Matrix, nullspace, rank, smith_normal_form
 from milfib.milnor import (cokernel_dims, full_spectrum, grf_dims,
@@ -96,7 +96,7 @@ def test_criterion_5_hesse(arrangements, lattices):
 def test_criterion_6_realization(lattices):
     system = incidence_from_lattice(lattices["ex-3-1-iii"])
     s, _u, _v = smith_normal_form(system.matrix())
-    assert abs(math.prod(s.diagonal())) == 27
+    assert abs(math.prod(diagonal(s))) == 27
     assert abs(int_det(system.matrix())) == 27
     result = search_realizations(system, [27])
     reference = from_plain_vector([7, 1, 4, 19, 22, 16, 13, 10, 25], [27])

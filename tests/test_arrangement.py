@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from helpers import random_arrangements
+from helpers import line_contains, random_arrangements
 from milfib.arrangement import (Arrangement, ArrangementError, GenericityError,
                                 ProjLine, ProjPoint, build_lattice,
                                 generic_section, line_intersection,
@@ -32,7 +32,7 @@ def test_line_intersection_is_on_both_lines():
     l1 = ProjLine(1, -1, 0)
     l2 = ProjLine(1, 1, -2)
     p = line_intersection(l1, l2)
-    assert l1.contains(p) and l2.contains(p)
+    assert line_contains(l1, p) and line_contains(l2, p)
     assert p == ProjPoint(1, 1, 1)
 
 

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import milfib
-from milfib.arrangement import ProjLine, build_lattice, named_arrangement
+from milfib import arrangement
+from milfib.arrangement import ProjPoint, build_lattice, named_arrangement
 from milfib.cli import main
 from milfib.milnor import grf_dims
 
@@ -25,6 +26,14 @@ def test_milnor_single_k_matches_library(capsys):
     arr = named_arrangement("hesse")
     g0, g1 = grf_dims(arr, build_lattice(arr), 6)
     assert f"grf0={g0} grf1={g1} b1={g0 + g1}" in out
+
+
+def test_milnor_single_k_json(capsys):
+    code, out, _ = run_cli(capsys, "milnor", "--name", "hesse", "--k", "6",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"k": 6, "grf0": 1, "grf1": 1, "b1": 2}
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_milnor_full_table(capsys):
@@ -147,11 +156,21 @@ def test_input_and_name_are_mutually_exclusive(capsys):
 
 
 def test_failed_pair_count_invariant_exits_2(monkeypatch, capsys):
-    # No line contains any intersection point: the pair count becomes 0.
-    monkeypatch.setattr(ProjLine, "contains", lambda self, point: False)
+    # Lines 0 and 1 of braid get a point of their own, off the triple point
+    # {0, 1, 3}: that point keeps its three lines through the other pairs,
+    # so the pair count becomes 16 != C(6, 2) = 15.
+    braid = named_arrangement("braid")
+    intersect = arrangement.line_intersection
+
+    def split(l1, l2):
+        if (l1, l2) == braid.lines[:2]:
+            return ProjPoint(2, 3, 7)
+        return intersect(l1, l2)
+
+    monkeypatch.setattr(arrangement, "line_intersection", split)
     code, _, err = run_cli(capsys, "lattice", "--name", "braid")
     assert code == 2
-    assert "pair-count identity violated" in err
+    assert "pair-count identity violated: 16 != C(6,2)" in err
 
 
 def test_python_dash_m_runs_the_cli():
@@ -197,6 +216,9 @@ BAD_OPTIONS = {
     "missing required option": ["realize", "--name", "braid"],
     "k above d/2": ["cond02", "--name", "braid", "--k", "9"],
     "index out of range": ["cond02", "--name", "braid", "--k", "2", "--I", "0,9"],
+    "repeated index": ["cond02", "--name", "braid", "--k", "2", "--I", "0,0,5"],
+    "empty index entry": ["aomoto", "--name", "braid", "--k", "2", "--I", "5,0,,0"],
+    "empty modulus entry": ["realize", "--name", "braid", "--mod", "4,,"],
 }
 
 

@@ -4,12 +4,29 @@ from fractions import Fraction
 
 import pytest
 
-from milfib.cyclotomic import CycloNumber, as_cyclo, cyclotomic_polynomial, euler_phi
+from milfib.cyclotomic import (CycloNumber, _pmul, as_cyclo, cyclotomic_polynomial,
+                               euler_phi)
 
 
 def test_phi_1_and_3_are_the_textbook_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(3) == (1, 1, 1)
+
+
+def test_rational_fast_path_matches_the_polynomial_product():
+    # At orders 1 and 2 the field is Q: products skip the reduction mod
+    # Phi_n and inverses skip the extended Euclid; both must agree with it.
+    rng = random.Random(12)
+    values = [Fraction(0)] + [Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+                              for _ in range(40)]
+    for order in (1, 2):
+        for a, b in zip(values, reversed(values)):
+            x, y = CycloNumber(order, (a,)), CycloNumber(order, (b,))
+            slow = CycloNumber._from_poly(order, _pmul([a], [b]))
+            assert (x * y).coeffs == slow.coeffs
+            assert (x * y).order == order
+            if a:
+                assert (x.inverse() * x).coeffs == (Fraction(1),)
 
 
 def test_phi_12_against_divisor_product_and_numeric_roots():

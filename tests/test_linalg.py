@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import identity_matrix, int_det, int_mat_mul, mat_vec
+from helpers import diagonal, identity_matrix, int_det, int_mat_mul, mat_vec
 from milfib.cyclotomic import CycloNumber, euler_phi
 from milfib.linalg import (IntMatrix, Matrix, kernel_mod_generators, nullspace,
                            rank, smith_normal_form, solve_mod)
@@ -74,7 +74,7 @@ def test_smith_normal_form_identity():
 
 def test_smith_normal_form_diag_2_3():
     s, u, v = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    assert s.diagonal() == [1, 6]
+    assert diagonal(s) == [1, 6]
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert int_mat_mul(int_mat_mul(u, m), v) == s
 
@@ -89,7 +89,7 @@ def test_smith_normal_form_random_properties():
         assert int_mat_mul(int_mat_mul(u, m), v) == s
         assert abs(int_det(u)) == 1
         assert abs(int_det(v)) == 1
-        diag = s.diagonal()
+        diag = diagonal(s)
         for i in range(len(diag) - 1):
             if diag[i + 1]:
                 assert diag[i] and diag[i + 1] % diag[i] == 0

@@ -3,18 +3,41 @@
 A function, class or method that only tests call belongs in
 ``tests/helpers.py``, not in the package.  Re-exports in ``__init__.py`` do
 not count as a caller, and neither does the name's own ``def``/``class``
-line.  The match is by word, so this is a cheap guard, not a call graph.
+line.  Only code counts: a name that appears in a comment or a docstring is
+not a caller.  A method that overrides a method of a base class from outside
+the package is exempt, because that base class calls it.  The match is by
+name token, so this is a cheap guard, not a call graph.
 """
 
 import ast
+import importlib
+import io
 import pathlib
-import re
+import tokenize
 
 import milfib
 
 SRC = pathlib.Path(milfib.__file__).parent
 MODULES = {path: path.read_text() for path in sorted(SRC.glob("*.py"))
            if path.name != "__init__.py"}
+
+
+def _code_names(text):
+    """(line, name) for every name token; comments and strings are other
+    tokens.  Before Python 3.12 an f-string is one string token, so a name
+    used only inside its braces is not counted there."""
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME:
+            yield tok.start[0], tok.string
+
+
+CODE_NAMES = {path: list(_code_names(text)) for path, text in MODULES.items()}
+
+
+def _overrides_foreign_method(path, owner, name) -> bool:
+    cls = getattr(importlib.import_module(f"milfib.{path.stem}"), owner)
+    return any(hasattr(base, name) for base in cls.__mro__[1:]
+               if not base.__module__.startswith("milfib"))
 
 
 def _public_definitions():
@@ -26,19 +49,14 @@ def _public_definitions():
                 yield path, node
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_") \
+                            and not _overrides_foreign_method(path, node.name, sub.name):
                         yield path, sub
 
 
 def _used_in_src(path, node) -> bool:
-    word = re.compile(rf"\b{re.escape(node.name)}\b")
-    for other, text in MODULES.items():
-        for number, line in enumerate(text.splitlines(), 1):
-            if other == path and number == node.lineno:
-                continue
-            if word.search(line):
-                return True
-    return False
+    return any(name == node.name and not (other == path and line == node.lineno)
+               for other, names in CODE_NAMES.items() for line, name in names)
 
 
 def test_no_public_name_is_used_only_by_tests():
