@@ -7,6 +7,12 @@ which at rank <= 2 is all the combinatorial data the rest of the package
 needs.  Arrangements of central hyperplanes in C^n with n > 3 are reduced to
 the plane case by a certified generic 2-plane section.
 
+Points and codimension-2 flats are found the same way: two lines meet in one
+point and two hyperplanes span one flat, so each is a class of pairs whose
+wedges u ^ v are proportional.  :func:`pair_key` names that class exactly by
+the :func:`~milfib.cyclotomic.projective_key` of the wedge, computed on
+integers over Z[zeta_n], and :func:`_group_pairs` groups the pairs by key.
+
 Line indices are 0-based throughout.
 """
 
@@ -18,7 +24,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
-from .cyclotomic import CycloNumber, as_cyclo
+from .cyclotomic import (CycloNumber, as_cyclo, int_mul, integral_form,
+                         projective_key)
 from .linalg import Matrix, rank
 
 
@@ -89,6 +96,18 @@ class ProjPoint:
         self.order = n
         self.coords = _normalize_triple((x, y, z), n, leading_first=False)
 
+    @classmethod
+    def from_key(cls, key, order: int) -> "ProjPoint":
+        """The point whose projective key is ``key``.  The key's last nonzero
+        entry is a positive rational integer, so dividing by it gives the
+        normalized coordinates directly."""
+        last = next(x[0] for x in reversed(key) if any(x))
+        point = cls.__new__(cls)
+        point.order = order
+        point.coords = tuple(CycloNumber(order, tuple(Fraction(c, last) for c in x))
+                             for x in key)
+        return point
+
     def key(self):
         return tuple(v.coeffs for v in self.coords)
 
@@ -102,17 +121,6 @@ class ProjPoint:
 
     def to_json(self):
         return [v.to_json() for v in self.coords]
-
-
-def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    """Exact intersection point by 2x2 minors (cross product of coefficients)."""
-    order = lcm(l1.order, l2.order)
-    a1, b1, c1 = (v.lift(order) for v in l1.coeffs)
-    a2, b2, c2 = (v.lift(order) for v in l2.coeffs)
-    x = b1 * c2 - c1 * b2
-    y = c1 * a2 - a1 * c2
-    z = a1 * b2 - b1 * a2
-    return ProjPoint(x, y, z, order)
 
 
 class Arrangement:
@@ -229,28 +237,55 @@ class IncidenceLattice:
         return hist
 
 
-def build_lattice(arr: Arrangement) -> IncidenceLattice:
-    """All pairwise intersections, grouped exactly by point.
+# The cross product in ProjPoint's (x, y, z) order: x = b1*c2 - c1*b2, ...
+_CROSS = ((1, 2), (2, 0), (0, 1))
 
-    Every pair of lines meets in exactly one point, so I_y is the union of
-    the pairs whose intersection is y.  The pair-count identity
-    sum C(m_y, 2) = C(d, 2) holds exactly when the pairs at each point form
-    a clique; a failure indicates an arithmetic bug rather than bad input.
+
+def pair_key(u, v, minors, order: int):
+    """The projective key of the wedge u ^ v, whose entries are the 2x2
+    minors (p, q) of the rows u, v (integral forms over Z[zeta_order]), or
+    None when u and v are proportional."""
+    return projective_key(
+        [tuple(x - y for x, y in zip(int_mul(u[p], v[q], order),
+                                     int_mul(u[q], v[p], order)))
+         for p, q in minors], order)
+
+
+def _group_pairs(rows, minors, order: int) -> dict:
+    """The index sets of the pairs of rows grouped by :func:`pair_key`.
+
+    Every pair lies in exactly one group, so the pair-count identity
+    sum C(m, 2) = C(d, 2) over the groups holds exactly when the pairs of
+    each group form a clique; a failure indicates an arithmetic bug rather
+    than bad input.
     """
-    d = arr.d
-    found: dict = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            pt = line_intersection(arr.lines[i], arr.lines[j])
-            _, incident = found.setdefault(pt.key(), (pt, set()))
-            incident.update((i, j))
-    points = tuple(LatticePoint(found[key][0], frozenset(found[key][1]))
-                   for key in sorted(found))
-    pair_count = sum(comb(p.multiplicity, 2) for p in points)
+    d = len(rows)
+    vectors = [integral_form([v.coeffs for v in row]) for row in rows]
+    groups: dict = {}
+    for i, j in combinations(range(d), 2):
+        key = pair_key(vectors[i], vectors[j], minors, order)
+        if key is None:
+            raise ArrangementError(f"hyperplanes {i} and {j} coincide")
+        if key in groups:
+            groups[key].update((i, j))
+        else:
+            groups[key] = {i, j}
+    pair_count = sum(comb(len(group), 2) for group in groups.values())
     if pair_count != comb(d, 2):
         raise InvariantViolation(
             f"pair-count identity violated: {pair_count} != C({d},2)")
-    return IncidenceLattice(d, points)
+    return groups
+
+
+def build_lattice(arr: Arrangement) -> IncidenceLattice:
+    """All pairwise intersections, grouped exactly by point: I_y is the
+    union of the pairs of lines that meet in y."""
+    n = arr.field_order
+    groups = _group_pairs([line.coeffs for line in arr.lines], _CROSS, n)
+    points = [LatticePoint(ProjPoint.from_key(key, n), frozenset(lines))
+              for key, lines in groups.items()]
+    points.sort(key=lambda p: p.point.key())
+    return IncidenceLattice(arr.d, tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +307,17 @@ def _vector_rank(vectors, order):
 
 
 def rank2_flats(hyperplanes, order: int = 1) -> list[frozenset]:
-    """Index sets of the codimension-2 flats of a central essential arrangement
-    of pairwise distinct hyperplanes.
+    """Index sets of the codimension-2 flats of a central arrangement,
+    sorted; hyperplanes that coincide raise ArrangementError.
 
-    Each pair spans exactly one flat, so a pair inside a flat already found
-    is skipped, and only the other d - 2 hyperplanes are rank-tested.
+    The normals of the hyperplanes through a flat span a plane, spanned by
+    any two of them, and two pairs span the same plane exactly when their
+    wedges are proportional.
     """
-    d = len(hyperplanes)
-    flats = []
-    covered = set()
-    for i, j in combinations(range(d), 2):
-        if (i, j) in covered:
-            continue
-        flat = [l for l in range(d) if l in (i, j)
-                or _vector_rank([hyperplanes[i], hyperplanes[j],
-                                 hyperplanes[l]], order) <= 2]
-        covered.update(combinations(flat, 2))
-        flats.append(frozenset(flat))
-    return sorted(flats, key=sorted)
+    rows = [[as_cyclo(v, order).lift(order) for v in h] for h in hyperplanes]
+    minors = list(combinations(range(len(rows[0])), 2))
+    groups = _group_pairs(rows, minors, order)
+    return sorted((frozenset(group) for group in groups.values()), key=sorted)
 
 
 def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
@@ -325,10 +353,6 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
     if _vector_rank(coerced, order) < 3:
         raise ArrangementError(
             "hyperplane normals span less than 3 dimensions; no essential section")
-    for i in range(len(coerced)):
-        for j in range(i + 1, len(coerced)):
-            if _vector_rank([coerced[i], coerced[j]], order) < 2:
-                raise ArrangementError(f"hyperplanes {i} and {j} coincide")
     flats = rank2_flats(coerced, order)
 
     rng = random.Random(seed)

@@ -7,14 +7,20 @@ basis is unique, so equality is coefficient equality and zero tests are
 exact.  Mixed-order arithmetic lifts both operands into Q(zeta_lcm) first.
 Order 1 is plain Q.
 
-No floating point is used anywhere; coefficients are ``fractions.Fraction``.
+No floating point is used anywhere.  A CycloNumber stores its coefficients as
+``fractions.Fraction``.  Code that only needs a vector up to scaling works
+on integers instead, over Z[zeta_n] in the same power basis:
+:func:`integral_form` clears a vector's denominators, :func:`int_mul` and
+:func:`int_reduce` multiply and reduce mod the monic Phi_n, and
+:func:`projective_key` names the class of a vector under Q(zeta_n)^*
+scaling by one canonical integer vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 
 def prime_factors(n: int) -> list[int]:
@@ -123,7 +129,7 @@ class CycloNumber:
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("cyclotomic order must be >= 1")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(coeffs) != euler_phi(order):
             raise ValueError(
                 f"order {order} needs {euler_phi(order)} coefficients, got {len(coeffs)}"
@@ -363,3 +369,74 @@ def as_cyclo(value, order: int = 1) -> CycloNumber:
     if isinstance(value, CycloNumber):
         return value.lift(lcm(value.order, order))
     return CycloNumber.from_rational(value, order)
+
+
+# ---------------------------------------------------------------------------
+# Z[zeta_n]: power-basis int tuples, for exact work up to scaling.
+
+
+def integral_form(entries) -> tuple[tuple[int, ...], ...]:
+    """A vector of power-basis coefficient sequences (Fractions or ints)
+    times the lcm of its denominators: int tuples in the same projective
+    class."""
+    den = lcm(*(c.denominator for entry in entries for c in entry))
+    return tuple(tuple(c.numerator * (den // c.denominator) for c in entry)
+                 for entry in entries)
+
+
+def int_reduce(poly, order: int) -> tuple[int, ...]:
+    """The remainder of an int polynomial (constant term first) mod the
+    monic Phi_order, as phi(order) power-basis ints."""
+    modulus = cyclotomic_polynomial(order)
+    phi = len(modulus) - 1
+    poly = list(poly) + [0] * (phi - len(poly))
+    for top in range(len(poly) - 1, phi - 1, -1):
+        lead = poly[top]
+        if lead:
+            for s, coeff in enumerate(modulus):
+                poly[top - phi + s] -= lead * coeff
+    return tuple(poly[:phi])
+
+
+def int_mul(a, b, order: int) -> tuple[int, ...]:
+    """The product of two elements of Z[zeta_order]."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
+    acc = [0] * (len(a) + len(b) - 1)
+    for s, x in enumerate(a):
+        if x:
+            for t, y in enumerate(b):
+                acc[s + t] += x * y
+    return int_reduce(acc, order)
+
+
+def projective_key(vector, order: int):
+    """One canonical int vector for the class of ``vector`` (power-basis int
+    tuples over Z[zeta_order]) under scaling by Q(zeta_order)^*, or None
+    when the vector is zero.
+
+    With w the last nonzero entry, every entry is multiplied by the product
+    w' of the conjugates sigma_a(w), a != 1, so the last entry becomes the
+    norm N(w), a nonzero rational integer.  Dividing by the gcd of all
+    coefficients, signed so that entry is positive, leaves the unique
+    primitive integral vector on the line of v / w with a positive last
+    entry.  So two vectors get the same key exactly when they are
+    proportional over Q(zeta_order).
+    """
+    last = next((x for x in reversed(vector) if any(x)), None)
+    if last is None:
+        return None
+    if len(last) > 1:
+        norm_cofactor = (1,) + (0,) * (len(last) - 1)
+        for a in range(2, order):
+            if gcd(a, order) == 1:
+                image = [0] * order
+                for e, c in enumerate(last):
+                    image[a * e % order] += c
+                norm_cofactor = int_mul(norm_cofactor, int_reduce(image, order), order)
+        vector = [int_mul(x, norm_cofactor, order) if any(x) else x for x in vector]
+        last = next(x for x in reversed(vector) if any(x))
+    g = gcd(*(c for x in vector for c in x))
+    if last[0] < 0:
+        g = -g
+    return tuple(tuple(c // g for c in x) for x in vector)

@@ -37,7 +37,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
-from .cyclotomic import CycloNumber, cyclotomic_polynomial, euler_phi, prime_factors
+from .cyclotomic import (CycloNumber, euler_phi, int_reduce, integral_form,
+                         prime_factors)
 
 
 class Matrix:
@@ -304,17 +305,12 @@ def _rational(u: int, m: int) -> Fraction | None:
 def _kernel_holds(m: Matrix, vectors) -> bool:
     """M x = 0 exactly over Q(zeta_order) for every vector of power-basis
     coordinate lists; rows and vectors are cleared of denominators first."""
-    modulus = cyclotomic_polynomial(m.order)
-    phi = len(modulus) - 1
-    xs = []
-    for vec in vectors:
-        den = lcm(*(c.denominator for entry in vec for c in entry))
-        xs.append([(j, [c.numerator * (den // c.denominator) for c in entry])
-                   for j, entry in enumerate(vec) if any(entry)])
+    phi = euler_phi(m.order)
+    xs = [[(j, entry) for j, entry in enumerate(integral_form(vec)) if any(entry)]
+          for vec in vectors]
     for i in range(m.rows):
-        row = [x.coeffs if isinstance(x, CycloNumber) else (x,) for x in m.row(i)]
-        den = lcm(*(c.denominator for entry in row for c in entry))
-        row = [[c.numerator * (den // c.denominator) for c in entry] for entry in row]
+        row = integral_form([x.coeffs if isinstance(x, CycloNumber) else (x,)
+                             for x in m.row(i)])
         for x in xs:
             acc = [0] * (2 * phi - 1)
             for j, xe in x:
@@ -322,12 +318,7 @@ def _kernel_holds(m: Matrix, vectors) -> bool:
                     if a:
                         for t, b in enumerate(xe):
                             acc[s + t] += a * b
-            for top in range(2 * phi - 2, phi - 1, -1):
-                lead = acc[top]
-                if lead:
-                    for s, coeff in enumerate(modulus):
-                        acc[top - phi + s] -= lead * coeff
-            if any(acc[:phi]):
+            if any(int_reduce(acc, m.order)):
                 return False
     return True
 

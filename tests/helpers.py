@@ -16,11 +16,13 @@ the jet maps over Q(zeta) that ``milnor.cokernel_dims`` ranks over F_p,
 ``int_det`` checks the Smith diagonal by Bareiss elimination, and
 ``same_affine_orbit`` compares realization vectors up to the affine group.
 
-The combinatorial route has two oracles of its own:
-``lattice_by_incidence`` finds I_y by testing every line against each
-intersection point instead of grouping the pairs, and
-``exhaustive_residue_subset`` checks every k-subset in lexicographic order
-instead of pruning by counts.
+The combinatorial route has oracles of its own, none of them keyed by
+``cyclotomic.projective_key``: ``line_intersection`` takes the cross product
+over Q(zeta) and normalizes it as a ``ProjPoint``; ``lattice_by_incidence``
+finds I_y by testing every line against each such intersection point instead
+of grouping the pairs; ``flats_by_rank`` finds each codimension-2 flat by
+exact rank tests of triples; and ``exhaustive_residue_subset`` checks every
+k-subset in lexicographic order instead of pruning by counts.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
-                                LatticePoint, ProjLine, ProjPoint, build_lattice,
-                                line_intersection)
-from milfib.cyclotomic import CycloNumber
+                                LatticePoint, ProjLine, ProjPoint, build_lattice)
+from milfib.cyclotomic import CycloNumber, euler_phi
 from milfib.linalg import IntMatrix, Matrix, nullspace, rank
 from milfib.milnor import (_charts_for, _exact_matrix, _layouts, ideal_order,
                            monomial_basis)
@@ -44,6 +45,17 @@ def line_contains(line: ProjLine, point: ProjPoint) -> bool:
     a, b, c = line.coeffs
     x, y, z = point.coords
     return (a * x + b * y + c * z).is_zero()
+
+
+def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
+    """Exact intersection point by 2x2 minors (cross product of coefficients)."""
+    order = lcm(l1.order, l2.order)
+    a1, b1, c1 = (v.lift(order) for v in l1.coeffs)
+    a2, b2, c2 = (v.lift(order) for v in l2.coeffs)
+    x = b1 * c2 - c1 * b2
+    y = c1 * a2 - a1 * c2
+    z = a1 * b2 - b1 * a2
+    return ProjPoint(x, y, z, order)
 
 
 def lattice_by_incidence(arr: Arrangement) -> IncidenceLattice:
@@ -58,6 +70,32 @@ def lattice_by_incidence(arr: Arrangement) -> IncidenceLattice:
             found[pt.key()] = LatticePoint(pt, incident)
     points = tuple(sorted(found.values(), key=lambda p: p.point.key()))
     return IncidenceLattice(arr.d, points)
+
+
+def _vector_rank(vectors, order):
+    return rank(Matrix.from_rows([list(v) for v in vectors],
+                                 cols=len(vectors[0]), order=order))
+
+
+def flats_by_rank(hyperplanes, order: int = 1) -> list[frozenset]:
+    """Index sets of the codimension-2 flats, sorted, by exact rank tests:
+    first every pair is checked for coincidence, then each flat is the pair
+    plus every hyperplane whose triple with it has rank <= 2."""
+    d = len(hyperplanes)
+    for i, j in combinations(range(d), 2):
+        if _vector_rank([hyperplanes[i], hyperplanes[j]], order) < 2:
+            raise ArrangementError(f"hyperplanes {i} and {j} coincide")
+    flats = []
+    covered = set()
+    for i, j in combinations(range(d), 2):
+        if (i, j) in covered:
+            continue
+        flat = [l for l in range(d) if l in (i, j)
+                or _vector_rank([hyperplanes[i], hyperplanes[j],
+                                 hyperplanes[l]], order) <= 2]
+        covered.update(combinations(flat, 2))
+        flats.append(frozenset(flat))
+    return sorted(flats, key=sorted)
 
 
 def exhaustive_residue_subset(lattice: IncidenceLattice, k: int):
@@ -285,6 +323,38 @@ def random_arrangements(seed: int, count: int, dmin: int = 4, dmax: int = 8):
         arr = random_arrangement(rng, rng.randint(dmin, dmax))
         out.append((arr, build_lattice(arr)))
     return out
+
+
+def random_cyclo(rng: random.Random, order: int, nonzero: bool = False) -> CycloNumber:
+    """An element of Q(zeta_order) with small random power-basis coefficients."""
+    while True:
+        x = CycloNumber(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(euler_phi(order))])
+        if x or not nonzero:
+            return x
+
+
+def random_hyperplanes(rng: random.Random, order: int, n: int, d: int,
+                       repeat: bool = False) -> list[list[CycloNumber]]:
+    """d central hyperplanes in C^n over Q(zeta_order).  Some are sums of
+    unit multiples of two earlier ones, so flats with three or more
+    hyperplanes occur; with ``repeat`` one row is a nonzero multiple of
+    another, so two hyperplanes coincide."""
+    zeta = CycloNumber.zeta(order)
+    small = [CycloNumber.zero(order)] + [s * zeta ** e for s in (1, -1)
+                                         for e in range(order)]
+    rows = []
+    while len(rows) < d:
+        if len(rows) >= 2 and rng.random() < 0.4:
+            a, b = rng.sample(rows, 2)
+            s, t = rng.choice(small[1:]), rng.choice(small[1:])
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([rng.choice(small) for _ in range(n)])
+    if repeat:
+        scale = random_cyclo(rng, order, nonzero=True)
+        rows.insert(rng.randrange(d + 1), [scale * x for x in rng.choice(rows)])
+    return rows
 
 
 def monomial_arrangement(n: int, full: bool = False) -> Arrangement:

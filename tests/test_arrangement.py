@@ -5,11 +5,10 @@ from math import comb
 
 import pytest
 
-from helpers import line_contains, random_arrangements
+from helpers import line_contains, line_intersection, random_arrangements
 from milfib.arrangement import (Arrangement, ArrangementError, GenericityError,
                                 ProjLine, ProjPoint, build_lattice,
-                                generic_section, line_intersection,
-                                named_arrangement, rank2_flats)
+                                generic_section, named_arrangement, rank2_flats)
 from milfib.cyclotomic import CycloNumber
 
 

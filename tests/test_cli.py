@@ -8,8 +8,10 @@ import pytest
 
 import milfib
 from milfib import arrangement
-from milfib.arrangement import ProjPoint, build_lattice, named_arrangement
+from milfib.arrangement import (InvariantViolation, build_lattice, generic_section,
+                                named_arrangement)
 from milfib.cli import main
+from milfib.cyclotomic import as_cyclo, integral_form
 from milfib.milnor import grf_dims
 
 
@@ -155,20 +157,40 @@ def test_input_and_name_are_mutually_exclusive(capsys):
     assert "exactly one" in err
 
 
+def split_first_pair(monkeypatch, rows):
+    """Make pair_key give rows 0 and 1 a key of their own."""
+    first, second = (integral_form([as_cyclo(v).coeffs for v in row])
+                     for row in rows[:2])
+    key = arrangement.pair_key
+
+    def split(u, v, minors, order):
+        if (u, v) == (first, second):
+            return ("split",)
+        return key(u, v, minors, order)
+
+    monkeypatch.setattr(arrangement, "pair_key", split)
+
+
 def test_failed_pair_count_invariant_exits_2(monkeypatch, capsys):
     # Lines 0 and 1 of braid get a point of their own, off the triple point
     # {0, 1, 3}: that point keeps its three lines through the other pairs,
     # so the pair count becomes 16 != C(6, 2) = 15.
     braid = named_arrangement("braid")
-    intersect = arrangement.line_intersection
-
-    def split(l1, l2):
-        if (l1, l2) == braid.lines[:2]:
-            return ProjPoint(2, 3, 7)
-        return intersect(l1, l2)
-
-    monkeypatch.setattr(arrangement, "line_intersection", split)
+    split_first_pair(monkeypatch, [line.coeffs for line in braid.lines])
     code, _, err = run_cli(capsys, "lattice", "--name", "braid")
+    assert code == 2
+    assert "pair-count identity violated: 16 != C(6,2)" in err
+
+
+def test_failed_flat_pair_count_invariant_exits_2(monkeypatch, tmp_path, capsys):
+    # The same fault in the flats of the A_3 braid arrangement in C^4:
+    # hyperplanes 0 and 1 leave the flat {0, 1, 3} as a flat of their own.
+    split_first_pair(monkeypatch, PLANES)
+    with pytest.raises(InvariantViolation, match=r"16 != C\(6,2\)"):
+        generic_section(PLANES)
+    path = tmp_path / "braid4.json"
+    path.write_text(json.dumps({"dimension": 4, "hyperplanes": PLANES}))
+    code, _, err = run_cli(capsys, "lattice", "--input", str(path))
     assert code == 2
     assert "pair-count identity violated: 16 != C(6,2)" in err
 

@@ -105,6 +105,16 @@ def test_phi_n_annihilates_zeta_n():
         assert acc.is_zero()
 
 
+def test_constructor_keeps_fractions_and_converts_the_rest():
+    half = Fraction(1, 2)
+    x = CycloNumber(3, (half, 2))
+    assert x.coeffs[0] is half
+    assert type(x.coeffs[1]) is Fraction and x.coeffs[1] == 2
+    for bad in (None, "abc", [1]):
+        with pytest.raises((TypeError, ValueError)):
+            CycloNumber(3, (bad, 0))
+
+
 def _random_element(rng, n):
     return CycloNumber(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                            for _ in range(euler_phi(n))])

@@ -1,21 +1,29 @@
 """Differential tests of the combinatorial route against its direct oracles.
 
-``build_lattice`` groups the pair intersections by point, and
-``search_residue_subset`` prunes its depth-first search by counts.
-``lattice_by_incidence`` and ``exhaustive_residue_subset`` in ``helpers``
-compute the same objects the direct way, so the two must agree exactly.
-Examples come from a fixed, derandomized hypothesis profile so runs are
-repeatable.
+``build_lattice`` and ``rank2_flats`` group pairs by the projective key of
+their wedge, and ``search_residue_subset`` prunes its depth-first search by
+counts.  ``lattice_by_incidence``, ``flats_by_rank`` and
+``exhaustive_residue_subset`` in ``helpers`` compute the same objects the
+direct way, so the two must agree exactly.  The key itself is checked for
+what makes the grouping exact: it is constant on each class of proportional
+vectors and separates different classes.  Examples come from a fixed,
+derandomized hypothesis profile so runs are repeatable.
 """
 
 import random
 from itertools import product
 
+import pytest
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import exhaustive_residue_subset, lattice_by_incidence, random_arrangement
-from milfib.arrangement import Arrangement, ProjLine, build_lattice, named_arrangement
+from helpers import (exhaustive_residue_subset, flats_by_rank, lattice_by_incidence,
+                     monomial_arrangement, random_arrangement, random_cyclo,
+                     random_hyperplanes)
+from milfib.arrangement import (Arrangement, ArrangementError, ProjLine, build_lattice,
+                                named_arrangement, rank2_flats)
+from milfib.cyclotomic import CycloNumber, integral_form, projective_key
 from milfib.resonance import search_residue_subset
 
 FIXED = settings(derandomize=True, deadline=None, max_examples=40,
@@ -48,3 +56,69 @@ def test_residue_search_matches_the_exhaustive_oracle(arr):
     lat = build_lattice(arr)
     for k in range(1, lat.d // 2 + 1):
         assert search_residue_subset(lat, k) == exhaustive_residue_subset(lat, k), k
+
+
+def _flats_or_error(flats, hyperplanes, order):
+    try:
+        return flats(hyperplanes, order)
+    except ArrangementError as exc:
+        return str(exc)
+
+
+@FIXED
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 4, 5]),
+       st.integers(4, 6), st.integers(4, 8), st.booleans())
+def test_flats_match_the_rank_oracle(seed, order, n, d, repeat):
+    rows = random_hyperplanes(random.Random(seed), order, n, d, repeat)
+    assert _flats_or_error(rank2_flats, rows, order) == \
+        _flats_or_error(flats_by_rank, rows, order)
+
+
+@pytest.mark.parametrize("n, full", [(5, False), (5, True), (8, False), (8, True)])
+@settings(FIXED, max_examples=2)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_lattice_matches_the_incidence_oracle_beyond_degree_two(n, full, seed):
+    # phi(5) = phi(8) = 4, so the key multiplies by three conjugates.  A
+    # ProjLine normalizes any scaling of its coefficients away, so the lines
+    # are moved by a random unipotent change of coordinates over Z[zeta_n]
+    # instead: the points get other coordinates and the lattice stays the same.
+    rng = random.Random(seed)
+    base = monomial_arrangement(n, full)
+    units = [s * CycloNumber.zeta(n) ** e for s in (1, -1) for e in range(n)]
+    m = [[1 if s == t else rng.choice(units) if s < t else 0 for t in range(3)]
+         for s in range(3)]
+    arr = Arrangement([ProjLine(*(sum((line.coeffs[s] * m[s][t] for s in range(3)), 0)
+                                  for t in range(3)), n)
+                       for line in base.lines], order=n)
+    lat = build_lattice(arr)
+    assert lat == lattice_by_incidence(arr)
+    assert sorted(sorted(p.lines) for p in lat.points) == \
+        sorted(sorted(p.lines) for p in build_lattice(base).points)
+
+
+def _key(vector, order):
+    return projective_key(integral_form([x.coeffs for x in vector]), order)
+
+
+def _proportional(u, v):
+    return all((u[i] * v[j] - u[j] * v[i]).is_zero()
+               for i in range(len(u)) for j in range(i + 1, len(u)))
+
+
+@FIXED
+@given(st.sampled_from([1, 2, 3, 4, 5, 8, 12]), st.integers(2, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_projective_key_names_exactly_the_proportionality_class(order, size, seed):
+    rng = random.Random(seed)
+    v = [random_cyclo(rng, order) for _ in range(size)]
+    if not any(v):
+        assert _key(v, order) is None
+        return
+    scale = random_cyclo(rng, order, nonzero=True)
+    assert _key([scale * x for x in v], order) == _key(v, order)
+    # A vector that differs from v in one entry, and an unrelated one.
+    w = list(v)
+    w[rng.randrange(size)] += random_cyclo(rng, order, nonzero=True)
+    for u in (w, [random_cyclo(rng, order) for _ in range(size)]):
+        if any(u):
+            assert (_key(u, order) == _key(v, order)) == _proportional(u, v)
