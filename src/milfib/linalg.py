@@ -1,14 +1,19 @@
-"""Dense linear algebra over Q(zeta_n): one Gaussian elimination core for
-exact and F_p entries, certified ranks, and integer Smith normal form.
+"""Dense linear algebra over Q(zeta_n): one Gaussian elimination core over
+Z, F_p and exact fields, certified ranks, and integer Smith normal form.
 
-:func:`_echelon` is the only elimination.  With ``p=None`` it works on exact
-Fraction (order 1) or CycloNumber entries, otherwise on ints mod p.  It
-takes the first nonzero entry of each column as pivot, scales pivot rows to
-1 and updates only the tails right of the pivot column; :func:`_kernel`
-back-substitutes to the reduced form and reads off one kernel vector per
-free column.  The reduced row echelon form and its pivot columns are unique,
-so :func:`rank` and :func:`nullspace` (exact, the reference path and the
-last resort) and the modular kernels are reproducible.
+:func:`_echelon` is the only elimination, over three coefficient domains.
+On ints with ``p=None`` it is fraction free over Z: the pivot row is kept,
+and each row below becomes ``pv * row - row[c] * prow`` divided by the gcd
+of its entries.  Every step multiplies a row by a nonzero rational, so the
+rank over Q is exact with no prime and no certificate; :func:`int_rank` and
+:func:`rank` over Q (rows cleared of denominators) use it.  On ints mod a
+prime ``p``, and on Fraction or CycloNumber entries with ``p=None``, pivot
+rows are scaled to 1; :func:`_kernel` back-substitutes to the reduced form
+and reads off one kernel vector per free column.  The first nonzero entry
+of each column is the pivot and updates touch only the tails right of it.
+The reduced row echelon form and its pivot columns are unique, so
+:func:`nullspace` (exact, the reference path and the last resort) and the
+modular kernels are reproducible.
 
 :func:`certified_rank` takes the rank of a matrix over Q(zeta_n) from its
 images over F_p, for primes p = 1 mod n of about 61 bits with zeta sent to
@@ -113,12 +118,14 @@ def _subtract(row, c, f, tail, p):
 
 
 def _echelon(rows, ncols, p=None):
-    """Row echelon form with unit pivots, consuming ``rows``: exact when p is
-    None, else over F_p on ints in [0, p).
+    """Row echelon form, consuming ``rows``: fraction free over Z on ints
+    when p is None, over F_p on ints in [0, p) with unit pivots when p is
+    given, and exact with unit pivots on Fraction or CycloNumber entries.
 
     Returns (pivot columns, echelon rows).  Rows still waiting are zero left
     of the current column, so updates touch only the tail.
     """
+    integral = p is None and bool(rows) and ncols > 0 and isinstance(rows[0][0], int)
     pivots, done = [], []
     for c in range(ncols):
         if not rows:
@@ -131,13 +138,21 @@ def _echelon(rows, ncols, p=None):
         if p is not None:
             inv = pow(pv, -1, p)
             prow[c:] = [x * inv % p for x in prow[c:]]
-        elif pv != 1:
+        elif pv != 1 and not integral:
             inv = 1 / pv if isinstance(pv, Fraction) else pv.inverse()
             prow[c:] = [x * inv for x in prow[c:]]
         tail = prow[c:]
-        for row in rows:
-            if row[c]:
-                _subtract(row, c, row[c], tail, p)
+        if integral:
+            for row in rows:
+                f = row[c]
+                if f:
+                    new = [pv * a - f * b for a, b in zip(row[c:], tail)]
+                    g = gcd(*new)
+                    row[c:] = [x // g for x in new] if g > 1 else new
+        else:
+            for row in rows:
+                if row[c]:
+                    _subtract(row, c, row[c], tail, p)
         pivots.append(c)
         done.append(prow)
     return pivots, done
@@ -169,8 +184,22 @@ def _kernel(pivots, echelon, ncols, p=None, one=1, zero=0):
     return basis
 
 
+def clear_denominators(values) -> list[int]:
+    """Rationals times the lcm of their denominators, as ints."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def int_rank(rows, ncols: int) -> int:
+    """Rank over Q of int rows, by fraction-free elimination over Z."""
+    return len(_echelon([list(row) for row in rows], ncols)[0])
+
+
 def rank(m: Matrix) -> int:
-    """Rank over the fraction field, by exact Gaussian elimination."""
+    """Rank over the fraction field: over Z on the rows cleared of their
+    denominators when the order is 1, else by exact elimination."""
+    if m.order == 1:
+        return int_rank([clear_denominators(row) for row in m.to_rows()], m.cols)
     return len(_echelon(m.to_rows(), m.cols)[0])
 
 

@@ -64,6 +64,17 @@ def _group_add(a, b, moduli):
     return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
 
 
+def _kernel_generators(system: IncidenceSystem, moduli: tuple, cap: int):
+    """The Smith-form generators of the kernel and its size, the product of
+    their orders; a size above ``cap`` is refused (ValueError)."""
+    gens = solve_mod(system.matrix(), moduli)
+    size = prod(order for _, order in gens)
+    if size > cap:
+        raise ValueError(f"the kernel has {size} elements, more than the "
+                         f"enumeration cap {cap}")
+    return gens, size
+
+
 def enumerate_kernel(system: IncidenceSystem, moduli,
                      cap: int = DEFAULT_ENUM_CAP):
     """Yield each solution of M x = 0 over (prod Z/a)^d once, as a tuple of
@@ -71,11 +82,7 @@ def enumerate_kernel(system: IncidenceSystem, moduli,
     generator.  Their orders multiply to the kernel size, which is checked
     against ``cap`` (ValueError) before the first vector is built."""
     moduli = tuple(moduli)
-    gens = solve_mod(system.matrix(), moduli)
-    size = prod(order for _, order in gens)
-    if size > cap:
-        raise ValueError(f"the kernel has {size} elements, more than the "
-                         f"enumeration cap {cap}")
+    gens, _ = _kernel_generators(system, moduli, cap)
 
     def span(base, rest):
         if not rest:
@@ -105,15 +112,16 @@ class RealizationSearch:
     kernel_size: int
 
 
-def _zero_sum_triples(vector, moduli):
-    zero = (0,) * len(moduli)
-    found = []
-    for i, j, l in combinations(range(len(vector)), 3):
-        total = _group_add(_group_add(vector[i], vector[j], moduli),
-                           vector[l], moduli)
-        if total == zero:
-            found.append(frozenset((i, j, l)))
-    return found
+def _zero_sum_triples(vector, moduli) -> int:
+    """The number of 3-subsets of the pairwise distinct labels that sum to
+    zero: for each pair i < j, the label -(v_i + v_j) at an index above j."""
+    index = {label: t for t, label in enumerate(vector)}
+    count = 0
+    for i, j in combinations(range(len(vector)), 2):
+        third = tuple(-(x + y) % m for x, y, m in zip(vector[i], vector[j], moduli))
+        if index.get(third, -1) > j:
+            count += 1
+    return count
 
 
 def search_realizations(system: IncidenceSystem, moduli,
@@ -122,9 +130,14 @@ def search_realizations(system: IncidenceSystem, moduli,
     counts; a kernel of more than ``cap`` elements is refused (ValueError).
 
     induced_triples counts every zero-sum 3-subset of labels; the original
-    rows are always among them, so new_triples = induced - q >= 0.
+    rows are always among them, so new_triples = induced - q >= 0.  A group
+    of fewer than d elements has no d distinct labels, so its kernel is
+    counted, not walked.
     """
     moduli = tuple(int(a) for a in moduli)
+    if prod(moduli) < system.d:
+        _, size = _kernel_generators(system, moduli, cap)
+        return RealizationSearch(candidates=(), kernel_size=size)
     kernel_size = 0
     distinct = []
     for vec in enumerate_kernel(system, moduli, cap):
@@ -133,7 +146,7 @@ def search_realizations(system: IncidenceSystem, moduli,
             distinct.append(vec)
     candidates = []
     for vec in sorted(distinct):
-        induced = len(_zero_sum_triples(vec, moduli))
+        induced = _zero_sum_triples(vec, moduli)
         candidates.append(RealizationCandidate(
             moduli=moduli, vector=vec,
             induced_triples=induced, new_triples=induced - system.q))

@@ -2,10 +2,12 @@
 
 Given residue weights alpha_1..alpha_d summing to zero, the degree-one
 cohomology of the Orlik-Solomon complex with differential (wedge by
-omega = sum alpha_i e_i) is computed exactly.  The degree-two part is
-realized concretely through the anchored basis e_{i,k0(V)} per affine
+omega = sum alpha_i e_i) is computed exactly, over Z.  The degree-two part
+is realized concretely through the anchored basis e_{i,k0(V)} per affine
 intersection point V, so the whole differential is one block matrix and
-no Groebner machinery is needed at rank <= 2.
+no Groebner machinery is needed at rank <= 2.  With the weights scaled by
+the lcm of their denominators its rows are ints, and its rank over Q comes
+from fraction-free elimination.
 
 Also here: the integrality check on the residue sums alpha_{I,y} that
 certifies when the Aomoto dimension equals the Milnor fiber eigenspace
@@ -23,7 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import IncidenceLattice, InvariantViolation
-from .linalg import Matrix, nullspace
+# `nullspace` is not called here;
+# perfbench/tracing.py wraps it by name, as tests/test_bench_hooks.py checks.
+from .linalg import clear_denominators, int_rank, nullspace
 
 DEFAULT_SEARCH_CAP = 16
 
@@ -85,8 +89,10 @@ def _default_dist(d: int, dist: int | None) -> int:
 
 
 def build_aomoto_system(lattice: IncidenceLattice, weights: ResidueWeights,
-                        dist: int | None = None) -> Matrix:
-    """The block matrix of (omega wedge): A^1 -> A^2 in anchored bases.
+                        dist: int | None = None) -> list[list[int]]:
+    """The block matrix of (omega wedge): A^1 -> A^2 in anchored bases, as
+    int rows of the weights times the lcm of their denominators (a nonzero
+    scale that leaves the rank as it is).
 
     Columns are indexed by the lines other than the distinguished one, rows
     by pairs (V, i) with V an affine intersection point (doubles included)
@@ -97,22 +103,21 @@ def build_aomoto_system(lattice: IncidenceLattice, weights: ResidueWeights,
     if weights.d != d:
         raise ValueError("weights length does not match the arrangement")
     dist = _default_dist(d, dist)
-    columns = tuple(i for i in range(d) if i != dist)
-    col_pos = {i: t for t, i in enumerate(columns)}
+    alphas = clear_denominators(weights.alphas)
+    col_pos = {i: t for t, i in enumerate(i for i in range(d) if i != dist)}
     rows = []
     for p in lattice.points:
         if dist in p.lines:
             continue
         incident = sorted(p.lines)
-        alpha_v = weights.point_sum(incident)
-        anchor = incident[-1]
+        alpha_v = sum(alphas[i] for i in incident)
         for i in incident[:-1]:
-            row = [0] * len(columns)
+            row = [0] * (d - 1)
             for j in incident:
-                row[col_pos[j]] = weights.alphas[i]
-            row[col_pos[i]] = row[col_pos[i]] - alpha_v
+                row[col_pos[j]] = alphas[i]
+            row[col_pos[i]] -= alpha_v
             rows.append(row)
-    return Matrix.from_rows(rows, cols=len(columns))
+    return rows
 
 
 def aomoto_h1(lattice: IncidenceLattice, weights: ResidueWeights,
@@ -123,7 +128,8 @@ def aomoto_h1(lattice: IncidenceLattice, weights: ResidueWeights,
     dist = _default_dist(d, dist)
     if all(weights.alphas[i] == 0 for i in range(d) if i != dist):
         raise ValueError("omega = 0: the Aomoto quotient convention differs; refusing")
-    return len(nullspace(build_aomoto_system(lattice, weights, dist))) - 1
+    rows = build_aomoto_system(lattice, weights, dist)
+    return (d - 1) - int_rank(rows, d - 1) - 1
 
 
 def alpha_components(lattice: IncidenceLattice, weights: ResidueWeights,

@@ -6,7 +6,9 @@ path, so agreement is evidence and not tautology:
 * ``aomoto_h1_oracle`` constructs the degree-two part of the Orlik-Solomon
   algebra as the full exterior square modulo its defining relations (triple
   relations at affine multiple points, vanishing products for lines meeting
-  on the distinguished line) instead of the anchored block basis.
+  on the distinguished line) instead of the anchored block basis, and takes
+  its ranks from sympy's ``DomainMatrix`` over QQ (``qq_rank``), not from
+  ``linalg``.
 * ``ideal_dim_oracle`` imposes "vanishes to order s at y" through univariate
   restrictions along s distinct directions instead of per-monomial Taylor
   jets.
@@ -31,6 +33,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd, lcm
+
+import pytest
 
 from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
                                 LatticePoint, ProjLine, ProjPoint, build_lattice)
@@ -148,12 +152,20 @@ def aomoto_h1_oracle(lattice, weights, dist=None):
                 row[pair_pos[(j, i)]] -= weights.alphas[i]
         image_rows.append(row)
 
-    r_rel = rank(Matrix.from_rows(relations, cols=len(pairs))) if relations else 0
-    stacked = relations + image_rows
-    r_all = rank(Matrix.from_rows(stacked, cols=len(pairs))) if stacked else 0
+    r_rel = qq_rank(relations, len(pairs))
+    r_all = qq_rank(relations + image_rows, len(pairs))
     map_rank = r_all - r_rel
     kernel_dim = len(lines) - map_rank
     return kernel_dim - 1
+
+
+def qq_rank(rows, ncols: int) -> int:
+    """Rank over Q of rows of Fractions or ints, by sympy's DomainMatrix."""
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    data = [[QQ(x.numerator, x.denominator) for x in row] for row in rows]
+    return DomainMatrix(data, (len(data), ncols), QQ).rank()
 
 
 def ideal_dim_oracle(arr, lattice, deg, k):

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import diagonal, identity_matrix, int_det, int_mat_mul, mat_vec
+from helpers import (diagonal, identity_matrix, int_det, int_mat_mul, mat_vec,
+                     qq_rank)
 from milfib.cyclotomic import CycloNumber, euler_phi
-from milfib.linalg import (IntMatrix, Matrix, kernel_mod_generators, nullspace,
-                           rank, smith_normal_form, solve_mod)
+from milfib.linalg import (IntMatrix, Matrix, int_rank, kernel_mod_generators,
+                           nullspace, rank, smith_normal_form, solve_mod)
 
 
 def test_rank_basics():
@@ -63,6 +66,49 @@ def test_rank_invariance_under_permutation_and_scaling():
         factor = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
         shuffled[scale_row] = [factor * x for x in shuffled[scale_row]]
         assert rank(Matrix.from_rows(shuffled, cols=c)) == rank(m)
+
+
+BIG = 2 ** 64
+big_fractions = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+entries = st.one_of(st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                    big_fractions)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices over Q with 0 to 6 columns and 0 to 9 rows; besides random
+    rows they get zero rows, repeated rows, scaled rows and sums of a row and
+    a multiple of another, in shuffled order."""
+    cols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=5))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("zero", "repeat", "scale", "sum")))
+        if kind == "zero" or not rows:
+            rows.append([Fraction(0)] * cols)
+            continue
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        f = draw(big_fractions.filter(bool))
+        rows.append(a if kind == "repeat" else [f * x for x in a] if kind == "scale"
+                    else [x + f * y for x, y in zip(a, b)])
+    order = draw(st.permutations(range(len(rows))))
+    return Matrix(len(rows), cols, 1, tuple(x for i in order for x in rows[i]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rational_matrices())
+def test_rank_over_q_matches_sympy_and_the_field_path(m):
+    expected = qq_rank(m.to_rows(), m.cols)
+    assert rank(m) == expected
+    assert rank(m) == m.cols - len(nullspace(m))
+
+
+def test_int_rank_leaves_its_rows_alone():
+    rows = [[2, 4, 6], [1, 2, 3], [0, 5, -5]]
+    assert int_rank(rows, 3) == 2
+    assert rows == [[2, 4, 6], [1, 2, 3], [0, 5, -5]]
+    assert int_rank([], 4) == 0 and int_rank([[], []], 0) == 0
 
 
 def test_smith_normal_form_identity():

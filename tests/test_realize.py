@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from milfib.arrangement import build_lattice, named_arrangement
+from milfib.arrangement import (Arrangement, ProjLine, build_lattice, generic_section,
+                                named_arrangement)
 from helpers import diagonal, from_plain_vector, int_det, same_affine_orbit
+from milfib import realize
 from milfib.linalg import smith_normal_form
 from milfib.realize import (as_plain_vector, enumerate_kernel,
                             incidence_from_lattice, search_realizations)
@@ -128,3 +130,50 @@ def test_search_rejects_bad_moduli(ex3_system):
         search_realizations(ex3_system, [])
     with pytest.raises(ValueError):
         search_realizations(ex3_system, [1])
+
+
+def _braid_a5_system():
+    planes = []
+    for i, j in itertools.combinations(range(6), 2):
+        v = [0] * 6
+        v[i], v[j] = 1, -1
+        planes.append(v)
+    arr, _ = generic_section(planes)
+    return incidence_from_lattice(build_lattice(arr))
+
+
+def test_kernel_below_the_label_count_is_counted_not_walked(ceva_system, monkeypatch):
+    # (Z/2)^2 has 4 elements for 15 lines and Z/2 has 2 for 9: no vector has
+    # distinct entries, and the size comes from the Smith orders alone.
+    braid = _braid_a5_system()
+    cases = [(braid, (2, 2)), (ceva_system, (2,))]
+    walked = [sum(1 for _ in enumerate_kernel(system, moduli)) for system, moduli in cases]
+    assert walked == [1024, 1]
+    monkeypatch.setattr(realize, "enumerate_kernel", None)
+    for (system, moduli), size in zip(cases, walked):
+        assert math.prod(moduli) < system.d
+        result = search_realizations(system, moduli)
+        assert result.candidates == ()
+        assert result.kernel_size == size
+    with pytest.raises(ValueError, match=r"\b1024\b.*\b1000\b"):
+        search_realizations(braid, (2, 2), cap=1000)
+
+
+def _cubic_dual_system():
+    values = [t for t in range(-6, 7) if t]
+    arr = Arrangement([ProjLine(t, t ** 3, 1) for t in values])
+    return incidence_from_lattice(build_lattice(arr))
+
+
+@pytest.mark.parametrize("make, modulus", [
+    (lambda lattices: incidence_from_lattice(lattices["ex-3-1-iii"]), 27),
+    (lambda lattices: _cubic_dual_system(), 13)])
+def test_induced_triples_match_a_brute_force_count(lattices, make, modulus):
+    system = make(lattices)
+    result = search_realizations(system, [modulus])
+    assert result.candidates
+    for cand in result.candidates:
+        brute = sum(1 for a, b, c in itertools.combinations(cand.vector, 3)
+                    if (a[0] + b[0] + c[0]) % modulus == 0)
+        assert cand.induced_triples == brute
+        assert cand.new_triples == brute - system.q

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import aomoto_h1_oracle, random_arrangements
+from helpers import aomoto_h1_oracle, random_arrangement, random_arrangements
 from milfib.arrangement import Arrangement, ProjLine, build_lattice
 from milfib.resonance import (PartitionPhi, ResidueWeights, SearchCapExceeded,
                               alpha_components, aomoto_h1,
@@ -69,6 +69,31 @@ def test_aomoto_rejects_zero_omega(xyz_lattice):
         aomoto_h1(xyz_lattice, w)
 
 
+def _random_fraction(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.choice((1, 2, 3, 5, 7, 12)))
+
+
+def _random_weights(rng, lat):
+    """Residue weights with mixed denominators that sum to zero: weights
+    from (k, I); random ones on every line; and random ones on the lines of
+    one multiple point, zero elsewhere, which makes H^1 nonzero."""
+    d = lat.d
+    k = rng.randint(1, d - 1)
+    out = [weights_from_kI(d, k, frozenset(rng.sample(range(d), k)))]
+    alphas = [_random_fraction(rng) for _ in range(d - 1)]
+    out.append(ResidueWeights(tuple(alphas) + (-sum(alphas),)))
+    multiple = [p for p in lat.points if p.multiplicity >= 3]
+    if multiple:
+        lines = sorted(rng.choice(multiple).lines)
+        local = [Fraction(0)] * d
+        for i in lines[:-1]:
+            local[i] = _random_fraction(rng)
+        local[lines[-1]] = -sum(local)
+        if local[lines[-1]]:
+            out.append(ResidueWeights(tuple(local)))
+    return out
+
+
 def test_aomoto_agrees_with_exterior_algebra_oracle(lattices):
     cases = [
         (lattices["braid"], weights_from_kI(6, 2, {0, 5})),
@@ -76,14 +101,18 @@ def test_aomoto_agrees_with_exterior_algebra_oracle(lattices):
         (lattices["ceva3"], weights_from_kI(9, 3, {0, 1, 2})),
         (lattices["pappus-dual"], weights_from_kI(9, 3, {0, 1, 2})),
     ]
-    for lat, w in cases:
-        assert aomoto_h1(lat, w) == aomoto_h1_oracle(lat, w)
     rng = random.Random(77)
-    for arr, lat in random_arrangements(seed=303, count=4, dmin=4, dmax=6):
-        d = lat.d
-        k = rng.randint(1, d - 1)
-        w = weights_from_kI(d, k, frozenset(rng.sample(range(d), k)))
-        assert aomoto_h1(lat, w) == aomoto_h1_oracle(lat, w)
+    for d in range(4, 11):
+        for _ in range(2):
+            lat = build_lattice(random_arrangement(rng, d))
+            cases += [(lat, w) for w in _random_weights(rng, lat)]
+    nonzero = 0
+    for lat, w in cases:
+        for dist in range(lat.d):
+            h1 = aomoto_h1(lat, w, dist)
+            assert h1 == aomoto_h1_oracle(lat, w, dist), (lat.d, w.alphas, dist)
+            nonzero += h1 > 0
+    assert nonzero
 
 
 def test_alpha_components_examples(lattices, xyz_lattice):
