@@ -102,6 +102,10 @@ def test_aomoto_agrees_with_exterior_algebra_oracle(lattices):
         (lattices["pappus-dual"], weights_from_kI(9, 3, {0, 1, 2})),
     ]
     rng = random.Random(77)
+    for arr, lat in random_arrangements(seed=303, count=4, dmin=4, dmax=6):
+        d = lat.d
+        k = rng.randint(1, d - 1)
+        cases.append((lat, weights_from_kI(d, k, frozenset(rng.sample(range(d), k)))))
     for d in range(4, 11):
         for _ in range(2):
             lat = build_lattice(random_arrangement(rng, d))
