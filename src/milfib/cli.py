@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import milnor, realize, resonance
 from .arrangement import (Arrangement, ArrangementError, GenericityError,
@@ -73,7 +74,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and reused:
+    parsing leaves no state in it."""
     parser = _Parser(
         prog="milfib",
         description="Exact first Milnor cohomology eigenspace dimensions of "

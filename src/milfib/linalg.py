@@ -1,19 +1,23 @@
 """Dense linear algebra over Q(zeta_n): one Gaussian elimination core over
-Z, F_p and exact fields, certified ranks, and integer Smith normal form.
+Z, Z[zeta_n], F_p and exact fields, certified ranks, and integer Smith
+normal form.
 
-:func:`_echelon` is the only elimination, over three coefficient domains.
-On ints with ``p=None`` it is fraction free over Z: the pivot row is kept,
-and each row below becomes ``pv * row - row[c] * prow`` divided by the gcd
-of its entries.  Every step multiplies a row by a nonzero rational, so the
-rank over Q is exact with no prime and no certificate; :func:`int_rank` and
-:func:`rank` over Q (rows cleared of denominators) use it.  On ints mod a
-prime ``p``, and on Fraction or CycloNumber entries with ``p=None``, pivot
-rows are scaled to 1; :func:`_kernel` back-substitutes to the reduced form
-and reads off one kernel vector per free column.  The first nonzero entry
-of each column is the pivot and updates touch only the tails right of it.
+:func:`_echelon` is the only elimination, over four coefficient domains.
+With ``p=None`` on ints, or on power-basis int tuples over Z[zeta_order],
+it is fraction free: the pivot row is kept, and each row below becomes
+``pv * row - row[c] * prow`` (products by :func:`~milfib.cyclotomic.int_mul`
+mod Phi_n over Z[zeta_n]) divided by the integer content of its entries.
+Every step multiplies a row by a nonzero element of Q(zeta_n), so the rank
+is exact with no prime and no certificate; :func:`int_rank`, :func:`rank`
+(rows cleared of denominators) and the exact fallback of
+:func:`certified_rank` use it.  On ints mod a prime ``p``, and on Fraction
+or CycloNumber entries with ``p=None``, pivot rows are scaled to 1;
+:func:`_kernel` back-substitutes to the reduced form and reads off one
+kernel vector per free column.  The unit-pivot field mode serves only
+:func:`nullspace`, the exact reference path.  The first nonzero entry of
+each column is the pivot and updates touch only the tails right of it.
 The reduced row echelon form and its pivot columns are unique, so
-:func:`nullspace` (exact, the reference path and the last resort) and the
-modular kernels are reproducible.
+:func:`nullspace` and the modular kernels are reproducible.
 
 :func:`certified_rank` takes the rank of a matrix over Q(zeta_n) from its
 images over F_p, for primes p = 1 mod n of about 61 bits with zeta sent to
@@ -22,8 +26,8 @@ are never formed as CycloNumber products.  A rank read off mod p is
 reported only with a certificate:
 
 * Every minor that is nonzero mod p is nonzero over Q(zeta), so
-  rank_p <= rank.  A prime dividing a denominator (the caller's ``modular``
-  returns None) is skipped.
+  rank_p <= rank.  A prime the caller cannot use (its ``modular`` returns
+  None) is skipped.
 * rank_p == min(rows, cols) settles the rank at once.
 * Otherwise the cols - rank_p kernel vectors of the reduced echelon form,
   each 1 at its own free column and 0 at the other free columns, are lifted:
@@ -31,9 +35,10 @@ reported only with a certificate:
   under every root, are interpolated to power-basis coordinates mod p,
   combined by CRT over the primes tried so far and rationally reconstructed.
   The lift certifies rank == rank_p only if M x = 0 holds exactly over
-  Q(zeta) for every vector: then the kernel has dimension >= cols - rank_p.
+  Z[zeta] for every vector, on the matrix's integral rows: then the kernel
+  has dimension >= cols - rank_p.
 * After PRIME_BUDGET primes without a certificate the rank is taken by
-  exact elimination.
+  fraction-free elimination of those integral rows.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
-from .cyclotomic import (CycloNumber, euler_phi, int_reduce, integral_form,
-                         prime_factors)
+from .cyclotomic import (CycloNumber, euler_phi, int_mul, int_reduce,
+                         integral_form, prime_factors)
 
 
 class Matrix:
@@ -117,20 +122,26 @@ def _subtract(row, c, f, tail, p):
         row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
 
 
-def _echelon(rows, ncols, p=None):
-    """Row echelon form, consuming ``rows``: fraction free over Z on ints
-    when p is None, over F_p on ints in [0, p) with unit pivots when p is
-    given, and exact with unit pivots on Fraction or CycloNumber entries.
+def _echelon(rows, ncols, p=None, order=1):
+    """Row echelon form, consuming ``rows``.  With p None it is fraction free
+    on ints (over Z) and on power-basis int tuples (over Z[zeta_order]), and
+    exact with unit pivots on Fraction or CycloNumber entries; with p given
+    it works over F_p on ints in [0, p) with unit pivots.
 
     Returns (pivot columns, echelon rows).  Rows still waiting are zero left
     of the current column, so updates touch only the tail.
     """
-    integral = p is None and bool(rows) and ncols > 0 and isinstance(rows[0][0], int)
+    first = rows[0][0] if rows and ncols else None
+    integral = p is None and isinstance(first, int)
+    cyclo = p is None and isinstance(first, tuple)
     pivots, done = [], []
     for c in range(ncols):
         if not rows:
             break
-        pivot = next((i for i, row in enumerate(rows) if row[c]), None)
+        if cyclo:
+            pivot = next((i for i, row in enumerate(rows) if any(row[c])), None)
+        else:
+            pivot = next((i for i, row in enumerate(rows) if row[c]), None)
         if pivot is None:
             continue
         prow = rows.pop(pivot)
@@ -138,7 +149,7 @@ def _echelon(rows, ncols, p=None):
         if p is not None:
             inv = pow(pv, -1, p)
             prow[c:] = [x * inv % p for x in prow[c:]]
-        elif pv != 1 and not integral:
+        elif pv != 1 and not (integral or cyclo):
             inv = 1 / pv if isinstance(pv, Fraction) else pv.inverse()
             prow[c:] = [x * inv for x in prow[c:]]
         tail = prow[c:]
@@ -149,6 +160,16 @@ def _echelon(rows, ncols, p=None):
                     new = [pv * a - f * b for a, b in zip(row[c:], tail)]
                     g = gcd(*new)
                     row[c:] = [x // g for x in new] if g > 1 else new
+        elif cyclo:
+            for row in rows:
+                f = row[c]
+                if any(f):
+                    new = [tuple(x - y for x, y in zip(int_mul(pv, a, order),
+                                                       int_mul(f, b, order)))
+                           for a, b in zip(row[c:], tail)]
+                    g = gcd(*(x for entry in new for x in entry))
+                    row[c:] = [tuple(x // g for x in entry) for entry in new] \
+                        if g > 1 else new
         else:
             for row in rows:
                 if row[c]:
@@ -190,17 +211,19 @@ def clear_denominators(values) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in values]
 
 
-def int_rank(rows, ncols: int) -> int:
-    """Rank over Q of int rows, by fraction-free elimination over Z."""
-    return len(_echelon([list(row) for row in rows], ncols)[0])
+def int_rank(rows, ncols: int, order: int = 1) -> int:
+    """Rank over Q(zeta_order) of rows of ints, or of power-basis int tuples
+    over Z[zeta_order], by fraction-free elimination."""
+    return len(_echelon([list(row) for row in rows], ncols, None, order)[0])
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the fraction field: over Z on the rows cleared of their
-    denominators when the order is 1, else by exact elimination."""
+    """Rank over the fraction field, fraction free on the rows cleared of
+    their denominators: over Z when the order is 1, else over Z[zeta]."""
     if m.order == 1:
         return int_rank([clear_denominators(row) for row in m.to_rows()], m.cols)
-    return len(_echelon(m.to_rows(), m.cols)[0])
+    return int_rank([integral_form([x.coeffs for x in row]) for row in m.to_rows()],
+                    m.cols, m.order)
 
 
 def nullspace(m: Matrix) -> list[tuple]:
@@ -297,25 +320,13 @@ def field_primes(n: int) -> list[FieldPrime]:
     return found
 
 
-def reduce_mod(x, p: int, root: int) -> int | None:
-    """Image of an int, Fraction or CycloNumber in F_p under zeta -> root,
-    where root is the image of the CycloNumber's own zeta; None when p
-    divides a denominator."""
-    if isinstance(x, int):
-        return x % p
-    coeffs = x.coeffs if isinstance(x, CycloNumber) else (Fraction(x),)
-    acc, power = 0, 1
-    for c in coeffs:
-        if c:
-            den = c.denominator
-            if den == 1:
-                acc += c.numerator * power
-            elif den % p:
-                acc += c.numerator * pow(den, -1, p) * power
-            else:
-                return None
-        power = power * root % p
-    return acc % p
+def reduce_mod(coeffs, p: int, root: int) -> int:
+    """Image in F_p of an element of Z[zeta] (power-basis ints) under
+    zeta -> root."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * root + c) % p
+    return acc
 
 
 def _rational(u: int, m: int) -> Fraction | None:
@@ -331,15 +342,14 @@ def _rational(u: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _kernel_holds(m: Matrix, vectors) -> bool:
-    """M x = 0 exactly over Q(zeta_order) for every vector of power-basis
-    coordinate lists; rows and vectors are cleared of denominators first."""
-    phi = euler_phi(m.order)
+def _kernel_holds(rows, order: int, vectors) -> bool:
+    """M x = 0 exactly over Z[zeta_order] for every vector of power-basis
+    coordinate lists, M given by its rows of power-basis int tuples; each
+    vector is cleared of its denominators first."""
+    phi = euler_phi(order)
     xs = [[(j, entry) for j, entry in enumerate(integral_form(vec)) if any(entry)]
           for vec in vectors]
-    for i in range(m.rows):
-        row = integral_form([x.coeffs if isinstance(x, CycloNumber) else (x,)
-                             for x in m.row(i)])
+    for row in rows:
         for x in xs:
             acc = [0] * (2 * phi - 1)
             for j, xe in x:
@@ -347,7 +357,7 @@ def _kernel_holds(m: Matrix, vectors) -> bool:
                     if a:
                         for t, b in enumerate(xe):
                             acc[s + t] += a * b
-            if any(int_reduce(acc, m.order)):
+            if any(int_reduce(acc, order)):
                 return False
     return True
 
@@ -367,21 +377,24 @@ class CertifiedRank(NamedTuple):
 
 def certified_rank(shape: tuple[int, int], order: int,
                    modular: Callable[[int, int], list | None],
-                   exact: Callable[[], Matrix]) -> CertifiedRank:
+                   exact: Callable[[], list]) -> CertifiedRank:
     """Rank over Q(zeta_order) of the matrix of the given shape.
 
     ``modular(p, root)`` returns its rows over F_p under zeta -> root as
     lists of ints in [0, p), or None when the prime cannot be used (p
     divides a denominator or another value the rows need).  ``exact()``
-    returns the matrix itself; it is called only to verify a lifted kernel
-    or for the exact fallback, at most once.
+    returns the rows of the matrix, or of the matrix with each row scaled by
+    a nonzero element of Q(zeta), as lists of power-basis int tuples over
+    Z[zeta_order]; such a scaling changes neither the rank nor the right
+    kernel.  It is called only to verify a lifted kernel or for the exact
+    fallback, at most once.
     """
     rows, cols = shape
     full = min(rows, cols)
     if full == 0:
         return CertifiedRank(0, "full_rank", None)
     phi = euler_phi(order)
-    exact_matrix = None
+    exact_rows = None
     reading = None       # the pivots whose kernel residues are accumulated
     modulus, residues = 1, None
     for fp in field_primes(order):
@@ -421,13 +434,13 @@ def certified_rank(shape: tuple[int, int], order: int,
                   for vec in residues]
         if any(c is None for vec in lifted for entry in vec for c in entry):
             continue
-        if exact_matrix is None:
-            exact_matrix = exact()
-        if _kernel_holds(exact_matrix, lifted):
+        if exact_rows is None:
+            exact_rows = exact()
+        if _kernel_holds(exact_rows, order, lifted):
             return CertifiedRank(cols - len(lifted), "kernel_lift", p)
-    if exact_matrix is None:
-        exact_matrix = exact()
-    return CertifiedRank(rank(exact_matrix), "exact", None)
+    if exact_rows is None:
+        exact_rows = exact()
+    return CertifiedRank(int_rank(exact_rows, cols, order), "exact", None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,35 @@ integer) and the unconstrained map from all of C[X]_{k-3} are computed;
 their cokernels must agree and the disagreement is reported as an
 invariant violation, never expected.
 
-:func:`cokernel_dims` takes each rank with :func:`linalg.certified_rank`:
-the Taylor entries are built directly over F_p from chart coordinates
-reduced once per prime and root, and a rank read mod p is used only when
-it is full (min(rows, cols)) or its lifted kernel satisfies M x = 0 exactly
-over Q(zeta); otherwise the next prime, and last exact elimination, decide.
-The constrained map F.N (N a kernel basis of the outer-ideal conditions C,
-F the graded jet layer) is never formed, because
+:func:`cokernel_dims` takes each rank with :func:`linalg.certified_rank`.
+The jet rows are built in integral homogeneous form.  At a point with
+coordinates (X, U, V) in chart x, integral over Z[zeta] (power-basis int
+tuples), the coefficient of u^i v^j in the Taylor expansion of the monomial
+x^{a_x} u^{a_u} v^{a_v} of degree deg is
+
+    C(a_u,i) C(a_v,j) (U/X)^{a_u-i} (V/X)^{a_v-j},
+
+and row (i, j) is taken times X^{deg-i-j}, which leaves
+
+    C(a_u,i) C(a_v,j) U^{a_u-i} V^{a_v-j} X^{a_x},
+
+with no inverse.  Multiplying the rows by nonzero scalars, a diagonal
+matrix on the left, changes neither the rank nor the right kernel, so every
+cokernel is that of the chart-coordinate matrix.  Over F_p the entries come
+from X, U and V reduced once per prime and root; a prime with X = 0 mod p
+at a point with jets is skipped.  A rank read mod p is used only when it is full
+(min(rows, cols)) or its lifted kernel satisfies M x = 0 exactly on the
+integral rows over Z[zeta]; otherwise the next prime, and last fraction-free
+elimination of those rows, decide.  The constrained map F.N (N a kernel
+basis of the outer-ideal conditions C, F the graded jet layer) is never
+formed, because
 
     rank(F.N) = rank [C; F] - rank C.
 
 So every number reported is exact.  ``jet_matrix`` and ``ideal_basis`` in
-tests/helpers.py build the same maps exactly over Q(zeta), from the layouts
-and charts used here, and serve as the reference for tests.
+tests/helpers.py build the same maps exactly over Q(zeta) in the chart
+coordinates U/X and V/X, from the layouts and charts used here, and serve
+as the reference for tests.
 
 The piece of Hodge level one at k is the level-zero piece at d-k, so one
 report per k combines the two cokernels and their sum b_1.
@@ -42,7 +58,8 @@ from math import comb, gcd
 # perfbench/tracing.py wraps them by name, as tests/test_bench_hooks.py checks.
 from .arrangement import (Arrangement, IncidenceLattice, InvariantViolation,
                           build_lattice)
-from .linalg import Matrix, certified_rank, nullspace, rank, reduce_mod
+from .cyclotomic import euler_phi, int_mul, integral_form
+from .linalg import certified_rank, nullspace, rank, reduce_mod
 from . import resonance
 
 
@@ -91,62 +108,57 @@ def _layouts(lattice: IncidenceLattice, k: int):
     return tilde, outer, graded
 
 
-def _power_table(cu, cv, deg: int, p: int | None = None) -> list[list]:
-    """table[a][b] = cu^a * cv^b for a + b <= deg, reduced mod p when given."""
-    pu, pv = [1], [1]
-    for _ in range(deg):
-        pu.append(pu[-1] * cu if p is None else pu[-1] * cu % p)
-        pv.append(pv[-1] * cv if p is None else pv[-1] * cv % p)
-    return [[pu[a] * pv[b] if p is None else pu[a] * pv[b] % p
-             for b in range(deg + 1 - a)] for a in range(deg + 1)]
-
-
-def _exact_charts(lattice: IncidenceLattice, chart_of, layout, deg: int) -> dict:
-    """Per point of the layout: (u index, v index, power table over Q(zeta))."""
-    charts = {}
-    for idx, _ in layout:
-        coords, chart = lattice.points[idx].point.coords, chart_of[idx]
-        if coords[chart].is_zero():
+def _integral_points(lattice: IncidenceLattice, chart_of, layouts) -> dict:
+    """Per point with jets in the layouts: (chart, u index, v index,
+    (X, U, V)), with (X, U, V) its coordinates in chart order in integral
+    form over Z[zeta] (power-basis int tuples)."""
+    points = {}
+    for idx, _ in layouts:
+        if idx in points:
+            continue
+        coords = integral_form([c.coeffs for c in lattice.points[idx].point.coords])
+        chart = chart_of[idx]
+        if not any(coords[chart]):
             raise ValueError("chart coordinate vanishes at the point")
         u_idx, v_idx = [i for i in range(3) if i != chart]
-        inv = coords[chart].inverse()
-        charts[idx] = (u_idx, v_idx,
-                       _power_table(coords[u_idx] * inv, coords[v_idx] * inv, deg))
-    return charts
+        points[idx] = (chart, u_idx, v_idx,
+                       (coords[chart], coords[u_idx], coords[v_idx]))
+    return points
 
 
-def _modular_charts(lattice: IncidenceLattice, chart_of, deg: int, p: int,
-                    root: int) -> dict | None:
-    """The same chart data over F_p, zeta -> root, for every sigma-point;
-    None when a coordinate has p in a denominator or the chart coordinate
-    is 0 mod p."""
-    charts = {}
-    for idx, chart in chart_of.items():
-        coords = lattice.points[idx].point.coords
-        u_idx, v_idx = [i for i in range(3) if i != chart]
-        x, u, v = (reduce_mod(coords[i], p, root) for i in (chart, u_idx, v_idx))
-        if not x or u is None or v is None:
-            return None
-        inv = pow(x, -1, p)
-        charts[idx] = (u_idx, v_idx, _power_table(u * inv % p, v * inv % p, deg, p))
-    return charts
+def _power_table(x, u, v, deg: int, one, mul) -> tuple[list, list]:
+    """(uv, xs) with uv[a][b] = u^a * v^b for a + b <= deg and xs[c] = x^c
+    for c <= deg, in the ring whose unit is ``one`` and whose product is
+    ``mul``."""
+    powers = []
+    for y in (u, v, x):
+        row = [one]
+        for _ in range(deg):
+            row.append(mul(row[-1], y))
+        powers.append(row)
+    pu, pv, px = powers
+    return [[mul(pu[a], pv[b]) for b in range(deg + 1 - a)] for a in range(deg + 1)], px
 
 
-def _taylor_rows(layout, basis, charts) -> list[list]:
-    """Row (y, i, j), column mono: the coefficient of u^i v^j in the chart
-    expansion of the monomial at y, in whatever ring the chart powers live."""
+def _taylor_rows(layout, basis, tables, pascal, p=None, order=1) -> list[list]:
+    """Row (y, i, j), column x^{a_x} u^{a_u} v^{a_v} in the chart x of y: the
+    entry C(a_u,i) C(a_v,j) U^{a_u-i} V^{a_v-j} X^{a_x}, the coefficient of
+    u^i v^j in the Taylor expansion at y times X^{deg-i-j}, with
+    pascal[n][i] = C(n, i).  Over F_p when p is given, else over
+    Z[zeta_order] as power-basis int tuples."""
     rows = []
+    zero = 0 if p else (0,) * euler_phi(order)
     for idx, jets in layout:
-        u_idx, v_idx, table = charts[idx]
+        chart, u_idx, v_idx, (uv, xs) = tables[idx]
+        exponents = [(m[chart], m[u_idx], m[v_idx]) for m in basis]
         for i, j in jets:
-            row = []
-            for mono in basis:
-                au, av = mono[u_idx], mono[v_idx]
-                if i > au or j > av:
-                    row.append(0)
-                else:
-                    row.append(table[au - i][av - j] * (comb(au, i) * comb(av, j)))
-            rows.append(row)
+            if p:
+                rows.append([uv[au - i][av - j] * xs[ax] * (pascal[au][i] * pascal[av][j]) % p
+                             if au >= i and av >= j else 0 for ax, au, av in exponents])
+            else:
+                rows.append([tuple(pascal[au][i] * pascal[av][j] * c
+                                   for c in int_mul(uv[au - i][av - j], xs[ax], order))
+                             if au >= i and av >= j else zero for ax, au, av in exponents])
     return rows
 
 
@@ -163,12 +175,28 @@ def _charts_for(lattice: IncidenceLattice, charts) -> dict[int, int]:
     return chosen
 
 
-def _exact_matrix(arr: Arrangement, lattice: IncidenceLattice, chart_of, layout,
-                  deg: int) -> Matrix:
-    basis = monomial_basis(deg)
-    rows = _taylor_rows(layout, basis,
-                        _exact_charts(lattice, chart_of, layout, deg))
-    return Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)
+def _modular_tables(points, deg: int, p: int, root: int) -> dict | None:
+    """The same tables over F_p, zeta -> root; None when some chart
+    coordinate X is 0 mod p."""
+    tables = {}
+    for idx, (chart, u_idx, v_idx, xuv) in points.items():
+        x, u, v = (reduce_mod(c, p, root) for c in xuv)
+        if not x:
+            return None
+        tables[idx] = (chart, u_idx, v_idx,
+                       _power_table(x, u, v, deg, 1, lambda a, b: a * b % p))
+    return tables
+
+
+def _exact_matrix(points, layout, deg: int, order: int, pascal) -> list[list]:
+    """The integral jet rows of ``layout``, as power-basis int tuples."""
+    one = (1,) + (0,) * (euler_phi(order) - 1)
+    tables = {}
+    for idx, _ in layout:
+        chart, u_idx, v_idx, xuv = points[idx]
+        tables[idx] = (chart, u_idx, v_idx, _power_table(
+            *xuv, deg, one, lambda a, b: int_mul(a, b, order)))
+    return _taylor_rows(layout, monomial_basis(deg), tables, pascal, order=order)
 
 
 def _row_count(layout) -> int:
@@ -185,28 +213,31 @@ def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
     Every rank is a :func:`linalg.certified_rank` over F_p.  The constrained
     map F.N, with N a kernel basis of the outer-ideal conditions C and F the
     graded jet layer, is never formed: rank(F.N) = rank[C;F] - rank C.
-    Chart coordinates are reduced once per prime and root within this call.
+    The sigma-points are put in integral form once, and their coordinates
+    reduced once per prime and root, within this call.
     """
     tilde, outer, graded = _layouts(lattice, k)
     deg = k - 3
+    order = arr.field_order
     basis = monomial_basis(deg)
-    chart_of = _charts_for(lattice, charts)
+    points = _integral_points(lattice, _charts_for(lattice, charts),
+                              tilde + outer + graded)
+    pascal = [[comb(n, i) for i in range(n + 1)] for n in range(deg + 1)]
     reduced = {}
 
     def certified(layout) -> int:
         def modular(p, root):
             if (p, root) not in reduced:
-                reduced[p, root] = _modular_charts(lattice, chart_of, deg, p, root)
-            charts_p = reduced[p, root]
-            if charts_p is None:
+                reduced[p, root] = _modular_tables(points, deg, p, root)
+            tables = reduced[p, root]
+            if tables is None:
                 return None
-            return [[x % p for x in row]
-                    for row in _taylor_rows(layout, basis, charts_p)]
+            return _taylor_rows(layout, basis, tables, pascal, p)
 
         shape = (_row_count(layout), len(basis))
         return certified_rank(
-            shape, arr.field_order, modular,
-            lambda: _exact_matrix(arr, lattice, chart_of, layout, deg)).rank
+            shape, order, modular,
+            lambda: _exact_matrix(points, layout, deg, order, pascal)).rank
 
     constrained_rank = certified(outer + graded) - certified(outer)
     return (_row_count(tilde) - certified(tilde),

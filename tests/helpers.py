@@ -14,9 +14,14 @@ path, so agreement is evidence and not tautology:
   jets.
 
 The exact references live here too: ``jet_matrix`` and ``ideal_basis`` build
-the jet maps over Q(zeta) that ``milnor.cokernel_dims`` ranks over F_p,
-``int_det`` checks the Smith diagonal by Bareiss elimination, and
-``same_affine_orbit`` compares realization vectors up to the affine group.
+the jet maps over Q(zeta) that ``milnor.cokernel_dims`` ranks over F_p, from
+``chart_inverse_matrix``: Taylor entries in the chart coordinates U/X, V/X,
+CycloNumber products with an inverse, where ``milnor`` builds integral rows
+over Z[zeta] that are these rows times X^(deg-i-j).  ``reduce_fraction_mod``
+reduces Fraction and CycloNumber entries mod p, ``integral_rows`` clears a
+matrix's rows of their denominators, ``int_det`` checks the Smith diagonal by
+Bareiss elimination, and ``same_affine_orbit`` compares realization vectors
+up to the affine group.
 
 The combinatorial route has oracles of its own, none of them keyed by
 ``cyclotomic.projective_key``: ``line_intersection`` takes the cross product
@@ -38,10 +43,9 @@ import pytest
 
 from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
                                 LatticePoint, ProjLine, ProjPoint, build_lattice)
-from milfib.cyclotomic import CycloNumber, euler_phi
+from milfib.cyclotomic import CycloNumber, euler_phi, integral_form
 from milfib.linalg import IntMatrix, Matrix, nullspace, rank
-from milfib.milnor import (_charts_for, _exact_matrix, _layouts, ideal_order,
-                           monomial_basis)
+from milfib.milnor import _charts_for, _layouts, ideal_order, monomial_basis
 from milfib.resonance import check_residue_integrality
 
 
@@ -236,6 +240,86 @@ def int_det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _power_table(cu, cv, deg: int) -> list[list]:
+    """table[a][b] = cu^a * cv^b for a + b <= deg."""
+    pu, pv = [1], [1]
+    for _ in range(deg):
+        pu.append(pu[-1] * cu)
+        pv.append(pv[-1] * cv)
+    return [[pu[a] * pv[b] for b in range(deg + 1 - a)] for a in range(deg + 1)]
+
+
+def _exact_charts(lattice: IncidenceLattice, chart_of, layout, deg: int) -> dict:
+    """Per point of the layout: (u index, v index, power table over Q(zeta))."""
+    charts = {}
+    for idx, _ in layout:
+        coords, chart = lattice.points[idx].point.coords, chart_of[idx]
+        if coords[chart].is_zero():
+            raise ValueError("chart coordinate vanishes at the point")
+        u_idx, v_idx = [i for i in range(3) if i != chart]
+        inv = coords[chart].inverse()
+        charts[idx] = (u_idx, v_idx,
+                       _power_table(coords[u_idx] * inv, coords[v_idx] * inv, deg))
+    return charts
+
+
+def _taylor_rows(layout, basis, charts) -> list[list]:
+    """Row (y, i, j), column mono: the coefficient of u^i v^j in the chart
+    expansion of the monomial at y, in whatever ring the chart powers live."""
+    rows = []
+    for idx, jets in layout:
+        u_idx, v_idx, table = charts[idx]
+        for i, j in jets:
+            row = []
+            for mono in basis:
+                au, av = mono[u_idx], mono[v_idx]
+                if i > au or j > av:
+                    row.append(0)
+                else:
+                    row.append(table[au - i][av - j] * (comb(au, i) * comb(av, j)))
+            rows.append(row)
+    return rows
+
+
+def chart_inverse_matrix(arr: Arrangement, lattice: IncidenceLattice, chart_of,
+                         layout, deg: int) -> Matrix:
+    """The jet rows of ``layout`` over Q(zeta): row (y, i, j) holds the
+    coefficients of u^i v^j in the expansions of the degree-``deg`` monomials
+    at y, in the chart coordinates U/X, V/X."""
+    basis = monomial_basis(deg)
+    rows = _taylor_rows(layout, basis,
+                        _exact_charts(lattice, chart_of, layout, deg))
+    return Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)
+
+
+def reduce_fraction_mod(x, p: int, root: int) -> int | None:
+    """Image of an int, Fraction or CycloNumber in F_p under zeta -> root,
+    where root is the image of the CycloNumber's own zeta; None when p
+    divides a denominator."""
+    if isinstance(x, int):
+        return x % p
+    coeffs = x.coeffs if isinstance(x, CycloNumber) else (Fraction(x),)
+    acc, power = 0, 1
+    for c in coeffs:
+        if c:
+            den = c.denominator
+            if den == 1:
+                acc += c.numerator * power
+            elif den % p:
+                acc += c.numerator * pow(den, -1, p) * power
+            else:
+                return None
+        power = power * root % p
+    return acc % p
+
+
+def integral_rows(m: Matrix) -> list[tuple]:
+    """Each row of m times the lcm of its denominators, as power-basis int
+    tuples: the form ``linalg.certified_rank`` checks kernels on."""
+    return [integral_form([x.coeffs if isinstance(x, CycloNumber) else (x,)
+                           for x in m.row(i)]) for i in range(m.rows)]
+
+
 def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int,
                ideal_constrained: bool, charts=None) -> Matrix:
     """The evaluation matrix whose cokernel dimension is one Hodge piece.
@@ -250,9 +334,9 @@ def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int,
     tilde, _, graded = _layouts(lattice, k)
     chart_of = _charts_for(lattice, charts)
     if not ideal_constrained:
-        return _exact_matrix(arr, lattice, chart_of, tilde, deg)
+        return chart_inverse_matrix(arr, lattice, chart_of, tilde, deg)
     ideal = ideal_basis(arr, lattice, deg, k, charts)
-    layer = _exact_matrix(arr, lattice, chart_of, graded, deg)
+    layer = chart_inverse_matrix(arr, lattice, chart_of, graded, deg)
     rows = [[sum(f * vec[t] for t, f in enumerate(layer.row(i))) for vec in ideal]
             for i in range(layer.rows)]
     return Matrix.from_rows(rows, cols=len(ideal), order=arr.field_order)
@@ -267,8 +351,8 @@ def ideal_basis(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
     if not outer:
         return [tuple(1 if t == s else 0 for t in range(size))
                 for s in range(size)]
-    constraints = _exact_matrix(arr, lattice, _charts_for(lattice, charts),
-                                outer, deg)
+    constraints = chart_inverse_matrix(arr, lattice, _charts_for(lattice, charts),
+                                       outer, deg)
     return nullspace(constraints)
 
 

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import jet_matrix, monomial_arrangement, random_arrangement
+from helpers import (integral_rows, jet_matrix, monomial_arrangement,
+                     random_arrangement, reduce_fraction_mod)
 from milfib import milnor
 from milfib.arrangement import (Arrangement, ProjLine, ProjPoint, build_lattice,
                                 named_arrangement)
@@ -28,9 +29,11 @@ def _exact_cokernels(arr, lat, k, charts=None):
 
 def _certify(m: Matrix) -> CertifiedRank:
     def modular(p, root):
-        rows = [[reduce_mod(x, p, root) for x in m.row(i)] for i in range(m.rows)]
+        rows = [[reduce_fraction_mod(x, p, root) for x in m.row(i)]
+                for i in range(m.rows)]
         return None if any(x is None for row in rows for x in row) else rows
-    return certified_rank((m.rows, m.cols), m.order, modular, lambda: m)
+    return certified_rank((m.rows, m.cols), m.order, modular,
+                          lambda: integral_rows(m))
 
 
 def _differential_cases():
@@ -93,7 +96,8 @@ def test_field_primes_carry_roots_of_the_cyclotomic_polynomial():
             for root in fp.roots:
                 # Phi_n(root) = 0: the image of zeta^phi(n) matches its power-basis form.
                 assert pow(root, n, fp.p) == 1
-                assert reduce_mod(zeta ** euler_phi(n), fp.p, root) == \
+                power_basis = [c.numerator for c in (zeta ** euler_phi(n)).coeffs]
+                assert reduce_mod(power_basis, fp.p, root) == \
                     pow(root, euler_phi(n), fp.p)
 
 

@@ -205,6 +205,25 @@ def test_python_dash_m_runs_the_cli():
     assert [r["b1"] for r in json.loads(done.stdout)["eigen"]] == [0, 1, 0, 1, 0]
 
 
+def test_one_process_answers_like_fresh_processes(capsys):
+    # main reuses one parser; a usage error must leave nothing behind in it.
+    calls = [["analyze", "--name", "braid", "--format", "xml"],
+             ["analyze", "--name", "ceva3", "--format", "json"],
+             ["lattice", "--name", "braid", "--format", "json"],
+             ["cond02", "--name", "pappus-dual", "--k", "3"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(milfib.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "milfib", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0]
+    assert fresh[0][2].startswith("error: argument --format: invalid choice")
+
+
 LINES = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 0]]
 PLANES = [[1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0],
           [0, 1, 0, -1], [0, 0, 1, -1]]

@@ -104,6 +104,45 @@ def test_rank_over_q_matches_sympy_and_the_field_path(m):
     assert rank(m) == m.cols - len(nullspace(m))
 
 
+def _cyclo_entries(order):
+    phi = euler_phi(order)
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    return st.lists(coeff, min_size=phi, max_size=phi).map(
+        lambda c: CycloNumber(order, c))
+
+
+@st.composite
+def cyclotomic_matrices(draw):
+    """Matrices over Q(zeta_3), Q(i), Q(zeta_5) or Q(zeta_8) with 0 to 5
+    columns and 0 to 8 rows; besides random rows they get zero rows, repeated
+    rows, rows scaled by an element that is not rational, and sums of a row
+    and a multiple of another, in shuffled order."""
+    order = draw(st.sampled_from((3, 4, 5, 8)))
+    entry = _cyclo_entries(order)
+    zero = CycloNumber.zero(order)
+    cols = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("zero", "repeat", "scale", "sum")))
+        if kind == "zero" or not rows:
+            rows.append([zero] * cols)
+            continue
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        f = draw(entry.filter(lambda x: not x.is_rational()))
+        rows.append(a if kind == "repeat" else [f * x for x in a] if kind == "scale"
+                    else [x + f * y for x, y in zip(a, b)])
+    shuffled = draw(st.permutations(range(len(rows))))
+    return Matrix(len(rows), cols, order, tuple(x for i in shuffled for x in rows[i]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(cyclotomic_matrices())
+def test_rank_over_z_zeta_matches_the_field_path(m):
+    assert rank(m) == m.cols - len(nullspace(m))
+
+
 def test_int_rank_leaves_its_rows_alone():
     rows = [[2, 4, 6], [1, 2, 3], [0, 5, -5]]
     assert int_rank(rows, 3) == 2

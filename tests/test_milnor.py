@@ -1,11 +1,18 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import ideal_basis, ideal_dim_oracle, jet_matrix, random_arrangements
-from milfib.arrangement import build_lattice, named_arrangement
-from milfib.linalg import Matrix, nullspace, rank
+from helpers import (chart_inverse_matrix, ideal_basis, ideal_dim_oracle,
+                     jet_matrix, random_arrangements, random_hyperplanes)
+from milfib import milnor
+from milfib.arrangement import (Arrangement, ArrangementError, ProjLine,
+                                build_lattice, named_arrangement)
+from milfib.cyclotomic import CycloNumber
+from milfib.linalg import Matrix, field_primes, nullspace, rank, reduce_mod
 from milfib.milnor import (InvariantViolation, cokernel_dims, full_spectrum,
                            grf_dims, ideal_order, monomial_basis,
                            precheck_vanishing, truncation_order)
@@ -152,3 +159,62 @@ def test_cokernel_pair_agreement_on_randoms():
         for k in range(1, lat.d):
             tilde, constrained = cokernel_dims(arr, lat, k)
             assert tilde == constrained, (arr.name, k)
+
+
+def _assert_integral_rows(arr, lat, k):
+    """Each integral jet row is the chart-inverse row times X^(deg-i-j),
+    entry by entry, and its image mod p is the row built over F_p."""
+    deg = k - 3
+    if deg < 0:
+        return
+    order = arr.field_order
+    layouts = milnor._layouts(lat, k)
+    chart_of = milnor._charts_for(lat, None)
+    points = milnor._integral_points(lat, chart_of, [y for lay in layouts for y in lay])
+    pascal = [[comb(n, i) for i in range(n + 1)] for n in range(deg + 1)]
+    basis = monomial_basis(deg)
+    fp = field_primes(order)[0]
+    for layout in layouts:
+        rows = milnor._exact_matrix(points, layout, deg, order, pascal)
+        reference = chart_inverse_matrix(arr, lat, chart_of, layout, deg)
+        jets = [(idx, i, j) for idx, pairs in layout for i, j in pairs]
+        assert len(rows) == reference.rows == len(jets)
+        for t, (idx, i, j) in enumerate(jets):
+            scale = CycloNumber(order, points[idx][3][0]) ** (deg - i - j)
+            assert [CycloNumber(order, x) for x in rows[t]] == \
+                [x * scale for x in reference.row(t)], (k, idx, i, j)
+        for root in fp.roots:
+            tables = milnor._modular_tables(points, deg, fp.p, root)
+            if tables is not None:
+                assert milnor._taylor_rows(layout, basis, tables, pascal, fp.p) == \
+                    [[reduce_mod(x, fp.p, root) for x in row] for row in rows]
+
+
+def test_integral_rows_are_scaled_chart_rows_on_fixtures(lattices, arrangements):
+    for name, lat in lattices.items():
+        for k in range(1, lat.d):
+            _assert_integral_rows(arrangements[name], lat, k)
+
+
+@st.composite
+def cyclotomic_arrangements(draw):
+    """Lines over Q(zeta_3), Q(i) or Q(zeta_5), some of them through the
+    meet of two earlier ones, so that multiple points occur."""
+    order = draw(st.sampled_from((3, 4, 5)))
+    d = draw(st.integers(6, 9))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    while True:
+        try:
+            return Arrangement([ProjLine(*row, order) for row in
+                                random_hyperplanes(rng, order, 3, d)], order=order)
+        except ArrangementError:
+            continue
+
+
+@settings(derandomize=True, deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cyclotomic_arrangements())
+def test_integral_rows_are_scaled_chart_rows_over_cyclotomic_fields(arr):
+    lat = build_lattice(arr)
+    for k in range(1, lat.d):
+        _assert_integral_rows(arr, lat, k)
