@@ -11,7 +11,8 @@ No floating point is used anywhere.  A CycloNumber stores its coefficients as
 ``fractions.Fraction``.  Code that only needs a vector up to scaling works
 on integers instead, over Z[zeta_n] in the same power basis:
 :func:`integral_form` clears a vector's denominators, :func:`int_mul` and
-:func:`int_reduce` multiply and reduce mod the monic Phi_n, and
+:func:`int_reduce` multiply and reduce mod the monic Phi_n,
+:func:`conjugate_product` turns an element into its norm, and
 :func:`projective_key` names the class of a vector under Q(zeta_n)^*
 scaling by one canonical integer vector.
 """
@@ -410,6 +411,20 @@ def int_mul(a, b, order: int) -> tuple[int, ...]:
     return int_reduce(acc, order)
 
 
+def conjugate_product(x, order: int) -> tuple[int, ...]:
+    """The product of the conjugates sigma_a(x), 1 < a < order coprime to
+    order, of an element x of Z[zeta_order]: x times it is the norm N(x), a
+    rational integer."""
+    product = (1,) + (0,) * (len(x) - 1)
+    for a in range(2, order):
+        if gcd(a, order) == 1:
+            image = [0] * order
+            for e, c in enumerate(x):
+                image[a * e % order] += c
+            product = int_mul(product, int_reduce(image, order), order)
+    return product
+
+
 def projective_key(vector, order: int):
     """One canonical int vector for the class of ``vector`` (power-basis int
     tuples over Z[zeta_order]) under scaling by Q(zeta_order)^*, or None
@@ -427,14 +442,8 @@ def projective_key(vector, order: int):
     if last is None:
         return None
     if len(last) > 1:
-        norm_cofactor = (1,) + (0,) * (len(last) - 1)
-        for a in range(2, order):
-            if gcd(a, order) == 1:
-                image = [0] * order
-                for e, c in enumerate(last):
-                    image[a * e % order] += c
-                norm_cofactor = int_mul(norm_cofactor, int_reduce(image, order), order)
-        vector = [int_mul(x, norm_cofactor, order) if any(x) else x for x in vector]
+        cofactor = conjugate_product(last, order)
+        vector = [int_mul(x, cofactor, order) if any(x) else x for x in vector]
         last = next(x for x in reversed(vector) if any(x))
     g = gcd(*(c for x in vector for c in x))
     if last[0] < 0:

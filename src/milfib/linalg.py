@@ -5,12 +5,15 @@ normal form.
 :func:`_echelon` is the only elimination, over four coefficient domains.
 With ``p=None`` on ints, or on power-basis int tuples over Z[zeta_order],
 it is fraction free: the pivot row is kept, and each row below becomes
-``pv * row - row[c] * prow`` (products by :func:`~milfib.cyclotomic.int_mul`
-mod Phi_n over Z[zeta_n]) divided by the integer content of its entries.
-Every step multiplies a row by a nonzero element of Q(zeta_n), so the rank
-is exact with no prime and no certificate; :func:`int_rank`, :func:`rank`
-(rows cleared of denominators) and the exact fallback of
-:func:`certified_rank` use it.  On ints mod a prime ``p``, and on Fraction
+``pv * row - row[c] * prow``.  Over Z that row is divided by the gcd of its
+entries.  Over Z[zeta_n] (products by :func:`~milfib.cyclotomic.int_mul`
+mod Phi_n) every waiting row is divided by the previous pivot, an exact
+quotient (Bareiss): its entries are then minors of the input, so they grow
+linearly, where division by the integer content alone lets them grow
+exponentially.  Every step multiplies a row by a nonzero element of
+Q(zeta_n), so the rank is exact with no prime and no certificate;
+:func:`int_rank`, :func:`rank` (rows cleared of denominators) and the exact
+fallback of :func:`certified_rank` use it.  On ints mod a prime ``p``, and on Fraction
 or CycloNumber entries with ``p=None``, pivot rows are scaled to 1;
 :func:`_kernel` back-substitutes to the reduced form and reads off one
 kernel vector per free column.  The unit-pivot field mode serves only
@@ -47,8 +50,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
-from .cyclotomic import (CycloNumber, euler_phi, int_mul, int_reduce,
-                         integral_form, prime_factors)
+from .cyclotomic import (CycloNumber, conjugate_product, euler_phi, int_mul,
+                         int_reduce, integral_form, prime_factors)
 
 
 class Matrix:
@@ -122,6 +125,14 @@ def _subtract(row, c, f, tail, p):
         row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
 
 
+def _quotient_by(d, order: int):
+    """x -> x / d on the multiples x of d in Z[zeta_order]: x times the
+    product of the other conjugates of d, over the norm N(d)."""
+    cofactor = conjugate_product(d, order)
+    norm = int_mul(d, cofactor, order)[0]
+    return lambda x: tuple(c // norm for c in int_mul(x, cofactor, order))
+
+
 def _echelon(rows, ncols, p=None, order=1):
     """Row echelon form, consuming ``rows``.  With p None it is fraction free
     on ints (over Z) and on power-basis int tuples (over Z[zeta_order]), and
@@ -135,6 +146,7 @@ def _echelon(rows, ncols, p=None, order=1):
     integral = p is None and isinstance(first, int)
     cyclo = p is None and isinstance(first, tuple)
     pivots, done = [], []
+    quotient = None      # division by the previous pivot over Z[zeta]
     for c in range(ncols):
         if not rows:
             break
@@ -163,13 +175,11 @@ def _echelon(rows, ncols, p=None, order=1):
         elif cyclo:
             for row in rows:
                 f = row[c]
-                if any(f):
-                    new = [tuple(x - y for x, y in zip(int_mul(pv, a, order),
-                                                       int_mul(f, b, order)))
-                           for a, b in zip(row[c:], tail)]
-                    g = gcd(*(x for entry in new for x in entry))
-                    row[c:] = [tuple(x // g for x in entry) for entry in new] \
-                        if g > 1 else new
+                new = [tuple(x - y for x, y in zip(int_mul(pv, a, order),
+                                                   int_mul(f, b, order)))
+                       for a, b in zip(row[c:], tail)]
+                row[c:] = new if quotient is None else [quotient(x) for x in new]
+            quotient = _quotient_by(pv, order)
         else:
             for row in rows:
                 if row[c]:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from helpers import (diagonal, identity_matrix, int_det, int_mat_mul, mat_vec,
                      qq_rank)
 from milfib.cyclotomic import CycloNumber, euler_phi
-from milfib.linalg import (IntMatrix, Matrix, int_rank, kernel_mod_generators,
-                           nullspace, rank, smith_normal_form, solve_mod)
+from milfib.linalg import (IntMatrix, Matrix, _echelon, int_rank,
+                           kernel_mod_generators, nullspace, rank,
+                           smith_normal_form, solve_mod)
 
 
 def test_rank_basics():
@@ -141,6 +142,23 @@ def cyclotomic_matrices(draw):
 @given(cyclotomic_matrices())
 def test_rank_over_z_zeta_matches_the_field_path(m):
     assert rank(m) == m.cols - len(nullspace(m))
+
+
+def test_elimination_over_z_zeta_keeps_entries_small():
+    # Division by the previous pivot keeps every entry a minor of the input,
+    # so coefficient sizes grow linearly; content division alone lets them
+    # double at every step.
+    rng = random.Random(21)
+    n, order = 12, 5
+    zeta = CycloNumber.zeta(order)
+    rows = [[CycloNumber(order, [rng.randint(-3, 3) for _ in range(4)])
+             for _ in range(n)] for _ in range(n - 1)]
+    rows.append([a + zeta * b for a, b in zip(rows[0], rows[1])])
+    m = Matrix.from_rows(rows, cols=n, order=order)
+    pivots, echelon = _echelon([[tuple(c.numerator for c in x.coeffs) for x in row]
+                                for row in rows], n, None, order)
+    assert len(pivots) == rank(m) == n - len(nullspace(m)) == n - 1
+    assert max(abs(c).bit_length() for row in echelon for x in row for c in x) < 20 * n
 
 
 def test_int_rank_leaves_its_rows_alone():
