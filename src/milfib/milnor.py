@@ -178,24 +178,27 @@ def _charts_for(lattice: IncidenceLattice, charts) -> dict[int, int]:
 def _modular_tables(points, deg: int, p: int, root: int) -> dict | None:
     """The same tables over F_p, zeta -> root; None when some chart
     coordinate X is 0 mod p."""
+    def mul(a, b):
+        return a * b % p
     tables = {}
     for idx, (chart, u_idx, v_idx, xuv) in points.items():
         x, u, v = (reduce_mod(c, p, root) for c in xuv)
         if not x:
             return None
-        tables[idx] = (chart, u_idx, v_idx,
-                       _power_table(x, u, v, deg, 1, lambda a, b: a * b % p))
+        tables[idx] = (chart, u_idx, v_idx, _power_table(x, u, v, deg, 1, mul))
     return tables
 
 
 def _exact_matrix(points, layout, deg: int, order: int, pascal) -> list[list]:
     """The integral jet rows of ``layout``, as power-basis int tuples."""
+    def mul(a, b):
+        return int_mul(a, b, order)
     one = (1,) + (0,) * (euler_phi(order) - 1)
     tables = {}
     for idx, _ in layout:
-        chart, u_idx, v_idx, xuv = points[idx]
-        tables[idx] = (chart, u_idx, v_idx, _power_table(
-            *xuv, deg, one, lambda a, b: int_mul(a, b, order)))
+        if idx not in tables:
+            chart, u_idx, v_idx, xuv = points[idx]
+            tables[idx] = (chart, u_idx, v_idx, _power_table(*xuv, deg, one, mul))
     return _taylor_rows(layout, monomial_basis(deg), tables, pascal, order=order)
 
 
@@ -213,8 +216,8 @@ def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
     Every rank is a :func:`linalg.certified_rank` over F_p.  The constrained
     map F.N, with N a kernel basis of the outer-ideal conditions C and F the
     graded jet layer, is never formed: rank(F.N) = rank[C;F] - rank C.
-    The sigma-points are put in integral form once, and their coordinates
-    reduced once per prime and root, within this call.
+    The points with jets are put in integral form once, and their
+    coordinates reduced once per prime and root, within this call.
     """
     tilde, outer, graded = _layouts(lattice, k)
     deg = k - 3
