@@ -1,9 +1,12 @@
 """Byte-for-byte regression on the CLI documents of the five named fixtures.
 
 The files under ``tests/golden`` are the exact standard output of
-``milfib analyze --format json``, ``milfib analyze --format table`` and
-``milfib milnor --format json``.  Any change to a number, a key, an ordering
-or the layout shows up here as a diff.
+``milfib analyze --format json``, ``milfib analyze --format table``,
+``milfib milnor --format json`` and ``milfib lattice --format json``.  The
+lattice documents hold the normalized line and point coordinates over
+Q(zeta_n), so they pin the field arithmetic as well as the counts.  Any
+change to a number, a key, an ordering or the layout shows up here as a
+diff.
 """
 
 import os
@@ -16,7 +19,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 NAMES = ("braid", "pappus-dual", "ex-3-1-iii", "ceva3", "hesse")
 RUNS = (("analyze", "json", "analyze.json"),
         ("analyze", "table", "analyze.txt"),
-        ("milnor", "json", "milnor.json"))
+        ("milnor", "json", "milnor.json"),
+        ("lattice", "json", "lattice.json"))
 
 
 @pytest.mark.parametrize("name", NAMES)
