@@ -1,20 +1,26 @@
 """Exact arithmetic over Q and the cyclotomic fields Q(zeta_n).
 
-A :class:`CycloNumber` of order ``n`` is an element of Q[t]/Phi_n(t) stored
+An element of Q(zeta_n) = Q[t]/Phi_n(t) is a sequence of phi(n) coefficients
 in the power basis 1, zeta, ..., zeta^(phi(n)-1), where Phi_n is the n-th
 cyclotomic polynomial and zeta = exp(2*pi*i/n).  Representation in the power
 basis is unique, so equality is coefficient equality and zero tests are
-exact.  Mixed-order arithmetic lifts both operands into Q(zeta_lcm) first.
-Order 1 is plain Q.
+exact.  No floating point is used anywhere.
 
-No floating point is used anywhere.  A CycloNumber stores its coefficients as
-``fractions.Fraction``.  Code that only needs a vector up to scaling works
-on integers instead, over Z[zeta_n] in the same power basis:
-:func:`integral_form` clears a vector's denominators, :func:`int_mul` and
-:func:`int_reduce` multiply and reduce mod the monic Phi_n,
-:func:`conjugate_product` turns an element into its norm, and
-:func:`projective_key` names the class of a vector under Q(zeta_n)^*
-scaling by one canonical integer vector.
+One set of ring kernels does all the multiplying.  Phi_n is monic over Z, so
+reduction mod Phi_n never divides, and the kernels take ints or Fractions
+alike: :func:`int_mul` multiplies and :func:`int_reduce` reduces mod Phi_n,
+and :func:`conjugate_product` gives the product of the other conjugates of
+an element, which times the element is its norm, a rational.  On ints they
+stay in Z[zeta_n] (hence their names).
+
+:class:`CycloNumber` wraps Fraction coefficients with an order for the
+exact reference paths and input normalization: its products are
+:func:`int_mul`, its inverse is :func:`conjugate_product` over the norm,
+and mixed-order arithmetic lifts both operands into Q(zeta_lcm) first.
+Order 1 is plain Q.  Code that only needs a vector up to scaling works on
+power-basis ints instead: :func:`integral_form` clears a vector's
+denominators, and :func:`projective_key` names the class of a vector under
+Q(zeta_n)^* scaling by one canonical integer vector.
 """
 
 from __future__ import annotations
@@ -53,67 +59,26 @@ def euler_phi(n: int) -> int:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Dense coefficients of Phi_n, constant term first, monic of degree phi(n).
 
-    Computed by dividing t^n - 1 by the product of Phi_d over the proper
-    divisors d of n.
+    Computed by dividing t^n - 1 exactly over Z by the monic Phi_d of each
+    proper divisor d of n.
     """
     if n < 1:
         raise ValueError("cyclotomic_polynomial requires n >= 1")
-    if n == 1:
-        return (-1, 1)
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    den = [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _pmul(den, cyclotomic_polynomial(d))
-    quot, rem = _pdivmod(num, den)
-    if rem:
-        raise ArithmeticError("t^n - 1 is not divisible by its proper cyclotomic factors")
-    return tuple(int(c) for c in quot)
-
-
-# Dense polynomials over Q, constant term first, used only inside this module.
-
-def _trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    out = [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-    return _trim(out)
-
-
-def _pdivmod(num, den):
-    """(quotient, remainder) of num by den (den nonzero), dense Fraction lists."""
-    num = list(num)
-    _trim(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 0)
-    while len(num) - 1 >= dn and num:
-        c = num[-1] / lead
-        shift = len(num) - 1 - dn
-        quot[shift] = c
-        for i, dc in enumerate(den):
-            num[shift + i] -= c * dc
-        _trim(num)
-    return quot, num
+            divisor = cyclotomic_polynomial(d)
+            deg = len(divisor) - 1
+            quot = [0] * (len(poly) - deg)
+            for top in range(len(poly) - 1, deg - 1, -1):
+                lead = quot[top - deg] = poly[top]
+                if lead:
+                    for s, coeff in enumerate(divisor):
+                        poly[top - deg + s] -= lead * coeff
+            if any(poly[:deg]):
+                raise ArithmeticError("t^n - 1 is not divisible by its proper cyclotomic factors")
+            poly = quot
+    return tuple(poly)
 
 
 class CycloNumber:
@@ -156,24 +121,10 @@ class CycloNumber:
 
     @classmethod
     def zeta(cls, order: int) -> "CycloNumber":
-        """The primitive root of unity zeta_n itself."""
-        phi = euler_phi(order)
-        if phi == 1:
-            # zeta_1 = 1, zeta_2 = -1: reduce t mod Phi_n by hand.
-            return cls.from_rational(1 if order == 1 else -1, order)
-        coeffs = [Fraction(0)] * phi
-        coeffs[1] = Fraction(1)
-        return cls(order, coeffs)
+        """The primitive root of unity zeta_n itself: t reduced mod Phi_n."""
+        return cls(order, int_reduce((0, 1), order))
 
     # -- representation helpers ----------------------------------------
-
-    @classmethod
-    def _from_poly(cls, order: int, poly) -> "CycloNumber":
-        phi_mod = [Fraction(c) for c in cyclotomic_polynomial(order)]
-        _, rem = _pdivmod(poly, phi_mod)
-        phi = euler_phi(order)
-        rem = rem + [Fraction(0)] * (phi - len(rem))
-        return cls(order, rem)
 
     def lift(self, order: int) -> "CycloNumber":
         """Image under the embedding Q(zeta_n) -> Q(zeta_m), n | m."""
@@ -182,10 +133,9 @@ class CycloNumber:
         if order % self.order:
             raise ValueError(f"cannot lift order {self.order} into order {order}")
         step = order // self.order
-        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            poly[i * step] = c
-        return CycloNumber._from_poly(order, poly)
+        poly = [0] * ((len(self.coeffs) - 1) * step + 1)
+        poly[::step] = self.coeffs
+        return CycloNumber(order, int_reduce(poly, order))
 
     def key(self):
         """Hashable identity within a fixed ambient order."""
@@ -250,30 +200,20 @@ class CycloNumber:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if len(a.coeffs) == 1:  # phi(n) = 1: the field is Q itself
-            return CycloNumber(a.order, (a.coeffs[0] * b.coeffs[0],))
-        return CycloNumber._from_poly(a.order, _pmul(list(a.coeffs), list(b.coeffs)))
+        return CycloNumber(a.order, int_mul(a.coeffs, b.coeffs, a.order))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
+        """Multiplicative inverse: the product of the other conjugates over
+        the norm, taken on the integral multiple den * self."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        if len(self.coeffs) == 1:
-            return CycloNumber(self.order, (1 / self.coeffs[0],))
-        phi_mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # Extended Euclid on (self, Phi_n): track s with s*self = r mod Phi_n.
-        r0, r1 = phi_mod, _trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        # r1 is a nonzero constant c with s1*self = c mod Phi_n.
-        c = r1[0]
-        inv_poly = [x / c for x in s1]
-        return CycloNumber._from_poly(self.order, inv_poly)
+        den = lcm(*(c.denominator for c in self.coeffs))
+        x = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+        cofactor = conjugate_product(x, self.order)
+        norm = int_mul(x, cofactor, self.order)[0]
+        return CycloNumber(self.order, tuple(Fraction(den * c, norm) for c in cofactor))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -386,8 +326,9 @@ def integral_form(entries) -> tuple[tuple[int, ...], ...]:
 
 
 def int_reduce(poly, order: int) -> tuple[int, ...]:
-    """The remainder of an int polynomial (constant term first) mod the
-    monic Phi_order, as phi(order) power-basis ints."""
+    """The remainder of a polynomial (constant term first) mod the monic
+    Phi_order, as phi(order) power-basis coefficients.  The coefficients
+    may be ints or Fractions; monic division keeps ints integral."""
     modulus = cyclotomic_polynomial(order)
     phi = len(modulus) - 1
     poly = list(poly) + [0] * (phi - len(poly))
@@ -400,7 +341,8 @@ def int_reduce(poly, order: int) -> tuple[int, ...]:
 
 
 def int_mul(a, b, order: int) -> tuple[int, ...]:
-    """The product of two elements of Z[zeta_order]."""
+    """The product of two power-basis elements of Q(zeta_order), ints or
+    Fractions; on ints it is the product in Z[zeta_order]."""
     if len(a) == 1:
         return (a[0] * b[0],)
     acc = [0] * (len(a) + len(b) - 1)
@@ -413,8 +355,9 @@ def int_mul(a, b, order: int) -> tuple[int, ...]:
 
 def conjugate_product(x, order: int) -> tuple[int, ...]:
     """The product of the conjugates sigma_a(x), 1 < a < order coprime to
-    order, of an element x of Z[zeta_order]: x times it is the norm N(x), a
-    rational integer."""
+    order, of a power-basis element x of Q(zeta_order), ints or Fractions:
+    x times it is the norm N(x), a rational (an integer when x is in
+    Z[zeta_order])."""
     product = (1,) + (0,) * (len(x) - 1)
     for a in range(2, order):
         if gcd(a, order) == 1:

@@ -3,9 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from milfib.cyclotomic import (CycloNumber, _pmul, as_cyclo, cyclotomic_polynomial,
-                               euler_phi)
+from milfib.cyclotomic import CycloNumber, as_cyclo, cyclotomic_polynomial, euler_phi
 
 
 def test_phi_1_and_3_are_the_textbook_polynomials():
@@ -13,19 +13,20 @@ def test_phi_1_and_3_are_the_textbook_polynomials():
     assert cyclotomic_polynomial(3) == (1, 1, 1)
 
 
-def test_rational_fast_path_matches_the_polynomial_product():
-    # At orders 1 and 2 the field is Q: products skip the reduction mod
-    # Phi_n and inverses skip the extended Euclid; both must agree with it.
+def test_rational_fields_match_fraction_arithmetic():
+    # At orders 1 and 2 the field is Q: one coefficient, and products,
+    # inverses and quotients must be the plain Fraction ones.
     rng = random.Random(12)
     values = [Fraction(0)] + [Fraction(rng.randint(-50, 50), rng.randint(1, 50))
                               for _ in range(40)]
     for order in (1, 2):
         for a, b in zip(values, reversed(values)):
             x, y = CycloNumber(order, (a,)), CycloNumber(order, (b,))
-            slow = CycloNumber._from_poly(order, _pmul([a], [b]))
-            assert (x * y).coeffs == slow.coeffs
+            assert (x * y).coeffs == (a * b,)
             assert (x * y).order == order
             if a:
+                assert x.inverse().coeffs == (1 / a,)
+                assert (y / x).coeffs == (b / a,)
                 assert (x.inverse() * x).coeffs == (Fraction(1),)
 
 
@@ -173,3 +174,41 @@ def test_serialization_round_trip():
     # plain "p/q" shorthand for constants
     assert CycloNumber.from_json("-5/7", 3) == Fraction(-5, 7)
     assert as_cyclo(Fraction(1, 3), 3).to_json() == ["1/3", "0"]
+
+
+ORACLE_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
+
+
+def _at_root(x: CycloNumber, order=None) -> complex:
+    """x as a complex number: its power basis at zeta = exp(2 pi i / order)."""
+    root = cmath.exp(2j * cmath.pi / (order or x.order))
+    return sum(complex(c) * root ** i for i, c in enumerate(x.coeffs))
+
+
+def _close(u: complex, v: complex) -> bool:
+    return abs(u - v) <= 1e-9 * max(1.0, abs(u), abs(v))
+
+
+@pytest.mark.parametrize("n", ORACLE_ORDERS)
+def test_arithmetic_agrees_with_complex_evaluation(n):
+    # An oracle that shares no code with the ring: each result, read as a
+    # complex number at zeta_n, must be the complex result of its operands.
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = _random_element(rng, n), _random_element(rng, n)
+        assert _close(_at_root(a * b), _at_root(a) * _at_root(b))
+        if not a.is_zero():
+            assert _close(_at_root(a.inverse()), 1 / _at_root(a))
+            assert _close(_at_root(b / a), _at_root(b) / _at_root(a))
+        for m in (2 * n, 3 * n):
+            assert _close(_at_root(a.lift(m)), _at_root(a))
+    z = CycloNumber.zeta(n)
+    for k in range(-n, 2 * n + 1):
+        assert _close(_at_root(z ** k), cmath.exp(2j * cmath.pi * k / n))
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    t = sympy.symbols("t")
+    for n in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected), n
