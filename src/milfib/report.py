@@ -84,6 +84,8 @@ def skip_note(entry: dict) -> str:
 
 def analyze(arr: Arrangement, options: AnalyzeOptions | None = None) -> AnalysisDocument:
     options = options or AnalyzeOptions()
+    # Checked here because above the search cap no stage reads the index.
+    resonance._default_dist(arr.d, options.dist)
     lattice = build_lattice(arr)
     d = lattice.d
 

@@ -276,11 +276,16 @@ def test_malformed_input_is_a_user_error(case, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_search_cap_skips_are_reported(tmp_path, capsys):
+def _cubic17(tmp_path):
     # Duals of 17 points of the cuspidal cubic: d = 17 > the default cap 16.
     path = tmp_path / "cubic17.json"
     path.write_text(json.dumps(
         {"lines": [[t, t ** 3, 1] for t in range(-8, 10) if t]}))
+    return path
+
+
+def test_search_cap_skips_are_reported(tmp_path, capsys):
+    path = _cubic17(tmp_path)
     note = "skipped residue_search: d=17 > search cap 16"
     code, out, _ = run_cli(capsys, "analyze", "--input", str(path),
                            "--format", "json")
@@ -296,3 +301,13 @@ def test_search_cap_skips_are_reported(tmp_path, capsys):
                            "--search-cap", "8", "--format", "json")
     assert [s["stage"] for s in json.loads(out)["skipped"]] == \
         ["residue_search", "net_detect"]
+
+
+def test_distinguished_line_is_checked_above_the_search_cap(tmp_path, capsys):
+    # With the searches skipped no stage reads the distinguished line, so
+    # analyze itself has to reject an index past d.
+    path = _cubic17(tmp_path)
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path),
+                             "--distinguished-line", "99")
+    assert code == 1 and out == ""
+    assert err == "error: distinguished line index out of range\n"
