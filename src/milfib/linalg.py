@@ -87,15 +87,9 @@ class Matrix:
                 flat.append(_coerce_scalar(v, n))
         return cls(nrows, ncols, n, tuple(flat))
 
-    def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
     def to_rows(self):
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]
-
-    def row(self, i: int):
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, order={self.order})"

@@ -317,7 +317,7 @@ def integral_rows(m: Matrix) -> list[tuple]:
     """Each row of m times the lcm of its denominators, as power-basis int
     tuples: the form ``linalg.certified_rank`` checks kernels on."""
     return [integral_form([x.coeffs if isinstance(x, CycloNumber) else (x,)
-                           for x in m.row(i)]) for i in range(m.rows)]
+                           for x in row]) for row in m.to_rows()]
 
 
 def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int,
@@ -337,8 +337,8 @@ def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int,
         return chart_inverse_matrix(arr, lattice, chart_of, tilde, deg)
     ideal = ideal_basis(arr, lattice, deg, k, charts)
     layer = chart_inverse_matrix(arr, lattice, chart_of, graded, deg)
-    rows = [[sum(f * vec[t] for t, f in enumerate(layer.row(i))) for vec in ideal]
-            for i in range(layer.rows)]
+    rows = [[sum(f * vec[t] for t, f in enumerate(row)) for vec in ideal]
+            for row in layer.to_rows()]
     return Matrix.from_rows(rows, cols=len(ideal), order=arr.field_order)
 
 
@@ -476,10 +476,10 @@ def identity_matrix(n: int, order: int = 1) -> Matrix:
 
 def mat_vec(m: Matrix, vec) -> list:
     out = []
-    for i in range(m.rows):
+    for row in m.to_rows():
         acc = 0
-        for j in range(m.cols):
-            acc = acc + m.entry(i, j) * vec[j]
+        for x, v in zip(row, vec):
+            acc = acc + x * v
         out.append(acc)
     return out
 

@@ -29,8 +29,8 @@ def _exact_cokernels(arr, lat, k, charts=None):
 
 def _certify(m: Matrix) -> CertifiedRank:
     def modular(p, root):
-        rows = [[reduce_fraction_mod(x, p, root) for x in m.row(i)]
-                for i in range(m.rows)]
+        rows = [[reduce_fraction_mod(x, p, root) for x in row]
+                for row in m.to_rows()]
         return None if any(x is None for row in rows for x in row) else rows
     return certified_rank((m.rows, m.cols), m.order, modular,
                           lambda: integral_rows(m))
@@ -68,7 +68,7 @@ def _sympy_rank(m: Matrix):
             out += field.convert(sympy.Rational(c.numerator, c.denominator)) * power
         return out
 
-    rows = [[convert(x) for x in m.row(i)] for i in range(m.rows)]
+    rows = [[convert(x) for x in row] for row in m.to_rows()]
     return DomainMatrix(rows, (m.rows, m.cols), field).rank()
 
 

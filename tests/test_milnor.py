@@ -44,7 +44,7 @@ def test_jet_orders():
 def test_braid_evaluation_matrix_at_k4(lattices, arrangements):
     mat = jet_matrix(arrangements["braid"], lattices["braid"], 4, False)
     assert (mat.rows, mat.cols) == (4, 3)
-    rows = [[Fraction(x) for x in mat.row(i)] for i in range(4)]
+    rows = [[Fraction(x) for x in row] for row in mat.to_rows()]
     # Lattice points in deterministic order (0:0:1), (0:1:0), (1:0:0), (1:1:1);
     # columns are the degree-1 monomials in ascending order [z, y, x].
     assert rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
@@ -176,13 +176,13 @@ def _assert_integral_rows(arr, lat, k):
     fp = field_primes(order)[0]
     for layout in layouts:
         rows = milnor._exact_matrix(points, layout, deg, order, pascal)
-        reference = chart_inverse_matrix(arr, lat, chart_of, layout, deg)
+        reference = chart_inverse_matrix(arr, lat, chart_of, layout, deg).to_rows()
         jets = [(idx, i, j) for idx, pairs in layout for i, j in pairs]
-        assert len(rows) == reference.rows == len(jets)
+        assert len(rows) == len(reference) == len(jets)
         for t, (idx, i, j) in enumerate(jets):
             scale = CycloNumber(order, points[idx][3][0]) ** (deg - i - j)
             assert [CycloNumber(order, x) for x in rows[t]] == \
-                [x * scale for x in reference.row(t)], (k, idx, i, j)
+                [x * scale for x in reference[t]], (k, idx, i, j)
         for root in fp.roots:
             tables = milnor._modular_tables(points, deg, fp.p, root)
             if tables is not None:

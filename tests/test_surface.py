@@ -4,9 +4,11 @@ A function, class or method that only tests call belongs in
 ``tests/helpers.py``, not in the package.  Re-exports in ``__init__.py`` do
 not count as a caller, and neither does the name's own ``def``/``class``
 line.  Only code counts: a name that appears in a comment or a docstring is
-not a caller.  A method that overrides a method of a base class from outside
-the package is exempt, because that base class calls it.  The match is by
-name token, so this is a cheap guard, not a call graph.
+not a caller.  A method counts as used only where it is read as an
+attribute (``.name``), so a local variable or a keyword argument of the same
+name does not keep it alive.  A method that overrides a method of a base
+class from outside the package is exempt, because that base class calls
+it.  The match is by name token, so this is a cheap guard, not a call graph.
 """
 
 import ast
@@ -23,12 +25,16 @@ MODULES = {path: path.read_text() for path in sorted(SRC.glob("*.py"))
 
 
 def _code_names(text):
-    """(line, name) for every name token; comments and strings are other
-    tokens.  Before Python 3.12 an f-string is one string token, so a name
-    used only inside its braces is not counted there."""
+    """(line, name, is attribute) for every name token, an attribute when the
+    token before it is a '.'; comments and strings are other tokens.  Before
+    Python 3.12 an f-string is one string token, so a name used only inside
+    its braces is not counted there."""
+    prev = None
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type == tokenize.NAME:
-            yield tok.start[0], tok.string
+            yield tok.start[0], tok.string, prev == "."
+        if tok.type not in (tokenize.NL, tokenize.COMMENT):
+            prev = tok.string
 
 
 CODE_NAMES = {path: list(_code_names(text)) for path, text in MODULES.items()}
@@ -46,20 +52,23 @@ def _public_definitions():
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):
-                yield path, node
+                yield path, node, False
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_") \
                             and not _overrides_foreign_method(path, node.name, sub.name):
-                        yield path, sub
+                        yield path, sub, True
 
 
-def _used_in_src(path, node) -> bool:
-    return any(name == node.name and not (other == path and line == node.lineno)
-               for other, names in CODE_NAMES.items() for line, name in names)
+def _used_in_src(path, node, method) -> bool:
+    return any(name == node.name and (attribute or not method)
+               and not (other == path and line == node.lineno)
+               for other, names in CODE_NAMES.items()
+               for line, name, attribute in names)
 
 
 def test_no_public_name_is_used_only_by_tests():
     unused = [f"{path.name}:{node.lineno} {node.name}"
-              for path, node in _public_definitions() if not _used_in_src(path, node)]
+              for path, node, method in _public_definitions()
+              if not _used_in_src(path, node, method)]
     assert not unused, unused
