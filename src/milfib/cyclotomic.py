@@ -1,26 +1,19 @@
 """Exact arithmetic over Q and the cyclotomic fields Q(zeta_n).
 
-An element of Q(zeta_n) = Q[t]/Phi_n(t) is a sequence of phi(n) coefficients
-in the power basis 1, zeta, ..., zeta^(phi(n)-1), where Phi_n is the n-th
-cyclotomic polynomial and zeta = exp(2*pi*i/n).  Representation in the power
-basis is unique, so equality is coefficient equality and zero tests are
-exact.  No floating point is used anywhere.
+An element of Q(zeta_n) = Q[t]/Phi_n(t) is stored as its phi(n)
+coefficients in the power basis 1, zeta, ..., zeta^(phi(n)-1), with Phi_n
+the n-th cyclotomic polynomial and zeta = exp(2*pi*i/n).  The representation
+is unique, so equality is coefficient equality and zero tests are exact.
+No floating point is used anywhere.
 
-One set of ring kernels does all the multiplying.  Phi_n is monic over Z, so
-reduction mod Phi_n never divides, and the kernels take ints or Fractions
-alike: :func:`int_mul` multiplies and :func:`int_reduce` reduces mod Phi_n,
-and :func:`conjugate_product` gives the product of the other conjugates of
-an element, which times the element is its norm, a rational.  On ints they
-stay in Z[zeta_n] (hence their names).
-
-:class:`CycloNumber` wraps Fraction coefficients with an order for the
-exact reference paths and input normalization: its products are
-:func:`int_mul`, its inverse is :func:`conjugate_product` over the norm,
-and mixed-order arithmetic lifts both operands into Q(zeta_lcm) first.
-Order 1 is plain Q.  Code that only needs a vector up to scaling works on
-power-basis ints instead: :func:`integral_form` clears a vector's
-denominators, and :func:`projective_key` names the class of a vector under
-Q(zeta_n)^* scaling by one canonical integer vector.
+Phi_n is monic over Z, so reduction mod Phi_n never divides, and one set of
+ring kernels serves ints and Fractions alike: :func:`int_mul`,
+:func:`int_reduce` and :func:`conjugate_product`, whose product with an
+element is its norm.  On ints they stay in Z[zeta_n], hence their names.
+:class:`CycloNumber` (Fraction coefficients and an order; order 1 is plain
+Q) is built on them.  Code that only needs a vector up to scaling works on
+power-basis ints: :func:`integral_form` clears a vector's denominators, and
+:func:`projective_key` names its class under Q(zeta_n)^* scaling.
 """
 
 from __future__ import annotations

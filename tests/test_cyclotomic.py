@@ -179,9 +179,9 @@ def test_serialization_round_trip():
 ORACLE_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
 
 
-def _at_root(x: CycloNumber, order=None) -> complex:
-    """x as a complex number: its power basis at zeta = exp(2 pi i / order)."""
-    root = cmath.exp(2j * cmath.pi / (order or x.order))
+def _at_root(x: CycloNumber) -> complex:
+    """x as a complex number: its power basis at exp(2 pi i / x.order)."""
+    root = cmath.exp(2j * cmath.pi / x.order)
     return sum(complex(c) * root ** i for i, c in enumerate(x.coeffs))
 
 
