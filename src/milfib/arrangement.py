@@ -301,11 +301,6 @@ class SectionCertificate:
     flat_index_sets: tuple
 
 
-def _vector_rank(vectors, order):
-    return rank(Matrix.from_rows([list(v) for v in vectors],
-                                 cols=len(vectors[0]), order=order))
-
-
 def rank2_flats(hyperplanes, order: int = 1) -> list[frozenset]:
     """Index sets of the codimension-2 flats of a central arrangement,
     sorted; hyperplanes that coincide raise ArrangementError.
@@ -347,20 +342,22 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
             order = lcm(order, v.order)
         coerced.append(row)
     coerced = [[v.lift(order) for v in row] for row in coerced]
+    for i, row in enumerate(coerced):
+        if all(v.is_zero() for v in row):
+            raise ArrangementError(f"hyperplane {i} is all zero")
     # Rank >= 3 is what a section to an essential P^2 arrangement needs; the
     # input may live in a proper subspace (e.g. reflection arrangements whose
-    # normals are orthogonal to a fixed vector).
-    if _vector_rank(coerced, order) < 3:
+    # normals are orthogonal to a fixed vector).  Distinct normals span 3 or
+    # more dimensions exactly when they lie in at least two flats.
+    flats = rank2_flats(coerced, order)
+    if len(flats) < 2:
         raise ArrangementError(
             "hyperplane normals span less than 3 dimensions; no essential section")
-    flats = rank2_flats(coerced, order)
 
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         plane = [[Fraction(rng.randint(-1000, 1000)) for _ in range(n)]
                  for _ in range(3)]
-        if _vector_rank(plane, 1) != 3:
-            continue
         restricted = []
         for h in coerced:
             coeffs = []

@@ -49,6 +49,9 @@ def _read_json_object(path):
         raise ArrangementError("the input must be a JSON object")
     if not isinstance(data.get("name", ""), str):
         raise ArrangementError("'name' must be a string")
+    if "lines" in data and "hyperplanes" in data:
+        raise ArrangementError("the input has both 'lines' and 'hyperplanes'; "
+                               "give one of them")
     return data
 
 

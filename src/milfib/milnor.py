@@ -4,16 +4,21 @@ For each eigenvalue index k (lambda = exp(2*pi*i*k/d)), the two graded
 Hodge pieces of the first Milnor fiber cohomology are cokernel dimensions
 of evaluation maps: homogeneous polynomials of degree k-3 are Taylor
 expanded at the multiple points of the arrangement and truncated at orders
-read off the multiplier ideals of the point configuration,
+read off the multiplier ideals of the point configuration.  At a multiple
+point y with c = m_y*k/d, the outer-ideal conditions C are the jets of
+degree <= ceil(c) - 3 and, where c is an integer, the graded layer F is the
+jets of degree c - 2.  The unconstrained map from all of C[X]_{k-3} keeps
+the jets of degree <= floor(c) - 2: the outer rows when c is not an
+integer, the outer rows plus the graded rows when it is, so its matrix is
+[C; F] with the rows reordered.  The ideal-constrained map F.N, N a kernel
+basis of C, is never formed, since rank(F.N) = rank[C; F] - rank C:
 
-    vanishing order at y for the outer ideal:  ceil(m_y*k/d) - 2,
-    truncation order at y for the quotient:    floor(m_y*k/d) - 1,
+    unconstrained cokernel:  rows(C) + rows(F) - rank[C; F],
+    constrained cokernel:    rows(F) - rank[C; F] + rank C.
 
-with nonpositive orders meaning "no condition".  Both the map from the
-ideal-constrained subspace (restricted to points where m_y*k/d is an
-integer) and the unconstrained map from all of C[X]_{k-3} are computed;
-their cokernels must agree and the disagreement is reported as an
-invariant violation, never expected.
+They differ by rows(C) - rank C, so their agreement, checked and reported
+as an invariant violation, never expected, says that the outer-ideal
+conditions are linearly independent.
 
 :func:`cokernel_dims` takes each rank with :func:`linalg.certified_rank`.
 The jet rows are built in integral homogeneous form.  At a point with
@@ -31,19 +36,14 @@ with no inverse.  Multiplying the rows by nonzero scalars, a diagonal
 matrix on the left, changes neither the rank nor the right kernel, so every
 cokernel is that of the chart-coordinate matrix.  Over F_p the entries come
 from X, U and V reduced once per prime and root; a prime with X = 0 mod p
-at a point with jets is skipped.  A rank read mod p is used only when it is full
-(min(rows, cols)) or its lifted kernel satisfies M x = 0 exactly on the
-integral rows over Z[zeta]; otherwise the next prime, and last fraction-free
-elimination of those rows, decide.  The constrained map F.N (N a kernel
-basis of the outer-ideal conditions C, F the graded jet layer) is never
-formed, because
-
-    rank(F.N) = rank [C; F] - rank C.
-
-So every number reported is exact.  ``jet_matrix`` and ``ideal_basis`` in
-tests/helpers.py build the same maps exactly over Q(zeta) in the chart
-coordinates U/X and V/X, from the layouts and charts used here, and serve
-as the reference for tests.
+at a point with jets is skipped.  A rank read mod p is used only when it is
+full (min(rows, cols)) or its lifted kernel satisfies M x = 0 exactly on
+the integral rows over Z[zeta]; otherwise the next prime, and last
+fraction-free elimination of those rows, decide.  So every number reported
+is exact.  ``jet_matrix`` and ``ideal_basis`` in tests/helpers.py build the
+same maps exactly over Q(zeta) in the chart coordinates U/X and V/X, the
+unconstrained one from its own truncated-jet layout, and serve as the
+reference for tests.
 
 The piece of Hodge level one at k is the level-zero piece at d-k, so one
 report per k combines the two cokernels and their sum b_1.
@@ -71,11 +71,6 @@ def monomial_basis(deg: int) -> list[tuple[int, int, int]]:
             for a in range(deg + 1) for b in range(deg - a + 1)]
 
 
-def truncation_order(m_y: int, k: int, d: int) -> int:
-    """Jets modulo vanishing order floor(m_y*k/d) - 1 survive at y."""
-    return (m_y * k) // d - 1
-
-
 def ideal_order(m_y: int, k: int, d: int) -> int:
     """Sections of the outer ideal vanish to order ceil(m_y*k/d) - 2 at y."""
     return -((-m_y * k) // d) - 2
@@ -87,25 +82,22 @@ def _jet_monomials(order: int) -> list[tuple[int, int]]:
 
 
 def _layouts(lattice: IncidenceLattice, k: int):
-    """Rows of the three jet maps at k, as lists of (point index, [(i, j)]):
-    the truncated jets of the unconstrained map, the outer-ideal conditions,
-    and the graded jet layer at the points where m_y*k/d is an integer."""
+    """Rows of the jet maps at k, as lists of (point index, [(i, j)]): the
+    outer-ideal conditions C, and the graded jet layer F at the points where
+    m_y*k/d is an integer.  The unconstrained map's rows are C plus F."""
     d = lattice.d
-    tilde, outer, graded = [], [], []
+    outer, graded = [], []
     for idx, p in enumerate(lattice.points):
         m = p.multiplicity
         if m < 3:
             continue
-        t = truncation_order(m, k, d)
-        if t >= 1:
-            tilde.append((idx, _jet_monomials(t)))
         s = ideal_order(m, k, d)
         if s >= 1:
             outer.append((idx, _jet_monomials(s)))
         level = (m * k) // d - 2
         if (m * k) % d == 0 and level >= 0:
             graded.append((idx, [(i, level - i) for i in range(level, -1, -1)]))
-    return tilde, outer, graded
+    return outer, graded
 
 
 def _integral_points(lattice: IncidenceLattice, chart_of, layouts) -> dict:
@@ -208,23 +200,21 @@ def _row_count(layout) -> int:
 
 def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
                   charts=None) -> tuple[int, int]:
-    """(cokernel of the unconstrained map, cokernel of the ideal-constrained map).
+    """(cokernel of the unconstrained map, cokernel of the ideal-constrained map),
+    from the :func:`linalg.certified_rank` over F_p of [C; F] and of C (the
+    second only when F has rows), as in the module docstring.
 
-    The two numbers are equal when the implementation is correct; callers
-    that want the failure recorded rather than raised compare them here.
-
-    Every rank is a :func:`linalg.certified_rank` over F_p.  The constrained
-    map F.N, with N a kernel basis of the outer-ideal conditions C and F the
-    graded jet layer, is never formed: rank(F.N) = rank[C;F] - rank C.
-    The points with jets are put in integral form once, and their
-    coordinates reduced once per prime and root, within this call.
+    The two numbers differ by rows(C) - rank C, and are equal when the
+    outer-ideal conditions are independent; callers that want a failure
+    recorded rather than raised compare them here.  The points with jets
+    are put in integral form once, and their coordinates reduced once per
+    prime and root, within this call.
     """
-    tilde, outer, graded = _layouts(lattice, k)
+    outer, graded = _layouts(lattice, k)
     deg = k - 3
     order = arr.field_order
     basis = monomial_basis(deg)
-    points = _integral_points(lattice, _charts_for(lattice, charts),
-                              tilde + outer + graded)
+    points = _integral_points(lattice, _charts_for(lattice, charts), outer + graded)
     pascal = [[comb(n, i) for i in range(n + 1)] for n in range(deg + 1)]
     reduced = {}
 
@@ -242,9 +232,10 @@ def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
             shape, order, modular,
             lambda: _exact_matrix(points, layout, deg, order, pascal)).rank
 
-    constrained_rank = certified(outer + graded) - certified(outer)
-    return (_row_count(tilde) - certified(tilde),
-            _row_count(graded) - constrained_rank)
+    full = certified(outer + graded)
+    r_c = certified(outer) if graded else full
+    rows_c, rows_f = _row_count(outer), _row_count(graded)
+    return rows_c + rows_f - full, rows_f - (full - r_c)
 
 
 def grf_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,

@@ -14,7 +14,9 @@ path, so agreement is evidence and not tautology:
   jets.
 
 The exact references live here too: ``jet_matrix`` and ``ideal_basis`` build
-the jet maps over Q(zeta) that ``milnor.cokernel_dims`` ranks over F_p, from
+the jet maps over Q(zeta) whose cokernels ``milnor.cokernel_dims`` reads off
+F_p ranks, the unconstrained one from its own layout of truncated jets
+(``truncated_jet_layout``, not milnor's outer plus graded rows), all from
 ``chart_inverse_matrix``: Taylor entries in the chart coordinates U/X, V/X,
 CycloNumber products with an inverse, where ``milnor`` builds integral rows
 over Z[zeta] that are these rows times X^(deg-i-j).  ``reduce_fraction_mod``
@@ -320,21 +322,40 @@ def integral_rows(m: Matrix) -> list[tuple]:
                            for x in row]) for row in m.to_rows()]
 
 
+def truncation_order(m_y: int, k: int, d: int) -> int:
+    """Jets modulo vanishing order floor(m_y*k/d) - 1 survive at y."""
+    return (m_y * k) // d - 1
+
+
+def truncated_jet_layout(lattice: IncidenceLattice, k: int) -> list:
+    """Rows of the unconstrained jet map at k, as (point index, [(i, j)]):
+    every u^i v^j with i + j < truncation_order at each point of
+    multiplicity >= 3, read off the quotient order alone."""
+    layout = []
+    for idx, p in enumerate(lattice.points):
+        t = truncation_order(p.multiplicity, k, lattice.d)
+        if p.multiplicity >= 3 and t >= 1:
+            layout.append((idx, [(i, j) for i in range(t) for j in range(t - i)]))
+    return layout
+
+
 def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int,
                ideal_constrained: bool, charts=None) -> Matrix:
     """The evaluation matrix whose cokernel dimension is one Hodge piece.
 
     Unconstrained (ideal_constrained=False): rows are truncated jets at every
-    multiple point, columns the degree-(k-3) monomials.  Constrained: columns
-    are a kernel basis of the outer-ideal conditions, rows the single graded
-    jet layer at the points where m_y*k/d is an integer.  Built exactly; the
-    analysis path takes the same ranks over F_p in ``milnor.cokernel_dims``.
+    multiple point (``truncated_jet_layout``), columns the degree-(k-3)
+    monomials.  Constrained: columns are a kernel basis of the outer-ideal
+    conditions, rows the single graded jet layer at the points where m_y*k/d
+    is an integer.  Built exactly; the analysis path reads the same
+    cokernels off F_p ranks in ``milnor.cokernel_dims``.
     """
     deg = k - 3
-    tilde, _, graded = _layouts(lattice, k)
     chart_of = _charts_for(lattice, charts)
     if not ideal_constrained:
-        return chart_inverse_matrix(arr, lattice, chart_of, tilde, deg)
+        return chart_inverse_matrix(arr, lattice, chart_of,
+                                    truncated_jet_layout(lattice, k), deg)
+    _, graded = _layouts(lattice, k)
     ideal = ideal_basis(arr, lattice, deg, k, charts)
     layer = chart_inverse_matrix(arr, lattice, chart_of, graded, deg)
     rows = [[sum(f * vec[t] for t, f in enumerate(row)) for vec in ideal]
@@ -346,7 +367,7 @@ def ideal_basis(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
                 charts=None) -> list[tuple]:
     """Basis of the degree-``deg`` forms vanishing to the outer-ideal order at
     every multiple point, as coefficient vectors over monomial_basis(deg)."""
-    _, outer, _ = _layouts(lattice, k)
+    outer, _ = _layouts(lattice, k)
     size = len(monomial_basis(deg))
     if not outer:
         return [tuple(1 if t == s else 0 for t in range(size))

@@ -137,6 +137,20 @@ def test_generic_section_rejects_low_dimension():
         generic_section([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 
 
+def test_generic_section_rejects_normals_of_rank_below_3():
+    for planes in ([[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]],
+                   [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [1, -2, 0, 0]]):
+        with pytest.raises(ArrangementError, match="less than 3 dimensions"):
+            generic_section(planes)
+
+
+def test_generic_section_rejects_an_all_zero_hyperplane():
+    planes = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+              [0, 0, 0, 1]]
+    with pytest.raises(ArrangementError, match="hyperplane 0 is all zero"):
+        generic_section(planes)
+
+
 def test_generic_section_boolean_c4():
     arr, cert = generic_section(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], seed=3)

@@ -239,6 +239,8 @@ MALFORMED = {
     "name not a string": {"name": [1, 2], "lines": LINES},
     "lines not an array": {"lines": 5},
     "hyperplanes not an array": {"hyperplanes": 5},
+    "lines and hyperplanes": {"dimension": 4, "hyperplanes": PLANES,
+                              "lines": LINES},
 }
 
 

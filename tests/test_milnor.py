@@ -7,15 +7,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (chart_inverse_matrix, ideal_basis, ideal_dim_oracle,
-                     jet_matrix, random_arrangements, random_hyperplanes)
+                     jet_matrix, monomial_arrangement, random_arrangements,
+                     random_hyperplanes, truncated_jet_layout, truncation_order)
 from milfib import milnor
 from milfib.arrangement import (Arrangement, ArrangementError, ProjLine,
                                 build_lattice, named_arrangement)
 from milfib.cyclotomic import CycloNumber
-from milfib.linalg import Matrix, field_primes, nullspace, rank, reduce_mod
+from milfib.linalg import (Matrix, certified_rank, field_primes, nullspace, rank,
+                           reduce_mod)
 from milfib.milnor import (InvariantViolation, cokernel_dims, full_spectrum,
                            grf_dims, ideal_order, monomial_basis,
-                           precheck_vanishing, truncation_order)
+                           precheck_vanishing)
 
 
 def test_monomial_basis_sizes_and_edges():
@@ -152,6 +154,40 @@ def test_ideal_basis_matches_directional_oracle_on_cyclotomic_fixture(
         for deg in range(0, 5):
             dim = len(ideal_basis(arr, lat, deg, k))
             assert dim == ideal_dim_oracle(arr, lat, deg, k), (k, deg)
+
+
+def _jet_rows(layout):
+    return sorted((idx, i, j) for idx, jets in layout for i, j in jets)
+
+
+def test_unconstrained_rows_are_outer_plus_graded_rows(lattices, arrangements):
+    # The identity cokernel_dims rests on: the truncated jets read off
+    # floor(m_y*k/d) - 1 are the outer-ideal conditions plus the graded layer.
+    cases = [(arrangements[name], lat) for name, lat in lattices.items()]
+    cases += [(arr, build_lattice(arr)) for arr in
+              (monomial_arrangement(4), monomial_arrangement(5, full=True))]
+    for d in range(4, 13):
+        cases += random_arrangements(seed=1400 + d, count=2, dmin=d, dmax=d)
+    for arr, lat in cases:
+        for k in range(1, lat.d):
+            outer, graded = milnor._layouts(lat, k)
+            assert _jet_rows(truncated_jet_layout(lat, k)) == \
+                _jet_rows(outer + graded), (arr.name, k)
+
+
+def test_cokernel_dims_takes_at_most_two_ranks(monkeypatch, lattices, arrangements):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return certified_rank(*args, **kwargs)
+
+    monkeypatch.setattr(milnor, "certified_rank", counted)
+    arr, lat = arrangements["hesse"], lattices["hesse"]
+    for k in range(1, lat.d):
+        calls.clear()
+        cokernel_dims(arr, lat, k)
+        assert len(calls) <= 2, (k, calls)
 
 
 def test_cokernel_pair_agreement_on_randoms():
