@@ -205,7 +205,7 @@ class CycloNumber:
         den = lcm(*(c.denominator for c in self.coeffs))
         x = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
         cofactor = conjugate_product(x, self.order)
-        norm = int_mul(x, cofactor, self.order)[0]
+        norm = int_mul(x, cofactor, self.order)[0] if any(x[1:]) else x[0] * cofactor[0]
         return CycloNumber(self.order, tuple(Fraction(den * c, norm) for c in cofactor))
 
     def __truediv__(self, other):
@@ -351,6 +351,8 @@ def conjugate_product(x, order: int) -> tuple[int, ...]:
     order, of a power-basis element x of Q(zeta_order), ints or Fractions:
     x times it is the norm N(x), a rational (an integer when x is in
     Z[zeta_order])."""
+    if not any(x[1:]):      # a rational is its own conjugate
+        return (x[0] ** (len(x) - 1),) + (0,) * (len(x) - 1)
     product = (1,) + (0,) * (len(x) - 1)
     for a in range(2, order):
         if gcd(a, order) == 1:

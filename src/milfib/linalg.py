@@ -23,10 +23,12 @@ The reduced row echelon form and its pivot columns are unique, so
 :func:`nullspace` and the modular kernels are reproducible.
 
 :func:`certified_rank` takes the rank of a matrix over Q(zeta_n) from its
-images over F_p, for primes p = 1 mod n of about 61 bits with zeta sent to
-a root of Phi_n mod p.  The caller builds those images itself, so entries
-are never formed as CycloNumber products.  A rank read off mod p is
-reported only with a certificate:
+images over F_p, for word-size primes p = 1 mod n below 2^30 with zeta
+sent to a root of Phi_n mod p: every residue is one CPython digit, as in
+the word-size prime fields of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
+TOMS 2008).  The caller builds those images itself, so entries are never
+formed as CycloNumber products.  A rank read off mod p is reported only
+with a certificate:
 
 * Every minor that is nonzero mod p is nonzero over Q(zeta), so
   rank_p <= rank.  A prime the caller cannot use (its ``modular`` returns
@@ -240,8 +242,10 @@ def nullspace(m: Matrix) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Certified ranks over F_p.
 
-PRIME_BUDGET = 3
-_PRIME_BITS = 61
+# The budget's primes lie just below 2^30 and multiply to about 2^210, so a
+# kernel lift that needs a modulus of up to 2^180 still reconstructs.
+PRIME_BUDGET = 7
+_PRIME_BITS = 30
 # Miller-Rabin with these bases is deterministic below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -310,7 +314,7 @@ _FIELD_PRIMES: dict[int, list[FieldPrime]] = {}
 
 
 def field_primes(n: int) -> list[FieldPrime]:
-    """The PRIME_BUDGET largest primes p = 1 mod n below 2^61, in the order
+    """The PRIME_BUDGET largest primes p = 1 mod n below 2^30, in the order
     :func:`certified_rank` tries them; computed once per n."""
     found = _FIELD_PRIMES.get(n)
     if found is None:

@@ -34,16 +34,18 @@ and row (i, j) is taken times X^{deg-i-j}, which leaves
 
 with no inverse.  Multiplying the rows by nonzero scalars, a diagonal
 matrix on the left, changes neither the rank nor the right kernel, so every
-cokernel is that of the chart-coordinate matrix.  Over F_p the entries come
-from X, U and V reduced once per prime and root; a prime with X = 0 mod p
-at a point with jets is skipped.  A rank read mod p is used only when it is
-full (min(rows, cols)) or its lifted kernel satisfies M x = 0 exactly on
-the integral rows over Z[zeta]; otherwise the next prime, and last
-fraction-free elimination of those rows, decide.  So every number reported
-is exact.  ``jet_matrix`` and ``ideal_basis`` in tests/helpers.py build the
-same maps exactly over Q(zeta) in the chart coordinates U/X and V/X, the
-unconstrained one from its own truncated-jet layout, and serve as the
-reference for tests.
+cokernel is that of the chart-coordinate matrix.  What does not depend on
+k is built once per arrangement in a :class:`JetContext`: the integral
+coordinates, one Pascal table, and the power tables of X, U and V up to
+degree d - 4, over F_p from X, U and V reduced once per prime and root.  A
+prime with X = 0 mod p at a point with jets at k is skipped for that k.  A
+rank read mod p is used only when it is full (min(rows, cols)) or its
+lifted kernel satisfies M x = 0 exactly on the integral rows over Z[zeta];
+otherwise the next prime, and last fraction-free elimination of those rows,
+decide.  So every number reported is exact.  ``jet_matrix`` and
+``ideal_basis`` in tests/helpers.py build the same maps exactly over
+Q(zeta) in the chart coordinates U/X and V/X, the unconstrained one from
+its own truncated-jet layout, and serve as the reference for tests.
 
 The piece of Hodge level one at k is the level-zero piece at d-k, so one
 report per k combines the two cokernels and their sum b_1.
@@ -100,16 +102,13 @@ def _layouts(lattice: IncidenceLattice, k: int):
     return outer, graded
 
 
-def _integral_points(lattice: IncidenceLattice, chart_of, layouts) -> dict:
-    """Per point with jets in the layouts: (chart, u index, v index,
-    (X, U, V)), with (X, U, V) its coordinates in chart order in integral
-    form over Z[zeta] (power-basis int tuples)."""
+def _integral_points(lattice: IncidenceLattice, chart_of: dict[int, int]) -> dict:
+    """Per point of multiplicity >= 3: (chart, u index, v index, (X, U, V)),
+    with (X, U, V) its coordinates in chart order in integral form over
+    Z[zeta] (power-basis int tuples)."""
     points = {}
-    for idx, _ in layouts:
-        if idx in points:
-            continue
+    for idx, chart in chart_of.items():
         coords = integral_form([c.coeffs for c in lattice.points[idx].point.coords])
-        chart = chart_of[idx]
         if not any(coords[chart]):
             raise ValueError("chart coordinate vanishes at the point")
         u_idx, v_idx = [i for i in range(3) if i != chart]
@@ -167,31 +166,53 @@ def _charts_for(lattice: IncidenceLattice, charts) -> dict[int, int]:
     return chosen
 
 
-def _modular_tables(points, deg: int, p: int, root: int) -> dict | None:
-    """The same tables over F_p, zeta -> root; None when some chart
-    coordinate X is 0 mod p."""
-    def mul(a, b):
-        return a * b % p
-    tables = {}
-    for idx, (chart, u_idx, v_idx, xuv) in points.items():
-        x, u, v = (reduce_mod(c, p, root) for c in xuv)
-        if not x:
-            return None
-        tables[idx] = (chart, u_idx, v_idx, _power_table(x, u, v, deg, 1, mul))
-    return tables
+class JetContext:
+    """What the jet maps of one arrangement share over every k: the charts,
+    the integral coordinates of every point of multiplicity >= 3, one
+    Pascal table up to degree d - 4 (the largest k - 3) and, built on first
+    use, the power tables of each point up to that degree over F_p for each
+    (p, root), its coordinates reduced once per (p, root)."""
 
+    def __init__(self, arr: Arrangement, lattice: IncidenceLattice, charts=None):
+        self.order = arr.field_order
+        self.degree = lattice.d - 4
+        self.points = _integral_points(lattice, _charts_for(lattice, charts))
+        self.pascal = [[comb(n, i) for i in range(n + 1)]
+                       for n in range(self.degree + 1)]
+        self._tables = {}
 
-def _exact_matrix(points, layout, deg: int, order: int, pascal) -> list[list]:
-    """The integral jet rows of ``layout``, as power-basis int tuples."""
-    def mul(a, b):
-        return int_mul(a, b, order)
-    one = (1,) + (0,) * (euler_phi(order) - 1)
-    tables = {}
-    for idx, _ in layout:
-        if idx not in tables:
-            chart, u_idx, v_idx, xuv = points[idx]
-            tables[idx] = (chart, u_idx, v_idx, _power_table(*xuv, deg, one, mul))
-    return _taylor_rows(layout, monomial_basis(deg), tables, pascal, order=order)
+    def _table(self, idx: int, p: int, root: int):
+        """(chart, u index, v index, (uv, xs)) at point idx over F_p under
+        zeta -> root: the :func:`_power_table` of its reduced (X, U, V) up
+        to degree d - 4, built once; None when X is 0 mod p."""
+        key = (idx, p, root)
+        if key not in self._tables:
+            chart, u_idx, v_idx, xuv = self.points[idx]
+            x, u, v = (reduce_mod(c, p, root) for c in xuv)
+            self._tables[key] = (chart, u_idx, v_idx, _power_table(
+                x, u, v, self.degree, 1, lambda a, b: a * b % p)) if x else None
+        return self._tables[key]
+
+    def rows(self, layout, basis, p=None, root=None) -> list[list] | None:
+        """The integral jet rows of ``layout`` on the monomials ``basis``: over
+        F_p under zeta -> root when p is given, None when X is 0 mod p at a
+        point of the layout; else over Z[zeta] as power-basis int tuples.
+        Exact rows only verify a lifted kernel, at a few k per arrangement,
+        so their power tables are built in the call, at the degree of
+        ``basis``."""
+        if p is not None:
+            tables = {idx: self._table(idx, p, root) for idx, _ in layout}
+            if None in tables.values():
+                return None
+        else:
+            order = self.order
+            one = (1,) + (0,) * (euler_phi(order) - 1)
+            tables = {}
+            for idx, _ in layout:
+                chart, u_idx, v_idx, xuv = self.points[idx]
+                tables[idx] = (chart, u_idx, v_idx, _power_table(
+                    *xuv, sum(basis[0]), one, lambda a, b: int_mul(a, b, order)))
+        return _taylor_rows(layout, basis, tables, self.pascal, p, self.order)
 
 
 def _row_count(layout) -> int:
@@ -199,38 +220,27 @@ def _row_count(layout) -> int:
 
 
 def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
-                  charts=None) -> tuple[int, int]:
+                  charts=None, jets: JetContext | None = None) -> tuple[int, int]:
     """(cokernel of the unconstrained map, cokernel of the ideal-constrained map),
     from the :func:`linalg.certified_rank` over F_p of [C; F] and of C (the
     second only when F has rows), as in the module docstring.
 
     The two numbers differ by rows(C) - rank C, and are equal when the
     outer-ideal conditions are independent; callers that want a failure
-    recorded rather than raised compare them here.  The points with jets
-    are put in integral form once, and their coordinates reduced once per
-    prime and root, within this call.
+    recorded rather than raised compare them here.  ``jets``, the
+    :class:`JetContext` of the arrangement in ``charts``, is built here
+    unless a caller that takes several k passes one.
     """
+    if jets is None:
+        jets = JetContext(arr, lattice, charts)
     outer, graded = _layouts(lattice, k)
-    deg = k - 3
-    order = arr.field_order
-    basis = monomial_basis(deg)
-    points = _integral_points(lattice, _charts_for(lattice, charts), outer + graded)
-    pascal = [[comb(n, i) for i in range(n + 1)] for n in range(deg + 1)]
-    reduced = {}
+    basis = monomial_basis(k - 3)
 
     def certified(layout) -> int:
-        def modular(p, root):
-            if (p, root) not in reduced:
-                reduced[p, root] = _modular_tables(points, deg, p, root)
-            tables = reduced[p, root]
-            if tables is None:
-                return None
-            return _taylor_rows(layout, basis, tables, pascal, p)
-
-        shape = (_row_count(layout), len(basis))
         return certified_rank(
-            shape, order, modular,
-            lambda: _exact_matrix(points, layout, deg, order, pascal)).rank
+            (_row_count(layout), len(basis)), jets.order,
+            lambda p, root: jets.rows(layout, basis, p, root),
+            lambda: jets.rows(layout, basis)).rank
 
     full = certified(outer + graded)
     r_c = certified(outer) if graded else full
@@ -245,8 +255,9 @@ def grf_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be in [1, d-1]; k=0 (lambda=1) is the "
                          f"unipotent part, outside this computation")
-    return (_agreed(k, *cokernel_dims(arr, lattice, k, charts)),
-            _agreed(d - k, *cokernel_dims(arr, lattice, d - k, charts)))
+    jets = JetContext(arr, lattice, charts)
+    return (_agreed(k, *cokernel_dims(arr, lattice, k, jets=jets)),
+            _agreed(d - k, *cokernel_dims(arr, lattice, d - k, jets=jets)))
 
 
 def _agreed(k: int, tilde: int, constrained: int) -> int:
@@ -321,7 +332,9 @@ def spectrum_with_checks(arr: Arrangement, lattice: IncidenceLattice,
     a list of (k, unconstrained cokernel, constrained cokernel) triples.
     """
     d = lattice.d
-    agreements = [(k, *cokernel_dims(arr, lattice, k)) for k in range(1, d)]
+    jets = JetContext(arr, lattice)
+    agreements = [(k, *cokernel_dims(arr, lattice, k, jets=jets))
+                  for k in range(1, d)]
     aomoto = {}
     for low, found in searches.items():
         if found is None:

@@ -7,6 +7,7 @@ the oracle here, and sympy's DomainMatrix over QQ<zeta_n> an independent one.
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -89,8 +90,12 @@ def test_field_primes_carry_roots_of_the_cyclotomic_polynomial():
     for n in (1, 3, 4, 12):
         primes = field_primes(n)
         assert len(primes) == PRIME_BUDGET
+        # Word-size primes, distinct, whose product leaves room for lifts
+        # of about 180 bits.
+        assert len({fp.p for fp in primes}) == PRIME_BUDGET
+        assert prod(fp.p for fp in primes) >= 2 ** 180
         for fp in primes:
-            assert (fp.p - 1) % n == 0 and fp.p.bit_length() == 61
+            assert (fp.p - 1) % n == 0 and fp.p < 2 ** 30
             assert len(fp.roots) == len(set(fp.roots)) == euler_phi(n)
             zeta = CycloNumber.zeta(n)
             for root in fp.roots:
@@ -164,11 +169,28 @@ def test_zero_chart_coordinate_mod_p_moves_to_the_next_prime(monkeypatch):
     assert second in used and first not in used
 
 
+def test_kernel_lift_across_several_word_size_primes():
+    # The kernel vector (-b/a, 1) has numerators and denominators near 2^40,
+    # so its reconstruction needs a modulus above 2^81: three word-size
+    # primes, not one.
+    a, b = 2 ** 40 + 15, 2 ** 40 - 87
+    zeta = CycloNumber.zeta(3)
+    big = b + (2 ** 41 + 3) * zeta
+    w = 3 - zeta
+    cases = [Matrix.from_rows([[a, b], [2 * a, 2 * b]]),
+             Matrix.from_rows([[a, big], [a * w, big * w]], order=3)]
+    for m in cases:
+        result = _certify(m)
+        assert (result.rank, result.certificate) == (1, "kernel_lift"), m
+        assert result.rank == rank(m)
+        assert result.prime != field_primes(m.order)[0].p
+
+
 def test_kernel_beyond_the_prime_budget_falls_back_to_exact_elimination():
     a, b = 2 ** 200 + 235, 3 ** 126 + 2
     # Full rank needs no lift, however large the entries.
     assert _certify(Matrix.from_rows([[a, b]])) == CertifiedRank(1, "full_rank",
                                                                  field_primes(1)[0].p)
-    # The kernel vector (-b/a, 1) needs about 400 bits; the budget gives 183.
+    # The kernel vector (-b/a, 1) needs about 400 bits; the budget gives 209.
     singular = Matrix.from_rows([[a, b], [2 * a, 2 * b]])
     assert _certify(singular) == CertifiedRank(1, "exact", None)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from milfib.cyclotomic import CycloNumber, as_cyclo, cyclotomic_polynomial, euler_phi
+from milfib import cyclotomic
+from milfib.cyclotomic import (CycloNumber, as_cyclo, cyclotomic_polynomial, euler_phi,
+                               int_mul)
 
 
 def test_phi_1_and_3_are_the_textbook_polynomials():
@@ -79,6 +81,22 @@ def test_inverse_of_one_plus_zeta3():
     inv = (1 + z).inverse()
     assert inv == -z
     assert (1 + z) * inv == 1
+
+
+def test_inverse_of_a_rational_at_a_large_order_makes_no_product(monkeypatch):
+    # A rational is its own conjugate: inverting it needs none of the
+    # phi(n) - 1 dense products of the other conjugates.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return int_mul(*args)
+
+    monkeypatch.setattr(cyclotomic, "int_mul", counted)
+    for value in (Fraction(1), Fraction(-3, 7), Fraction(2 ** 70 + 1, 5)):
+        x = CycloNumber.from_rational(value, 1000)
+        assert x.inverse() == CycloNumber.from_rational(1 / value, 1000)
+    assert calls == []
 
 
 def test_zero_division_errors():

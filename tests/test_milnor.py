@@ -1,6 +1,6 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +12,7 @@ from helpers import (chart_inverse_matrix, ideal_basis, ideal_dim_oracle,
 from milfib import milnor
 from milfib.arrangement import (Arrangement, ArrangementError, ProjLine,
                                 build_lattice, named_arrangement)
-from milfib.cyclotomic import CycloNumber
+from milfib.cyclotomic import CycloNumber, integral_form
 from milfib.linalg import (Matrix, certified_rank, field_primes, nullspace, rank,
                            reduce_mod)
 from milfib.milnor import (InvariantViolation, cokernel_dims, full_spectrum,
@@ -190,6 +190,30 @@ def test_cokernel_dims_takes_at_most_two_ranks(monkeypatch, lattices, arrangemen
         assert len(calls) <= 2, (k, calls)
 
 
+def test_jet_context_is_built_once_per_arrangement(monkeypatch, lattices, arrangements):
+    # Over all k, each multiple point is put in integral form once, and its
+    # X, U and V are reduced once per prime and root.
+    forms, reductions = Counter(), Counter()
+
+    def counted_form(entries):
+        forms[tuple(map(tuple, entries))] += 1
+        return integral_form(entries)
+
+    def counted_reduce(coeffs, p, root):
+        reductions[p, root] += 1
+        return reduce_mod(coeffs, p, root)
+
+    monkeypatch.setattr(milnor, "integral_form", counted_form)
+    monkeypatch.setattr(milnor, "reduce_mod", counted_reduce)
+    arr, lat = arrangements["hesse"], lattices["hesse"]
+    full_spectrum(arr, lat)
+    points = [tuple(c.coeffs for c in p.point.coords)
+              for p in lat.points if p.multiplicity >= 3]
+    assert forms == Counter(points)
+    assert reductions
+    assert set(reductions.values()) == {3 * len(points)}, reductions
+
+
 def test_cokernel_pair_agreement_on_randoms():
     for arr, lat in random_arrangements(seed=2024, count=5):
         for k in range(1, lat.d):
@@ -205,25 +229,23 @@ def _assert_integral_rows(arr, lat, k):
         return
     order = arr.field_order
     layouts = milnor._layouts(lat, k)
+    context = milnor.JetContext(arr, lat)
     chart_of = milnor._charts_for(lat, None)
-    points = milnor._integral_points(lat, chart_of, [y for lay in layouts for y in lay])
-    pascal = [[comb(n, i) for i in range(n + 1)] for n in range(deg + 1)]
     basis = monomial_basis(deg)
     fp = field_primes(order)[0]
     for layout in layouts:
-        rows = milnor._exact_matrix(points, layout, deg, order, pascal)
+        rows = context.rows(layout, basis)
         reference = chart_inverse_matrix(arr, lat, chart_of, layout, deg).to_rows()
         jets = [(idx, i, j) for idx, pairs in layout for i, j in pairs]
         assert len(rows) == len(reference) == len(jets)
         for t, (idx, i, j) in enumerate(jets):
-            scale = CycloNumber(order, points[idx][3][0]) ** (deg - i - j)
+            scale = CycloNumber(order, context.points[idx][3][0]) ** (deg - i - j)
             assert [CycloNumber(order, x) for x in rows[t]] == \
                 [x * scale for x in reference[t]], (k, idx, i, j)
         for root in fp.roots:
-            tables = milnor._modular_tables(points, deg, fp.p, root)
-            if tables is not None:
-                assert milnor._taylor_rows(layout, basis, tables, pascal, fp.p) == \
-                    [[reduce_mod(x, fp.p, root) for x in row] for row in rows]
+            modular = context.rows(layout, basis, fp.p, root)
+            if modular is not None:
+                assert modular == [[reduce_mod(x, fp.p, root) for x in row] for row in rows]
 
 
 def test_integral_rows_are_scaled_chart_rows_on_fixtures(lattices, arrangements):
