@@ -191,6 +191,6 @@ def test_kernel_beyond_the_prime_budget_falls_back_to_exact_elimination():
     # Full rank needs no lift, however large the entries.
     assert _certify(Matrix.from_rows([[a, b]])) == CertifiedRank(1, "full_rank",
                                                                  field_primes(1)[0].p)
-    # The kernel vector (-b/a, 1) needs about 400 bits; the budget gives 209.
+    # The kernel vector (-b/a, 1) needs about 400 bits; the budget gives 210.
     singular = Matrix.from_rows([[a, b], [2 * a, 2 * b]])
     assert _certify(singular) == CertifiedRank(1, "exact", None)
