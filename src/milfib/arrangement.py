@@ -22,10 +22,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
-from .cyclotomic import (CycloNumber, as_cyclo, int_mul, integral_form,
-                         projective_key)
+from .cyclotomic import (CycloNumber, as_cyclo, field_order, int_mul,
+                         integral_form, projective_key)
 from .linalg import Matrix, rank
 
 
@@ -42,13 +42,16 @@ class InvariantViolation(AssertionError):
 
 
 def _normalize_triple(values, order, leading_first):
-    values = [as_cyclo(v, order).lift(order) for v in values]
+    """(n, the values over Q(zeta_n) scaled to a leading or trailing 1), n
+    their :func:`~milfib.cyclotomic.field_order`."""
+    order = field_order(values, order)
+    values = [as_cyclo(v, order) for v in values]
     if all(v.is_zero() for v in values):
         raise ArrangementError("projective coordinates must not all vanish")
     idx = next(i for i, v in enumerate(values) if v) if leading_first else \
         max(i for i, v in enumerate(values) if v)
     inv = values[idx].inverse()
-    return tuple(v * inv for v in values)
+    return order, tuple(v * inv for v in values)
 
 
 class ProjLine:
@@ -56,17 +59,8 @@ class ProjLine:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, a, b, c, order: int = 1):
-        n = order
-        for v in (a, b, c):
-            if isinstance(v, CycloNumber):
-                n = lcm(n, v.order)
-        self.order = n
-        self.coeffs = _normalize_triple((a, b, c), n, leading_first=True)
-
-    def lift(self, order: int) -> "ProjLine":
-        a, b, c = (v.lift(order) for v in self.coeffs)
-        return ProjLine(a, b, c, order)
+    def __init__(self, a, b, c, order: int | None = None):
+        self.order, self.coeffs = _normalize_triple((a, b, c), order, leading_first=True)
 
     def key(self):
         return tuple(v.coeffs for v in self.coeffs)
@@ -88,13 +82,8 @@ class ProjPoint:
 
     __slots__ = ("order", "coords")
 
-    def __init__(self, x, y, z, order: int = 1):
-        n = order
-        for v in (x, y, z):
-            if isinstance(v, CycloNumber):
-                n = lcm(n, v.order)
-        self.order = n
-        self.coords = _normalize_triple((x, y, z), n, leading_first=False)
+    def __init__(self, x, y, z, order: int | None = None):
+        self.order, self.coords = _normalize_triple((x, y, z), order, leading_first=False)
 
     @classmethod
     def from_key(cls, key, order: int) -> "ProjPoint":
@@ -124,17 +113,18 @@ class ProjPoint:
 
 
 class Arrangement:
-    """d distinct lines in P^2 over Q(zeta_n); reduced and essential by construction."""
+    """d distinct lines in P^2 over Q(zeta_n), n the order they all share;
+    reduced and essential by construction."""
 
-    def __init__(self, lines, name: str = "", order: int = 1):
-        n = order
-        lines = list(lines)
-        if not lines:
+    def __init__(self, lines, name: str = ""):
+        self.lines = tuple(lines)
+        if not self.lines:
             raise ArrangementError("an arrangement needs at least one line")
-        for line in lines:
-            n = lcm(n, line.order)
-        self.field_order = n
-        self.lines = tuple(line.lift(n) for line in lines)
+        orders = {line.order for line in self.lines}
+        if len(orders) > 1:
+            raise ArrangementError(f"lines over cyclotomic orders {sorted(orders)} "
+                                   f"do not share a field")
+        self.field_order = n = orders.pop()
         self.name = name
         seen = {}
         for i, line in enumerate(self.lines):
@@ -171,7 +161,7 @@ class Arrangement:
                 raise ArrangementError("each line needs exactly 3 coefficients")
             a, b, c = (CycloNumber.from_json(v, n) for v in coeffs)
             lines.append(ProjLine(a, b, c, n))
-        return cls(lines, name=data.get("name", ""), order=n)
+        return cls(lines, name=data.get("name", ""))
 
 
 def hyperplanes_from_json(data: dict) -> list[list[CycloNumber]]:
@@ -301,15 +291,17 @@ class SectionCertificate:
     flat_index_sets: tuple
 
 
-def rank2_flats(hyperplanes, order: int = 1) -> list[frozenset]:
+def rank2_flats(hyperplanes) -> list[frozenset]:
     """Index sets of the codimension-2 flats of a central arrangement,
-    sorted; hyperplanes that coincide raise ArrangementError.
+    sorted; hyperplanes that coincide raise ArrangementError, and
+    coefficients over two fields ValueError.
 
     The normals of the hyperplanes through a flat span a plane, spanned by
     any two of them, and two pairs span the same plane exactly when their
     wedges are proportional.
     """
-    rows = [[as_cyclo(v, order).lift(order) for v in h] for h in hyperplanes]
+    order = field_order(v for h in hyperplanes for v in h)
+    rows = [[as_cyclo(v, order) for v in h] for h in hyperplanes]
     minors = list(combinations(range(len(rows[0])), 2))
     groups = _group_pairs(rows, minors, order)
     return sorted((frozenset(group) for group in groups.values()), key=sorted)
@@ -334,14 +326,8 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
     if n <= 3:
         raise ArrangementError(
             "generic_section needs ambient dimension > 3; use the lines directly")
-    order = 1
-    coerced = []
-    for h in planes:
-        row = [as_cyclo(v) for v in h]
-        for v in row:
-            order = lcm(order, v.order)
-        coerced.append(row)
-    coerced = [[v.lift(order) for v in row] for row in coerced]
+    order = field_order(v for h in planes for v in h)
+    coerced = [[as_cyclo(v, order) for v in h] for h in planes]
     for i, row in enumerate(coerced):
         if all(v.is_zero() for v in row):
             raise ArrangementError(f"hyperplane {i} is all zero")
@@ -349,7 +335,7 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
     # input may live in a proper subspace (e.g. reflection arrangements whose
     # normals are orthogonal to a fixed vector).  Distinct normals span 3 or
     # more dimensions exactly when they lie in at least two flats.
-    flats = rank2_flats(coerced, order)
+    flats = rank2_flats(coerced)
     if len(flats) < 2:
         raise ArrangementError(
             "hyperplane normals span less than 3 dimensions; no essential section")
@@ -369,8 +355,7 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
             restricted.append(coeffs)
         try:
             arr = Arrangement(
-                [ProjLine(a, b, c, order) for a, b, c in restricted],
-                name=name, order=order)
+                [ProjLine(a, b, c, order) for a, b, c in restricted], name=name)
             lattice = build_lattice(arr)
         except ArrangementError:
             continue
@@ -427,7 +412,7 @@ def _ceva3():
         lines.append(ProjLine(one, zero, -w, 3))
     for w in powers:
         lines.append(ProjLine(zero, one, -w, 3))
-    return Arrangement(lines, name="ceva3", order=3)
+    return Arrangement(lines, name="ceva3")
 
 
 def _hesse():
@@ -442,7 +427,7 @@ def _hesse():
     for ti in powers:
         for tj in powers:
             lines.append(ProjLine(ti, tj, one, 3))
-    return Arrangement(lines, name="hesse", order=3)
+    return Arrangement(lines, name="hesse")
 
 
 _NAMED = {

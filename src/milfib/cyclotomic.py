@@ -14,6 +14,9 @@ element is its norm.  On ints they stay in Z[zeta_n], hence their names.
 Q) is built on them.  Code that only needs a vector up to scaling works on
 power-basis ints: :func:`integral_form` clears a vector's denominators, and
 :func:`projective_key` names its class under Q(zeta_n)^* scaling.
+
+Each computation lives in one field Q(zeta_n): :func:`field_order` reads n
+off its values, and two different orders are rejected, never embedded.
 """
 
 from __future__ import annotations
@@ -74,13 +77,26 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def field_order(values, order: int | None = None) -> int:
+    """The order n of the one field Q(zeta_n) that ``values`` live in: the
+    common order of the CycloNumbers among them and of ``order`` when given,
+    else 1.  Two different orders raise ValueError."""
+    orders = {v.order for v in values if isinstance(v, CycloNumber)}
+    if order is not None:
+        orders.add(order)
+    if len(orders) > 1:
+        raise ValueError(f"elements of cyclotomic orders {sorted(orders)} "
+                         f"do not share a field")
+    return orders.pop() if orders else 1
+
+
 class CycloNumber:
     """An element of Q(zeta_n) in the power basis mod Phi_n.
 
     Instances are immutable.  ``order == 1`` represents a plain rational.
-    Cross-order equality holds when both elements agree after lifting into
-    the lcm field; instances are deliberately unhashable, callers that need
-    dictionary keys use :meth:`key` within a fixed ambient order.
+    Arithmetic and equality take ints, Fractions and CycloNumbers of the
+    same order; another order raises ValueError.  Instances are deliberately
+    unhashable: callers that need dictionary keys use the coefficients.
     """
 
     __slots__ = ("order", "coeffs")
@@ -117,23 +133,6 @@ class CycloNumber:
         """The primitive root of unity zeta_n itself: t reduced mod Phi_n."""
         return cls(order, int_reduce((0, 1), order))
 
-    # -- representation helpers ----------------------------------------
-
-    def lift(self, order: int) -> "CycloNumber":
-        """Image under the embedding Q(zeta_n) -> Q(zeta_m), n | m."""
-        if order == self.order:
-            return self
-        if order % self.order:
-            raise ValueError(f"cannot lift order {self.order} into order {order}")
-        step = order // self.order
-        poly = [0] * ((len(self.coeffs) - 1) * step + 1)
-        poly[::step] = self.coeffs
-        return CycloNumber(order, int_reduce(poly, order))
-
-    def key(self):
-        """Hashable identity within a fixed ambient order."""
-        return (self.order, self.coeffs)
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -152,26 +151,23 @@ class CycloNumber:
 
     # -- arithmetic ------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value, order):
-        if isinstance(value, CycloNumber):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return CycloNumber.from_rational(value, order)
+    def _operand(self, other):
+        """``other`` in this field, None if it is not a number; a CycloNumber
+        of another order raises ValueError."""
+        if isinstance(other, CycloNumber):
+            if other.order != self.order:
+                raise ValueError(f"elements of cyclotomic orders {self.order} and "
+                                 f"{other.order} do not share a field")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return CycloNumber.from_rational(other, self.order)
         return None
 
-    def _pair(self, other):
-        other = CycloNumber._coerce(other, self.order)
-        if other is None:
-            return None, None
-        n = lcm(self.order, other.order)
-        return self.lift(n), other.lift(n)
-
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return CycloNumber(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycloNumber(self.order, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -179,10 +175,10 @@ class CycloNumber:
         return CycloNumber(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return CycloNumber(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycloNumber(self.order, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -190,10 +186,10 @@ class CycloNumber:
     def __mul__(self, other):
         if isinstance(other, int):  # scaling needs no reduction mod Phi_n
             return CycloNumber(self.order, tuple(c * other for c in self.coeffs))
-        a, b = self._pair(other)
-        if a is None:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return CycloNumber(a.order, int_mul(a.coeffs, b.coeffs, a.order))
+        return CycloNumber(self.order, int_mul(self.coeffs, other.coeffs, self.order))
 
     __rmul__ = __mul__
 
@@ -209,15 +205,15 @@ class CycloNumber:
         return CycloNumber(self.order, tuple(Fraction(den * c, norm) for c in cofactor))
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        if b.is_zero():
+        if other.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_n)")
-        return a * b.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = CycloNumber._coerce(other, self.order)
+        other = self._operand(other)
         if other is None:
             return NotImplemented
         return other.__truediv__(self)
@@ -236,10 +232,10 @@ class CycloNumber:
         return result
 
     def __eq__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return a.coeffs == b.coeffs
+        return self.coeffs == other.coeffs
 
     # -- formatting and serialization ------------------------------------
 
@@ -299,10 +295,14 @@ def _json_rational(value) -> Fraction:
 
 
 def as_cyclo(value, order: int = 1) -> CycloNumber:
-    """Coerce an int, Fraction, or CycloNumber into Q(zeta_order) (or larger)."""
-    if isinstance(value, CycloNumber):
-        return value.lift(lcm(value.order, order))
-    return CycloNumber.from_rational(value, order)
+    """An int or Fraction as an element of Q(zeta_order), or a CycloNumber of
+    that order as it is; a CycloNumber of another order raises ValueError."""
+    if not isinstance(value, CycloNumber):
+        return CycloNumber.from_rational(value, order)
+    if value.order != order:
+        raise ValueError(f"elements of cyclotomic orders {value.order} and {order} "
+                         f"do not share a field")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
-from .cyclotomic import (CycloNumber, conjugate_product, euler_phi, int_mul,
-                         int_reduce, integral_form, prime_factors)
+from .cyclotomic import (CycloNumber, as_cyclo, conjugate_product, euler_phi,
+                         field_order, int_mul, int_reduce, integral_form,
+                         prime_factors)
 
 
 class Matrix:
@@ -78,11 +79,7 @@ class Matrix:
         ncols = len(data[0])
         if any(len(row) != ncols for row in data):
             raise ValueError("ragged rows")
-        n = order or 1
-        for row in data:
-            for v in row:
-                if isinstance(v, CycloNumber):
-                    n = lcm(n, v.order)
+        n = field_order((v for row in data for v in row), order)
         flat = []
         for row in data:
             for v in row:
@@ -102,9 +99,7 @@ def _coerce_scalar(v, order: int):
         if isinstance(v, CycloNumber):
             return v.rational_value()
         return Fraction(v)
-    if isinstance(v, CycloNumber):
-        return v.lift(order)
-    return CycloNumber.from_rational(v, order)
+    return as_cyclo(v, order)
 
 
 def _one_zero(order: int):

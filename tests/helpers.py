@@ -59,13 +59,12 @@ def line_contains(line: ProjLine, point: ProjPoint) -> bool:
 
 def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """Exact intersection point by 2x2 minors (cross product of coefficients)."""
-    order = lcm(l1.order, l2.order)
-    a1, b1, c1 = (v.lift(order) for v in l1.coeffs)
-    a2, b2, c2 = (v.lift(order) for v in l2.coeffs)
+    a1, b1, c1 = l1.coeffs
+    a2, b2, c2 = l2.coeffs
     x = b1 * c2 - c1 * b2
     y = c1 * a2 - a1 * c2
     z = a1 * b2 - b1 * a2
-    return ProjPoint(x, y, z, order)
+    return ProjPoint(x, y, z, l1.order)
 
 
 def lattice_by_incidence(arr: Arrangement) -> IncidenceLattice:
@@ -485,7 +484,7 @@ def monomial_arrangement(n: int, full: bool = False) -> Arrangement:
     if full:
         lines += [ProjLine(one, zero, zero, n), ProjLine(zero, one, zero, n),
                   ProjLine(zero, zero, one, n)]
-    return Arrangement(lines, name=f"A({n},1,3)" if full else f"ceva{n}", order=n)
+    return Arrangement(lines, name=f"A({n},1,3)" if full else f"ceva{n}")
 
 
 def identity_matrix(n: int, order: int = 1) -> Matrix:

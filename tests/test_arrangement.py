@@ -6,10 +6,12 @@ from math import comb
 import pytest
 
 from helpers import line_contains, line_intersection, random_arrangements
+from milfib import arrangement
 from milfib.arrangement import (Arrangement, ArrangementError, GenericityError,
                                 ProjLine, ProjPoint, build_lattice,
                                 generic_section, named_arrangement, rank2_flats)
 from milfib.cyclotomic import CycloNumber
+from milfib.linalg import Matrix
 
 
 def test_projline_normalization_and_equality():
@@ -116,6 +118,41 @@ def test_duplicate_lines_rejected():
 def test_non_essential_rejected():
     with pytest.raises(ArrangementError, match="essential"):
         Arrangement([ProjLine(1, 0, 0), ProjLine(0, 1, 0), ProjLine(1, 1, 0)])
+
+
+def test_a_second_field_order_is_rejected():
+    # Every entry point takes one field Q(zeta_n) from its values; values
+    # over two fields are an error, never embedded into a common field.
+    z3, z4 = CycloNumber.zeta(3), CycloNumber.zeta(4)
+    for build in (lambda: ProjLine(z3, z4, 1), lambda: ProjLine(z3, 1, 0, order=4),
+                  lambda: ProjPoint(z3, z4, 1),
+                  lambda: Matrix.from_rows([[z3, 1], [z4, 0]]),
+                  lambda: Matrix.from_rows([[z3, 1]], order=4)):
+        with pytest.raises(ValueError, match="do not share a field"):
+            build()
+    rational = [ProjLine(1, 0, 0), ProjLine(0, 1, 0), ProjLine(0, 0, 1)]
+    with pytest.raises(ArrangementError, match="do not share a field"):
+        Arrangement(rational + [ProjLine(1, z3, 1)])
+    planes = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+              [1, z3, z4, 1]]
+    for sections in (generic_section, rank2_flats):
+        with pytest.raises(ValueError, match="do not share a field"):
+            sections(planes)
+
+
+def test_from_json_normalizes_each_line_once(monkeypatch):
+    data = named_arrangement("hesse").to_json()
+    calls = []
+    normalize = arrangement._normalize_triple
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(arrangement, "_normalize_triple", counted)
+    arr = Arrangement.from_json(data)
+    assert arr.field_order == 3
+    assert len(calls) == arr.d == 12
 
 
 def test_named_arrangement_unknown_name_lists_valid_ones():

@@ -1,4 +1,5 @@
 import cmath
+import operator
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import sympy
 
 from milfib import cyclotomic
 from milfib.cyclotomic import (CycloNumber, as_cyclo, cyclotomic_polynomial, euler_phi,
-                               int_mul)
+                               field_order, int_mul)
 
 
 def test_phi_1_and_3_are_the_textbook_polynomials():
@@ -154,32 +155,30 @@ def test_field_axioms_on_random_elements():
                 assert (b / a) * a == b
 
 
-def test_lifting_is_an_injective_ring_homomorphism():
-    rng = random.Random(7)
-    for src, dst in ((1, 12), (3, 12), (4, 12), (3, 6)):
-        for _ in range(15):
-            a = _random_element(rng, src)
-            b = _random_element(rng, src)
-            assert (a + b).lift(dst) == a.lift(dst) + b.lift(dst)
-            assert (a * b).lift(dst) == a.lift(dst) * b.lift(dst)
-            if not a.is_zero():
-                assert not a.lift(dst).is_zero()
-
-
-def test_mixed_order_arithmetic_lifts_to_lcm():
-    z3 = CycloNumber.zeta(3)
-    z4 = CycloNumber.zeta(4)
-    product = z3 * z4
-    assert product.order == 12
-    assert product == CycloNumber.zeta(12) ** 7  # zeta_3 zeta_4 = zeta_12^(4+3)
-    assert z3 == CycloNumber.zeta(12) ** 4
+def test_mixed_order_arithmetic_is_rejected():
+    # Q(zeta_3) and Q(zeta_4) are different fields; nothing embeds one
+    # element into the other's field.
+    z3, z4 = CycloNumber.zeta(3), CycloNumber.zeta(4)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError, match="do not share a field"):
+            op(z3, z4)
+    with pytest.raises(ValueError, match="do not share a field"):
+        as_cyclo(z3, 12)
+    assert as_cyclo(z3, 3) is z3
+    assert field_order([1, Fraction(1, 2), z4, z4 * 2]) == 4
+    assert field_order([1, Fraction(1, 2)]) == 1
+    assert field_order([], 5) == 5
+    with pytest.raises(ValueError, match=r"\[3, 4\] do not share a field"):
+        field_order([z3, 1], 4)
 
 
 def test_equality_across_orders_and_with_rationals():
     z3 = CycloNumber.zeta(3)
-    assert z3.lift(12) == z3
+    with pytest.raises(ValueError, match="do not share a field"):
+        z3 == CycloNumber.zeta(12) ** 4
+    with pytest.raises(ValueError, match="do not share a field"):
+        CycloNumber.from_rational(2, 3) == CycloNumber.from_rational(2, 4)
     assert CycloNumber.from_rational(2, 3) == 2
-    assert CycloNumber.from_rational(2, 3) == CycloNumber.from_rational(2, 4)
     assert z3 != 1
 
 
@@ -218,8 +217,6 @@ def test_arithmetic_agrees_with_complex_evaluation(n):
         if not a.is_zero():
             assert _close(_at_root(a.inverse()), 1 / _at_root(a))
             assert _close(_at_root(b / a), _at_root(b) / _at_root(a))
-        for m in (2 * n, 3 * n):
-            assert _close(_at_root(a.lift(m)), _at_root(a))
     z = CycloNumber.zeta(n)
     for k in range(-n, 2 * n + 1):
         assert _close(_at_root(z ** k), cmath.exp(2j * cmath.pi * k / n))
@@ -230,3 +227,4 @@ def test_cyclotomic_polynomials_match_sympy():
     for n in range(1, 61):
         expected = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()[::-1]
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected), n
+

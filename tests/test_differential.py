@@ -58,9 +58,9 @@ def test_residue_search_matches_the_exhaustive_oracle(arr):
         assert search_residue_subset(lat, k) == exhaustive_residue_subset(lat, k), k
 
 
-def _flats_or_error(flats, hyperplanes, order):
+def _flats_or_error(flats, *args):
     try:
-        return flats(hyperplanes, order)
+        return flats(*args)
     except ArrangementError as exc:
         return str(exc)
 
@@ -70,7 +70,7 @@ def _flats_or_error(flats, hyperplanes, order):
        st.integers(4, 6), st.integers(4, 8), st.booleans())
 def test_flats_match_the_rank_oracle(seed, order, n, d, repeat):
     rows = random_hyperplanes(random.Random(seed), order, n, d, repeat)
-    assert _flats_or_error(rank2_flats, rows, order) == \
+    assert _flats_or_error(rank2_flats, rows) == \
         _flats_or_error(flats_by_rank, rows, order)
 
 
@@ -89,7 +89,7 @@ def test_lattice_matches_the_incidence_oracle_beyond_degree_two(n, full, seed):
          for s in range(3)]
     arr = Arrangement([ProjLine(*(sum((line.coeffs[s] * m[s][t] for s in range(3)), 0)
                                   for t in range(3)), n)
-                       for line in base.lines], order=n)
+                       for line in base.lines])
     lat = build_lattice(arr)
     assert lat == lattice_by_incidence(arr)
     assert sorted(sorted(p.lines) for p in lat.points) == \

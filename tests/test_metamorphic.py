@@ -31,7 +31,7 @@ def spectrum(arr):
 
 
 def relined(arr, lines):
-    return Arrangement(lines, name=arr.name, order=arr.field_order)
+    return Arrangement(lines, name=arr.name)
 
 
 # Small random arrangements mostly have b1 = 0 everywhere, so the fixtures

@@ -264,7 +264,7 @@ def cyclotomic_arrangements(draw):
     while True:
         try:
             return Arrangement([ProjLine(*row, order) for row in
-                                random_hyperplanes(rng, order, 3, d)], order=order)
+                                random_hyperplanes(rng, order, 3, d)])
         except ArrangementError:
             continue
 
