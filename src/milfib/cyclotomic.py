@@ -51,30 +51,36 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def _spread(coeffs, step: int) -> list:
+    """The coefficients of p(t^step) from those of p(t)."""
+    out = [0] * ((len(coeffs) - 1) * step + 1)
+    out[::step] = coeffs
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Dense coefficients of Phi_n, constant term first, monic of degree phi(n).
 
-    Computed by dividing t^n - 1 exactly over Z by the monic Phi_d of each
-    proper divisor d of n.
+    Built from Phi_1 = t - 1 by Phi_mp(t) = Phi_m(t^p) / Phi_m(t), an exact
+    division over Z, for each prime p of n (p does not divide m), which gives
+    Phi_rad(n); then Phi_n(t) = Phi_rad(n)(t^(n/rad(n))).
     """
     if n < 1:
         raise ValueError("cyclotomic_polynomial requires n >= 1")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            divisor = cyclotomic_polynomial(d)
-            deg = len(divisor) - 1
-            quot = [0] * (len(poly) - deg)
-            for top in range(len(poly) - 1, deg - 1, -1):
-                lead = quot[top - deg] = poly[top]
-                if lead:
-                    for s, coeff in enumerate(divisor):
-                        poly[top - deg + s] -= lead * coeff
-            if any(poly[:deg]):
-                raise ArithmeticError("t^n - 1 is not divisible by its proper cyclotomic factors")
-            poly = quot
-    return tuple(poly)
+    poly, rad = [-1, 1], 1
+    for p in prime_factors(n):
+        num, deg = _spread(poly, p), len(poly) - 1
+        quot = [0] * (len(num) - deg)
+        for top in range(len(num) - 1, deg - 1, -1):
+            lead = quot[top - deg] = num[top]
+            if lead:
+                for s, coeff in enumerate(poly):
+                    num[top - deg + s] -= lead * coeff
+        if any(num[:deg]):
+            raise ArithmeticError("Phi_m(t^p) is not divisible by Phi_m(t)")
+        poly, rad = quot, rad * p
+    return tuple(_spread(poly, n // rad))
 
 
 def field_order(values, order: int | None = None) -> int:

@@ -224,7 +224,15 @@ def test_arithmetic_agrees_with_complex_evaluation(n):
 
 def test_cyclotomic_polynomials_match_sympy():
     t = sympy.symbols("t")
-    for n in range(1, 61):
+    for n in [*range(1, 61), 105, 864, 1000]:
         expected = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()[::-1]
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected), n
 
+
+def test_cyclotomic_polynomial_of_a_prime_power_multiple_is_spread():
+    # Phi_n(t) = Phi_rad(n)(t^(n/rad(n))): 100000 has radical 10.
+    phi = cyclotomic_polynomial(100000)
+    assert len(phi) - 1 == euler_phi(100000) == 40000
+    spread = [0] * 40001
+    spread[::10000] = cyclotomic_polynomial(10)
+    assert phi == tuple(spread)
