@@ -44,15 +44,9 @@ def _check_cap(d: int, cap: int):
 
 @dataclass(frozen=True)
 class ResidueWeights:
-    """Weights alpha_0..alpha_{d-1} with sum exactly zero.
-
-    Derived weights record their (k, I) provenance: alpha_i = k/d - 1 on I
-    and k/d off I, which makes the sum vanish because |I| = k.
-    """
+    """Weights alpha_0..alpha_{d-1} with sum exactly zero."""
 
     alphas: tuple
-    k: int | None = None
-    lines: frozenset | None = None
 
     def __post_init__(self):
         if sum(self.alphas, Fraction(0)) != 0:
@@ -67,7 +61,8 @@ class ResidueWeights:
 
 
 def weights_from_kI(d: int, k: int, I) -> ResidueWeights:
-    """alpha_i = k/d - 1 for i in I, k/d otherwise; requires |I| = k."""
+    """alpha_i = k/d - 1 for i in I, k/d otherwise; requires |I| = k, which
+    makes the sum vanish."""
     I = frozenset(I)
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be in [1, {d - 1}], got {k}")
@@ -77,7 +72,7 @@ def weights_from_kI(d: int, k: int, I) -> ResidueWeights:
         raise ValueError("line index out of range in I")
     base = Fraction(k, d)
     alphas = tuple(base - 1 if i in I else base for i in range(d))
-    return ResidueWeights(alphas, k=k, lines=I)
+    return ResidueWeights(alphas)
 
 
 def _default_dist(d: int, dist: int | None) -> int:
