@@ -53,7 +53,7 @@ report per k combines the two cokernels and their sum b_1.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import comb, gcd
 
 # `build_lattice`, `rank` and `nullspace` are not called here;
@@ -222,8 +222,10 @@ def _row_count(layout) -> int:
 def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
                   charts=None, jets: JetContext | None = None) -> tuple[int, int]:
     """(cokernel of the unconstrained map, cokernel of the ideal-constrained map),
-    from the :func:`linalg.certified_rank` over F_p of [C; F] and of C (the
-    second only when F has rows), as in the module docstring.
+    from the :func:`linalg.certified_rank` over F_p of [C; F] and of C, as in
+    the module docstring.  Rank C needs a call of its own only when F has
+    rows and the rows of [C; F] are dependent: independent rows of [C; F]
+    make those of C independent, so rank C = rows(C).
 
     The two numbers differ by rows(C) - rank C, and are equal when the
     outer-ideal conditions are independent; callers that want a failure
@@ -243,8 +245,11 @@ def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
             lambda: jets.rows(layout, basis)).rank
 
     full = certified(outer + graded)
-    r_c = certified(outer) if graded else full
     rows_c, rows_f = _row_count(outer), _row_count(graded)
+    if full == rows_c + rows_f:
+        r_c = rows_c
+    else:
+        r_c = certified(outer) if graded else full
     return rows_c + rows_f - full, rows_f - (full - r_c)
 
 
@@ -302,7 +307,14 @@ class EigenReport:
     aomoto_certificate: dict | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"k": self.k, "k_conj": self.k_conj,
+                "lambda_exponent": self.lambda_exponent,
+                "sigma_k_size": self.sigma_k_size,
+                "precheck_point": self.precheck_point,
+                "precheck_lines": self.precheck_lines,
+                "grf0": self.grf0, "grf1": self.grf1, "b1": self.b1,
+                "aomoto": self.aomoto,
+                "aomoto_certificate": self.aomoto_certificate}
 
 
 def _lambda_exponent(k: int, d: int) -> str:

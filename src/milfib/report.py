@@ -14,7 +14,7 @@ strings, and deterministic orderings everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import gcd
 
 from . import milnor, resonance
@@ -34,7 +34,7 @@ class ConsistencyCheck:
     details: str = ""
 
     def as_dict(self):
-        return asdict(self)
+        return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
 @dataclass(frozen=True)

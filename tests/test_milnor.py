@@ -190,6 +190,23 @@ def test_cokernel_dims_takes_at_most_two_ranks(monkeypatch, lattices, arrangemen
         assert len(calls) <= 2, (k, calls)
 
 
+def test_cokernel_dims_ranks_c_alone_only_when_c_f_is_row_deficient(
+        monkeypatch, lattices, arrangements):
+    # At k = 6 on ex-3-1-iii the graded layer F has rows and both cokernels
+    # vanish: [C; F] has independent rows, so rank C = rows(C) needs no call.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return certified_rank(*args, **kwargs)
+
+    monkeypatch.setattr(milnor, "certified_rank", counted)
+    arr, lat = arrangements["ex-3-1-iii"], lattices["ex-3-1-iii"]
+    assert milnor._layouts(lat, 6)[1]
+    assert cokernel_dims(arr, lat, 6) == (0, 0)
+    assert len(calls) == 1, calls
+
+
 def test_jet_context_is_built_once_per_arrangement(monkeypatch, lattices, arrangements):
     # Over all k, each multiple point is put in integral form once, and its
     # X, U and V are reduced once per prime and root.

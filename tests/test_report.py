@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from helpers import monomial_arrangement
 from milfib import resonance
 from milfib.report import AnalyzeOptions, analyze, render
 
@@ -80,3 +82,15 @@ def test_analyze_runs_the_residue_search_once_per_k(arrangements, monkeypatch):
     assert sorted(calls) == [1, 2, 3, 4]
     assert sorted(doc.residue_certificates, key=int) == ["1", "2", "3", "4"]
     assert any(r.aomoto_certificate for r in doc.eigen)
+
+
+def test_as_dict_equals_the_dataclass_dict(arrangements):
+    # The literal dicts of the eigen reports and checks are the recursive
+    # dataclass copies, field for field and in field order.
+    for arr in [*arrangements.values(), monomial_arrangement(4)]:
+        doc = analyze(arr)
+        assert any(r.aomoto_certificate for r in doc.eigen) or arr.name == "ex-3-1-iii"
+        for item in (*doc.eigen, *doc.consistency):
+            expected = dataclasses.asdict(item)
+            assert item.as_dict() == expected
+            assert list(item.as_dict()) == list(expected)
