@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 import pytest
 
