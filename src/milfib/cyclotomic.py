@@ -158,15 +158,10 @@ class CycloNumber:
     # -- arithmetic ------------------------------------------------------
 
     def _operand(self, other):
-        """``other`` in this field, None if it is not a number; a CycloNumber
-        of another order raises ValueError."""
-        if isinstance(other, CycloNumber):
-            if other.order != self.order:
-                raise ValueError(f"elements of cyclotomic orders {self.order} and "
-                                 f"{other.order} do not share a field")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloNumber.from_rational(other, self.order)
+        """``other`` by :func:`as_cyclo` in this field, None if it is not a
+        number."""
+        if isinstance(other, (CycloNumber, int, Fraction)):
+            return as_cyclo(other, self.order)
         return None
 
     def __add__(self, other):
