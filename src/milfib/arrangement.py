@@ -19,10 +19,10 @@ Line indices are 0-based throughout.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 from .cyclotomic import (CycloNumber, as_cyclo, field_order, int_mul,
                          integral_form, projective_key)
@@ -78,24 +78,37 @@ class ProjLine:
 
 
 class ProjPoint:
-    """A point of P^2, scaled so the last nonzero coordinate is 1."""
+    """A point of P^2, scaled so the last nonzero coordinate is 1.
 
-    __slots__ = ("order", "coords")
+    A lattice point is made by :meth:`from_key` from its integral projective
+    key, and its CycloNumber coordinates are built only when first read: the
+    searches never read them, and the jet route reads them only at the points
+    of multiplicity >= 3.
+    """
+
+    __slots__ = ("order", "_coords", "_key")
 
     def __init__(self, x, y, z, order: int | None = None):
-        self.order, self.coords = _normalize_triple((x, y, z), order, leading_first=False)
+        self.order, self._coords = _normalize_triple((x, y, z), order, leading_first=False)
 
     @classmethod
     def from_key(cls, key, order: int) -> "ProjPoint":
-        """The point whose projective key is ``key``.  The key's last nonzero
-        entry is a positive rational integer, so dividing by it gives the
-        normalized coordinates directly."""
-        last = next(x[0] for x in reversed(key) if any(x))
+        """The point whose projective key is ``key``, its coordinates not yet
+        built."""
         point = cls.__new__(cls)
-        point.order = order
-        point.coords = tuple(CycloNumber(order, tuple(Fraction(c, last) for c in x))
-                             for x in key)
+        point.order, point._coords, point._key = order, None, key
         return point
+
+    @property
+    def coords(self) -> tuple:
+        """The normalized coordinates.  The key's last nonzero entry is a
+        positive rational integer, so dividing by it gives them directly."""
+        if self._coords is None:
+            key = self._key
+            last = next(x[0] for x in reversed(key) if x[0])
+            self._coords = tuple(CycloNumber(self.order, tuple(Fraction(c, last) for c in x))
+                                 for x in key)
+        return self._coords
 
     def key(self):
         return tuple(v.coeffs for v in self.coords)
@@ -192,26 +205,37 @@ def _json_array(value, what: str) -> list:
 
 @dataclass(frozen=True)
 class LatticePoint:
-    """One intersection point with its incident line index set I_y."""
+    """One intersection point with its incident line index set I_y and its
+    multiplicity m_y = |I_y|, stored when the point is made."""
 
     point: ProjPoint
     lines: frozenset
+    multiplicity: int = field(init=False, compare=False)
 
-    @property
-    def multiplicity(self) -> int:
-        return len(self.lines)
+    def __post_init__(self):
+        object.__setattr__(self, "multiplicity", len(self.lines))
 
 
 @dataclass(frozen=True)
 class IncidenceLattice:
-    """All pairwise intersection points of an arrangement, with multiplicities."""
+    """All pairwise intersection points of an arrangement, with multiplicities.
+
+    sigma_index holds the indices into ``points`` of the points of
+    multiplicity >= 3, found once when the lattice is made; every search
+    reads sigma from it instead of rescanning the points.
+    """
 
     d: int
     points: tuple
+    sigma_index: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma_index", tuple(
+            idx for idx, p in enumerate(self.points) if p.multiplicity >= 3))
 
     def sigma(self) -> list[LatticePoint]:
         """Points of multiplicity >= 3."""
-        return [p for p in self.points if p.multiplicity >= 3]
+        return [self.points[idx] for idx in self.sigma_index]
 
     def doubles(self) -> list[LatticePoint]:
         return [p for p in self.points if p.multiplicity == 2]
@@ -234,7 +258,21 @@ _CROSS = ((1, 2), (2, 0), (0, 1))
 def pair_key(u, v, minors, order: int):
     """The projective key of the wedge u ^ v, whose entries are the 2x2
     minors (p, q) of the rows u, v (integral forms over Z[zeta_order]), or
-    None when u and v are proportional."""
+    None when u and v are proportional.
+
+    Over Q (order 1) the minors are ints, and the key is the wedge divided
+    by the gcd of its entries, signed so that the last nonzero one is
+    positive: :func:`~milfib.cyclotomic.projective_key` at order 1, without
+    its Z[zeta_n] products.
+    """
+    if order == 1:
+        wedge = [u[p][0] * v[q][0] - u[q][0] * v[p][0] for p, q in minors]
+        g = gcd(*wedge)
+        if not g:
+            return None
+        if next(c for c in reversed(wedge) if c) < 0:
+            g = -g
+        return tuple((c // g,) for c in wedge)
     return projective_key(
         [tuple(x - y for x, y in zip(int_mul(u[p], v[q], order),
                                      int_mul(u[q], v[p], order)))
@@ -269,13 +307,22 @@ def _group_pairs(rows, minors, order: int) -> dict:
 
 def build_lattice(arr: Arrangement) -> IncidenceLattice:
     """All pairwise intersections, grouped exactly by point: I_y is the
-    union of the pairs of lines that meet in y."""
+    union of the pairs of lines that meet in y.
+
+    The points are sorted by their normalized coordinates without building
+    them: the last nonzero entry of each key is a positive rational integer,
+    and scaled by L/last, L the lcm of those entries, the keys are integer
+    vectors that compare as the coordinates do.
+    """
     n = arr.field_order
     groups = _group_pairs([line.coeffs for line in arr.lines], _CROSS, n)
-    points = [LatticePoint(ProjPoint.from_key(key, n), frozenset(lines))
-              for key, lines in groups.items()]
-    points.sort(key=lambda p: p.point.key())
-    return IncidenceLattice(arr.d, tuple(points))
+    lasts = {key: next(x[0] for x in reversed(key) if x[0]) for key in groups}
+    scale = lcm(*lasts.values())
+    keys = sorted(groups, key=lambda key: tuple(
+        c * (scale // lasts[key]) for x in key for c in x))
+    points = tuple(LatticePoint(ProjPoint.from_key(key, n), frozenset(groups[key]))
+                   for key in keys)
+    return IncidenceLattice(arr.d, points)
 
 
 # ---------------------------------------------------------------------------

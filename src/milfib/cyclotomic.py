@@ -336,9 +336,16 @@ def int_reduce(poly, order: int) -> tuple[int, ...]:
 
 def int_mul(a, b, order: int) -> tuple[int, ...]:
     """The product of two power-basis elements of Q(zeta_order), ints or
-    Fractions; on ints it is the product in Z[zeta_order]."""
+    Fractions; on ints it is the product in Z[zeta_order].  A rational
+    factor scales the other one, which needs no reduction mod Phi_n."""
     if len(a) == 1:
         return (a[0] * b[0],)
+    if not any(a[1:]):
+        x = a[0]
+        return tuple(x * y for y in b)
+    if not any(b[1:]):
+        y = b[0]
+        return tuple(x * y for x in a)
     acc = [0] * (len(a) + len(b) - 1)
     for s, x in enumerate(a):
         if x:

@@ -89,10 +89,8 @@ def _layouts(lattice: IncidenceLattice, k: int):
     m_y*k/d is an integer.  The unconstrained map's rows are C plus F."""
     d = lattice.d
     outer, graded = [], []
-    for idx, p in enumerate(lattice.points):
-        m = p.multiplicity
-        if m < 3:
-            continue
+    for idx in lattice.sigma_index:
+        m = lattice.points[idx].multiplicity
         s = ideal_order(m, k, d)
         if s >= 1:
             outer.append((idx, _jet_monomials(s)))
@@ -156,13 +154,12 @@ def _taylor_rows(layout, basis, tables, pascal, p=None, order=1) -> list[list]:
 def _charts_for(lattice: IncidenceLattice, charts) -> dict[int, int]:
     """Chart per sigma-point index; default is the largest nonzero coordinate."""
     chosen = {}
-    for idx, p in enumerate(lattice.points):
-        if p.multiplicity < 3:
-            continue
+    for idx in lattice.sigma_index:
         if charts is not None and idx in charts:
             chosen[idx] = charts[idx]
         else:
-            chosen[idx] = max(i for i in range(3) if not p.point.coords[i].is_zero())
+            coords = lattice.points[idx].point.coords
+            chosen[idx] = max(i for i in range(3) if not coords[i].is_zero())
     return chosen
 
 

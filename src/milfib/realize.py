@@ -49,9 +49,7 @@ class IncidenceSystem:
 def incidence_from_lattice(lattice: IncidenceLattice) -> IncidenceSystem:
     """One row per triple point; any higher multiplicity is rejected."""
     rows = []
-    for p in lattice.points:
-        if p.multiplicity < 3:
-            continue
+    for p in lattice.sigma():
         if p.multiplicity > 3:
             raise ValueError(
                 f"point {p.point} has multiplicity {p.multiplicity} > 3; the "

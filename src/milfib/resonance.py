@@ -190,6 +190,9 @@ class ResidueVerdict:
 
 
 def check_residue_integrality(lattice: IncidenceLattice, k: int, I) -> ResidueVerdict:
+    """The verdict on I over the points of sigma.  alpha_{I,y} is an integer
+    exactly when d divides |I| m_y, so the test and the value are taken on
+    ints; a Fraction is made only for a reported hit."""
     d = lattice.d
     I = frozenset(I)
     if len(I) != k:
@@ -200,15 +203,16 @@ def check_residue_integrality(lattice: IncidenceLattice, k: int, I) -> ResidueVe
         raise ValueError(f"line index out of range [0, {d - 1}] in I")
     positive = []
     negative = []
-    for idx, p in enumerate(lattice.points):
-        if p.multiplicity < 3:
+    for idx in lattice.sigma_index:
+        p = lattice.points[idx]
+        c, rem = divmod(k * p.multiplicity, d)
+        if rem:
             continue
-        value = Fraction(len(I) * p.multiplicity, d) - len(I & p.lines)
-        if value.denominator == 1:
-            if value > 0:
-                positive.append((idx, value))
-            elif value < 0:
-                negative.append((idx, value))
+        value = c - len(I & p.lines)
+        if value > 0:
+            positive.append((idx, Fraction(value)))
+        elif value < 0:
+            negative.append((idx, Fraction(value)))
     if not positive:
         branch = "avoids_positive"
     elif not negative:
@@ -308,14 +312,19 @@ class PartitionPhi:
 class PartitionVerdict:
     """Checks a partition against the lower-bound and exact-value hypotheses.
 
-    bound_holds: every block meets every cross-block multiple point off the
-    distinguished line, with point-independent ratios, and some block of
-    size d/m collects exactly 1/m of each such point's multiplicity; then
-    the eigenspace dimension at every m-th root of unity is >= r - 2.
+    A cross point is a point of multiplicity >= 3 whose lines lie in two or
+    more blocks.  Double points are not read, so blocks that cross at a
+    double point pass both checks: this is the open false-net fault of
+    ROADMAP.md item 1, kept as it is until that item lands.
 
-    exact_holds: every cross-block multiple point meets each block exactly
-    once, m = r, and some size-d/m block passes the residue integrality
-    check; then the dimension at primitive m-th roots is exactly m - 2.
+    bound_holds: every block meets every cross point off the distinguished
+    line, with point-independent ratios, and some block of size d/m
+    collects exactly 1/m of each such point's multiplicity; then the
+    eigenspace dimension at every m-th root of unity is >= r - 2.
+
+    exact_holds: every cross point meets each block exactly once, m = r,
+    and some size-d/m block passes the residue integrality check; then the
+    dimension at primitive m-th roots is exactly m - 2.
     """
 
     m: int
@@ -329,6 +338,9 @@ class PartitionVerdict:
 
 def check_pencil_partition(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
                            dist: int | None = None) -> PartitionVerdict:
+    """The :class:`PartitionVerdict` of phi at m, read off the points of
+    multiplicity >= 3 alone.  Each point's block counts are taken once, and
+    ratio profiles are compared by cross-multiplying the counts."""
     d = lattice.d
     if len(phi.labels) != d:
         raise ValueError("partition length does not match the arrangement")
@@ -341,32 +353,33 @@ def check_pencil_partition(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
     if not in_range:
         details.append(f"m={m}, r={r} outside [3, d-1]")
     blocks = phi.blocks()
+    labels = phi.labels
 
-    def block_counts(p):
+    # The block counts of each point of sigma, taken once.  A cross point
+    # has its lines in two or more blocks.
+    cross = []
+    for p in lattice.sigma():
         counts = [0] * r
         for i in p.lines:
-            counts[phi.labels[i]] += 1
-        return counts
-
-    cross = [p for p in lattice.sigma()
-             if len({phi.labels[i] for i in p.lines}) >= 2]
-    cross_affine = [p for p in cross if dist not in p.lines]
+            counts[labels[i]] += 1
+        if max(counts) < p.multiplicity:
+            cross.append((p, counts))
+    cross_affine = [(p, counts) for p, counts in cross if dist not in p.lines]
 
     bound = True
     if d % m:
         bound = False
         details.append(f"m={m} does not divide d={d}")
-    ratio_profile = None
-    for p in cross_affine:
-        counts = block_counts(p)
-        if any(c == 0 for c in counts):
+    first = None
+    for p, counts in cross_affine:
+        if 0 in counts:
             bound = False
             details.append(f"block missing at cross point {sorted(p.lines)}")
             break
-        profile = tuple(Fraction(c, counts[0]) for c in counts)
-        if ratio_profile is None:
-            ratio_profile = profile
-        elif profile != ratio_profile:
+        # The ratio profile counts / counts[0], compared by cross-multiplying.
+        if first is None:
+            first = counts
+        elif any(c * first[0] != f * counts[0] for c, f in zip(counts, first)):
             bound = False
             details.append(f"ratio profile changes at {sorted(p.lines)}")
             break
@@ -374,7 +387,7 @@ def check_pencil_partition(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
         target = d // m
         candidates = [b for b, block in enumerate(blocks) if len(block) == target]
         good = [b for b in candidates
-                if all(block_counts(p)[b] * m == p.multiplicity for p in cross_affine)]
+                if all(counts[b] * m == p.multiplicity for p, counts in cross_affine)]
         if not good:
             bound = False
             details.append(f"no block of size d/m={target} capturing 1/m of each point")
@@ -384,9 +397,9 @@ def check_pencil_partition(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
     if m != r:
         exact = False
         details.append(f"m={m} != r={r}")
-    for p in cross:
-        counts = block_counts(p)
-        if any(c != 1 for c in counts):
+    once = [1] * r
+    for p, counts in cross:
+        if counts != once:
             exact = False
             details.append(f"cross point {sorted(p.lines)} not simple across blocks")
             break
@@ -419,12 +432,18 @@ def check_pencil_partition(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
 
 def net_detect(lattice: IncidenceLattice, m: int,
                cap: int = DEFAULT_SEARCH_CAP) -> list[PartitionPhi]:
-    """All partitions into m blocks of size d/m where every multiple point is
-    either contained in one block or meets every block exactly once.
+    """All partitions into m blocks of size d/m where every point of
+    multiplicity >= 3 is either contained in one block or meets every block
+    exactly once.
+
+    Double points are not read, so a reported partition may cross at a
+    double point and not be a net: the open false-net fault of ROADMAP.md
+    item 1, kept as it is until that item lands.
 
     Exhaustive backtracking over line assignments with symmetry breaking
     (blocks are opened in order of their smallest line), so each net is
-    produced exactly once up to block relabeling.
+    produced exactly once up to block relabeling.  Each point keeps the
+    labels of its assigned lines as a bitmask, with their count.
     """
     d = lattice.d
     if m < 3:
@@ -433,41 +452,62 @@ def net_detect(lattice: IncidenceLattice, m: int,
         raise ValueError(f"m={m} does not divide d={d}")
     _check_cap(d, cap)
     q = d // m
-    sigma_sets = [tuple(sorted(p.lines)) for p in lattice.sigma()]
+    sigma = lattice.sigma()
     through: list[list[int]] = [[] for _ in range(d)]
-    for s_idx, lines in enumerate(sigma_sets):
-        for i in lines:
+    for s_idx, p in enumerate(sigma):
+        for i in p.lines:
             through[i].append(s_idx)
+    # Per point of sigma: whether its lines may all lie in one block, whether
+    # they may meet every block once, and the labels (a bitmask) and count
+    # of its lines assigned so far.
+    inside = [p.multiplicity <= q for p in sigma]
+    across = [p.multiplicity == m for p in sigma]
+    seen = [0] * len(sigma)
+    count = [0] * len(sigma)
 
     labels = [-1] * d
     sizes = [0] * m
     results: list[PartitionPhi] = []
 
-    def point_ok(s_idx: int) -> bool:
-        assigned = [labels[i] for i in sigma_sets[s_idx] if labels[i] >= 0]
-        mult = len(sigma_sets[s_idx])
-        if len(assigned) <= 1:
+    def fits(s_idx: int, bit: int) -> bool:
+        """Whether a line labelled ``bit`` may join point s_idx: its lines
+        must stay in one block or head to one line per block."""
+        n = count[s_idx]
+        if not n:
             return True
-        distinct = set(assigned)
-        if len(distinct) == 1:
-            return mult <= q  # must stay inside one block
-        if len(distinct) != len(assigned):
+        mask = seen[s_idx]
+        if mask == bit:
+            return inside[s_idx]
+        if mask & bit:
             return False  # mixed repeats: neither one block nor all distinct
-        return mult == m  # heading to one-per-block; needs exactly m lines
+        return mask.bit_count() == n and across[s_idx]
 
     def assign(line: int, used: int):
         if line == d:
             results.append(PartitionPhi(tuple(labels)))
             return
+        points = through[line]
         for b in range(min(used + 1, m)):
             if sizes[b] == q:
                 continue
+            bit = 1 << b
+            if not all(fits(s, bit) for s in points):
+                continue
             labels[line] = b
             sizes[b] += 1
-            if all(point_ok(s) for s in through[line]):
-                assign(line + 1, max(used, b + 1))
+            for s in points:
+                seen[s] |= bit
+                count[s] += 1
+            assign(line + 1, max(used, b + 1))
+            for s in points:
+                count[s] -= 1
+                # The label stays while another line of the point has it,
+                # which a fitting line leaves only in a one-block point.
+                if not count[s]:
+                    seen[s] = 0
+                elif seen[s] != bit:
+                    seen[s] ^= bit
             sizes[b] -= 1
-            labels[line] = -1
 
     assign(0, 0)
     return results

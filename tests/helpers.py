@@ -32,6 +32,13 @@ finds I_y by testing every line against each such intersection point instead
 of grouping the pairs; ``flats_by_rank`` finds each codimension-2 flat by
 exact rank tests of triples; and ``exhaustive_residue_subset`` checks every
 k-subset in lexicographic order instead of pruning by counts.
+
+The search kernels of ``resonance`` work on ints and bitmasks over the
+sigma that the lattice stores.  Their reference implementations here
+rescan ``lattice.points`` and count ``len(p.lines)`` instead:
+``residue_verdict_oracle`` takes alpha_{I,y} as a Fraction,
+``net_detect_oracle`` checks each point's assigned labels as a list and a
+set, and ``pencil_partition_oracle`` compares Fraction ratio profiles.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
 from milfib.cyclotomic import CycloNumber, euler_phi, integral_form
 from milfib.linalg import IntMatrix, Matrix, nullspace, rank
 from milfib.milnor import _charts_for, _layouts, ideal_order, monomial_basis
-from milfib.resonance import check_residue_integrality
+from milfib.resonance import (PartitionPhi, PartitionVerdict, ResidueVerdict,
+                              _default_dist)
 
 
 def line_contains(line: ProjLine, point: ProjPoint) -> bool:
@@ -109,12 +117,162 @@ def flats_by_rank(hyperplanes, order: int = 1) -> list[frozenset]:
 
 def exhaustive_residue_subset(lattice: IncidenceLattice, k: int):
     """First k-subset (lexicographic) passing the integrality check, or None,
-    by checking every subset."""
+    by checking every subset with ``residue_verdict_oracle``."""
     for I in combinations(range(lattice.d), k):
-        verdict = check_residue_integrality(lattice, k, I)
+        verdict = residue_verdict_oracle(lattice, k, I)
         if verdict.holds:
             return frozenset(I), verdict
     return None
+
+
+def residue_verdict_oracle(lattice: IncidenceLattice, k: int, I) -> ResidueVerdict:
+    """``check_residue_integrality`` with alpha_{I,y} = (|I|/d) m_y - m_{I,y}
+    taken as a Fraction at every point of multiplicity >= 3."""
+    d = lattice.d
+    I = frozenset(I)
+    positive, negative = [], []
+    for idx, p in enumerate(lattice.points):
+        if len(p.lines) < 3:
+            continue
+        value = Fraction(len(I) * len(p.lines), d) - len(I & p.lines)
+        if value.denominator == 1:
+            if value > 0:
+                positive.append((idx, value))
+            elif value < 0:
+                negative.append((idx, value))
+    if not positive:
+        branch = "avoids_positive"
+    elif not negative:
+        branch = "avoids_negative"
+    else:
+        branch = "fails"
+    return ResidueVerdict(branch, tuple(positive), tuple(negative))
+
+
+def net_detect_oracle(lattice: IncidenceLattice, m: int) -> list[PartitionPhi]:
+    """``net_detect`` by the same backtracking, each touched point of
+    multiplicity >= 3 checked on the list and the set of its assigned labels."""
+    d = lattice.d
+    q = d // m
+    sigma_sets = [tuple(sorted(p.lines)) for p in lattice.points if len(p.lines) >= 3]
+    through: list[list[int]] = [[] for _ in range(d)]
+    for s_idx, lines in enumerate(sigma_sets):
+        for i in lines:
+            through[i].append(s_idx)
+    labels = [-1] * d
+    sizes = [0] * m
+    results: list[PartitionPhi] = []
+
+    def point_ok(s_idx: int) -> bool:
+        assigned = [labels[i] for i in sigma_sets[s_idx] if labels[i] >= 0]
+        mult = len(sigma_sets[s_idx])
+        if len(assigned) <= 1:
+            return True
+        distinct = set(assigned)
+        if len(distinct) == 1:
+            return mult <= q
+        if len(distinct) != len(assigned):
+            return False
+        return mult == m
+
+    def assign(line: int, used: int):
+        if line == d:
+            results.append(PartitionPhi(tuple(labels)))
+            return
+        for b in range(min(used + 1, m)):
+            if sizes[b] == q:
+                continue
+            labels[line] = b
+            sizes[b] += 1
+            if all(point_ok(s) for s in through[line]):
+                assign(line + 1, max(used, b + 1))
+            sizes[b] -= 1
+            labels[line] = -1
+
+    assign(0, 0)
+    return results
+
+
+def pencil_partition_oracle(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
+                            dist: int | None = None) -> PartitionVerdict:
+    """``check_pencil_partition`` with the block counts taken again at each
+    use, cross points found by their set of labels, and ratio profiles
+    compared as tuples of Fractions."""
+    d = lattice.d
+    r = phi.r
+    dist = _default_dist(d, dist)
+    details = []
+    in_range = 3 <= m <= d - 1 and 3 <= r <= d - 1
+    if not in_range:
+        details.append(f"m={m}, r={r} outside [3, d-1]")
+    blocks = phi.blocks()
+
+    def block_counts(p):
+        counts = [0] * r
+        for i in p.lines:
+            counts[phi.labels[i]] += 1
+        return counts
+
+    cross = [p for p in lattice.points if len(p.lines) >= 3
+             and len({phi.labels[i] for i in p.lines}) >= 2]
+    cross_affine = [p for p in cross if dist not in p.lines]
+
+    bound = True
+    if d % m:
+        bound = False
+        details.append(f"m={m} does not divide d={d}")
+    ratio_profile = None
+    for p in cross_affine:
+        counts = block_counts(p)
+        if any(c == 0 for c in counts):
+            bound = False
+            details.append(f"block missing at cross point {sorted(p.lines)}")
+            break
+        profile = tuple(Fraction(c, counts[0]) for c in counts)
+        if ratio_profile is None:
+            ratio_profile = profile
+        elif profile != ratio_profile:
+            bound = False
+            details.append(f"ratio profile changes at {sorted(p.lines)}")
+            break
+    if bound and d % m == 0:
+        target = d // m
+        good = [b for b, block in enumerate(blocks) if len(block) == target
+                and all(block_counts(p)[b] * m == len(p.lines) for p in cross_affine)]
+        if not good:
+            bound = False
+            details.append(f"no block of size d/m={target} capturing 1/m of each point")
+    bound = bound and in_range
+
+    exact = True
+    if m != r:
+        exact = False
+        details.append(f"m={m} != r={r}")
+    for p in cross:
+        if any(c != 1 for c in block_counts(p)):
+            exact = False
+            details.append(f"cross point {sorted(p.lines)} not simple across blocks")
+            break
+    certificate_block = None
+    if exact:
+        if d % m:
+            exact = False
+        else:
+            target = d // m
+            certificate_block = next(
+                (b for b, block in enumerate(blocks) if len(block) == target
+                 and residue_verdict_oracle(lattice, target, block).holds), None)
+            if certificate_block is None:
+                exact = False
+                details.append("no block passes the residue integrality check")
+    if certificate_block is not None:
+        details.append(f"residue certificate block {certificate_block}")
+    exact = exact and in_range
+    return PartitionVerdict(
+        m=m, r=r, bound_holds=bound, exact_holds=exact,
+        predicted_lower=r - 2 if bound else None,
+        predicted_exact=m - 2 if exact else None,
+        details=tuple(details))
 
 
 def aomoto_h1_oracle(lattice, weights, dist=None):

@@ -6,8 +6,16 @@ counts.  ``lattice_by_incidence``, ``flats_by_rank`` and
 ``exhaustive_residue_subset`` in ``helpers`` compute the same objects the
 direct way, so the two must agree exactly.  The key itself is checked for
 what makes the grouping exact: it is constant on each class of proportional
-vectors and separates different classes.  Examples come from a fixed,
-derandomized hypothesis profile so runs are repeatable.
+vectors and separates different classes.
+
+``check_residue_integrality``, ``net_detect`` and ``check_pencil_partition``
+work on ints and bitmasks over the stored sigma; ``residue_verdict_oracle``,
+``net_detect_oracle`` and ``pencil_partition_oracle`` are their Fraction and
+list/set references, which must agree with them exactly, on the random
+arrangements and on pencil-type inputs that have nets.
+
+Examples come from a fixed, derandomized hypothesis profile so runs are
+repeatable.
 """
 
 import random
@@ -19,12 +27,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (exhaustive_residue_subset, flats_by_rank, lattice_by_incidence,
-                     monomial_arrangement, random_arrangement, random_cyclo,
-                     random_hyperplanes)
+                     monomial_arrangement, net_detect_oracle, pencil_partition_oracle,
+                     random_arrangement, random_cyclo, random_hyperplanes,
+                     residue_verdict_oracle)
 from milfib.arrangement import (Arrangement, ArrangementError, ProjLine, build_lattice,
                                 named_arrangement, rank2_flats)
 from milfib.cyclotomic import CycloNumber, integral_form, projective_key
-from milfib.resonance import search_residue_subset
+from milfib.resonance import (PartitionPhi, check_pencil_partition,
+                              check_residue_integrality, net_detect,
+                              search_residue_subset)
 
 FIXED = settings(derandomize=True, deadline=None, max_examples=40,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -56,6 +67,70 @@ def test_residue_search_matches_the_exhaustive_oracle(arr):
     lat = build_lattice(arr)
     for k in range(1, lat.d // 2 + 1):
         assert search_residue_subset(lat, k) == exhaustive_residue_subset(lat, k), k
+
+
+# Pencil-type inputs with nets, their lines in a random order: the braid
+# arrangement (a (3,2)-net), Ceva(3) and Ceva(4) over Q(zeta_3) and Q(i)
+# ((3,3)- and (3,4)-nets), Hesse (a (4,3)-net), and pappus-dual, whose
+# (3,3)-"nets" break the net condition at double points.
+PENCILS = [named_arrangement(name) for name in ("braid", "ceva3", "hesse", "pappus-dual")]
+PENCILS.append(monomial_arrangement(4))
+pencils = st.builds(lambda arr, seed: Arrangement(random.Random(seed).sample(arr.lines, arr.d)),
+                    st.sampled_from(PENCILS), st.integers(0, 2 ** 32 - 1))
+
+
+@FIXED
+@given(st.one_of(arrangements, pencils), st.integers(0, 2 ** 32 - 1))
+def test_residue_verdicts_match_the_fraction_oracle(arr, seed):
+    rng = random.Random(seed)
+    lat = build_lattice(arr)
+    for k in range(1, lat.d // 2 + 1):
+        for _ in range(4):
+            I = rng.sample(range(lat.d), k)
+            assert check_residue_integrality(lat, k, I) == \
+                residue_verdict_oracle(lat, k, I), (k, I)
+
+
+@FIXED
+@given(pencils)
+def test_nets_match_the_oracle_in_order(arr):
+    lat = build_lattice(arr)
+    found = 0
+    for m in range(3, lat.d):
+        if lat.d % m == 0:
+            nets = net_detect(lat, m)
+            assert nets == net_detect_oracle(lat, m), m
+            found += len(nets)
+    assert found
+
+
+@FIXED
+@given(arrangements)
+def test_nets_of_random_arrangements_match_the_oracle(arr):
+    lat = build_lattice(arr)
+    for m in range(3, lat.d):
+        if lat.d % m == 0:
+            assert net_detect(lat, m) == net_detect_oracle(lat, m), m
+
+
+@FIXED
+@given(st.one_of(arrangements, pencils), st.integers(0, 2 ** 32 - 1))
+def test_partition_verdicts_match_the_fraction_oracle(arr, seed):
+    rng = random.Random(seed)
+    lat = build_lattice(arr)
+    d = lat.d
+    cases = [(phi, m, rng.choice([None, rng.randrange(d)]))
+             for m in range(3, d) if d % m == 0 for phi in net_detect(lat, m)]
+    # m >= 2: at m = 1 a one-block partition sends the whole line set to the
+    # residue check, which refuses k = d.
+    for _ in range(6):
+        r = rng.randint(1, d)
+        phi = PartitionPhi(tuple(rng.randrange(r) for _ in range(d)))
+        cases.append((phi, rng.choice([max(phi.r, 2), rng.randint(2, d)]),
+                      rng.randrange(d)))
+    for phi, m, dist in cases:
+        assert check_pencil_partition(lat, phi, m, dist) == \
+            pencil_partition_oracle(lat, phi, m, dist), (phi.labels, m, dist)
 
 
 def _flats_or_error(flats, *args):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from helpers import aomoto_h1_oracle, random_arrangement, random_arrangements
-from milfib.arrangement import Arrangement, ProjLine, build_lattice
+from milfib.arrangement import Arrangement, IncidenceLattice, ProjLine, build_lattice
 from milfib.resonance import (PartitionPhi, ResidueWeights, SearchCapExceeded,
                               alpha_components, aomoto_h1,
                               check_pencil_partition,
@@ -246,3 +246,59 @@ def test_net_detect_validates_input(lattices):
         net_detect(lattices["braid"], 4)
     with pytest.raises(SearchCapExceeded):
         net_detect(lattices["braid"], 3, cap=4)
+
+
+# The lines t x + t^3 y + z, t = -8..8 but 0: three of them meet exactly
+# when their values sum to 0, so this rational arrangement of 16 lines has
+# many triple points and no point of higher multiplicity.
+CUBIC_DUAL = [ProjLine(t, t ** 3, 1) for t in range(-8, 9) if t]
+
+
+def _run_searches(lat):
+    """The combinatorial route as the `cond02`, `net` and `theorem1`
+    commands run it."""
+    d = lat.d
+    for k in range(1, d // 2 + 1):
+        search_residue_subset(lat, k)
+    for m in (4, 8):
+        for phi in net_detect(lat, m) + [PartitionPhi(tuple(i % m for i in range(d)))]:
+            check_pencil_partition(lat, phi, m)
+
+
+def test_combinatorial_route_builds_no_cyclo_number(monkeypatch):
+    # The lattice keys points by ints and builds no coordinates until they
+    # are read, and the searches take no field arithmetic.
+    from milfib import cyclotomic
+    arr = Arrangement(CUBIC_DUAL)
+    built = []
+    original = cyclotomic.CycloNumber.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cyclotomic.CycloNumber, "__init__", counted)
+    lat = build_lattice(arr)
+    assert len(lat.sigma()) > 10
+    _run_searches(lat)
+    assert not built, len(built)
+
+
+class _CountedPoints(tuple):
+    """A tuple of lattice points that counts the scans over it."""
+
+    scans = 0
+
+    def __iter__(self):
+        _CountedPoints.scans += 1
+        return super().__iter__()
+
+
+def test_sigma_is_found_once_per_lattice(monkeypatch):
+    # Every search reads sigma as the lattice stores it; the points are
+    # scanned once, when the lattice is made.
+    monkeypatch.setattr(_CountedPoints, "scans", 0)
+    points = build_lattice(Arrangement(CUBIC_DUAL)).points
+    lat = IncidenceLattice(len(CUBIC_DUAL), _CountedPoints(points))
+    _run_searches(lat)
+    assert _CountedPoints.scans == 1
