@@ -316,12 +316,17 @@ def build_lattice(arr: Arrangement) -> IncidenceLattice:
     """
     n = arr.field_order
     groups = _group_pairs([line.coeffs for line in arr.lines], _CROSS, n)
-    lasts = {key: next(x[0] for x in reversed(key) if x[0]) for key in groups}
-    scale = lcm(*lasts.values())
-    keys = sorted(groups, key=lambda key: tuple(
-        c * (scale // lasts[key]) for x in key for c in x))
-    points = tuple(LatticePoint(ProjPoint.from_key(key, n), frozenset(groups[key]))
-                   for key in keys)
+    lasts = [next(x[0] for x in reversed(key) if x[0]) for key in groups]
+    scale = lcm(*lasts)
+    ranked = []
+    # One factor per key: a key has 3 phi(n) entries, so a division or a
+    # dict lookup (which hashes the key) per entry costs phi(n) times more.
+    for (key, lines), last in zip(groups.items(), lasts):
+        factor = scale // last
+        ranked.append((tuple(c * factor for x in key for c in x), key, lines))
+    ranked.sort(key=lambda t: t[0])
+    points = tuple(LatticePoint(ProjPoint.from_key(key, n), frozenset(lines))
+                   for _, key, lines in ranked)
     return IncidenceLattice(arr.d, points)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import aomoto_h1_oracle, random_arrangement, random_arrangements
 from milfib.arrangement import Arrangement, IncidenceLattice, ProjLine, build_lattice
+from milfib.cyclotomic import CycloNumber
 from milfib.resonance import (PartitionPhi, ResidueWeights, SearchCapExceeded,
                               alpha_components, aomoto_h1,
                               check_pencil_partition,
@@ -268,16 +269,15 @@ def _run_searches(lat):
 def test_combinatorial_route_builds_no_cyclo_number(monkeypatch):
     # The lattice keys points by ints and builds no coordinates until they
     # are read, and the searches take no field arithmetic.
-    from milfib import cyclotomic
     arr = Arrangement(CUBIC_DUAL)
     built = []
-    original = cyclotomic.CycloNumber.__init__
+    original = CycloNumber.__init__
 
     def counted(self, *args, **kwargs):
         built.append(args)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(cyclotomic.CycloNumber, "__init__", counted)
+    monkeypatch.setattr(CycloNumber, "__init__", counted)
     lat = build_lattice(arr)
     assert len(lat.sigma()) > 10
     _run_searches(lat)
