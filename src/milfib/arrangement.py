@@ -7,11 +7,17 @@ which at rank <= 2 is all the combinatorial data the rest of the package
 needs.  Arrangements of central hyperplanes in C^n with n > 3 are reduced to
 the plane case by a certified generic 2-plane section.
 
+Lines and points have one stored form from the input to the jet rows, the
+integral projective key of :class:`_Projective`: duplicate lines are found
+by hashing keys, essentiality is the :func:`~milfib.linalg.int_rank` of the
+key rows, and the lattice is built from the keys.
+
 Points and codimension-2 flats are found the same way: two lines meet in one
 point and two hyperplanes span one flat, so each is a class of pairs whose
 wedges u ^ v are proportional.  :func:`pair_key` names that class exactly by
-the :func:`~milfib.cyclotomic.projective_key` of the wedge, computed on
-integers over Z[zeta_n], and :func:`_group_pairs` groups the pairs by key.
+the projective key of the wedge, computed on integers over Z[zeta_n], and
+:func:`_group_pairs` groups the pairs by key; a lattice point stores its key
+as it is.
 
 Line indices are 0-based throughout.
 """
@@ -26,7 +32,9 @@ from math import comb, gcd, lcm
 
 from .cyclotomic import (CycloNumber, as_cyclo, field_order, int_mul,
                          integral_form, projective_key)
-from .linalg import Matrix, rank
+# `rank` is not called here; perfbench/tracing.py wraps it by name, as
+# tests/test_bench_hooks.py checks.
+from .linalg import int_rank, rank
 
 
 class ArrangementError(ValueError):
@@ -41,88 +49,74 @@ class InvariantViolation(AssertionError):
     """A theorem-encoded internal check failed; indicates an implementation bug."""
 
 
-def _normalize_triple(values, order, leading_first):
-    """(n, the values over Q(zeta_n) scaled to a leading or trailing 1), n
-    their :func:`~milfib.cyclotomic.field_order`."""
-    order = field_order(values, order)
-    values = [as_cyclo(v, order) for v in values]
-    if all(v.is_zero() for v in values):
-        raise ArrangementError("projective coordinates must not all vanish")
-    idx = next(i for i, v in enumerate(values) if v) if leading_first else \
-        max(i for i, v in enumerate(values) if v)
-    inv = values[idx].inverse()
-    return order, tuple(v * inv for v in values)
+class _Projective:
+    """A point of P^2 or of its dual over Q(zeta_n), stored only as its
+    :func:`~milfib.cyclotomic.projective_key`: power-basis int tuples over
+    Z[zeta_n] whose nonzero entry at one end, the unit, is a positive
+    rational integer (the first entry for a line, the last for a point).
+    Equality and every layer read the key.  The normalized CycloNumber
+    values, the key over its unit, are built on first read, for printing.
+    """
 
-
-class ProjLine:
-    """The line a*x + b*y + c*z = 0, scaled so the first nonzero coefficient is 1."""
-
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_key", "_values")
+    _step = 1   # -1 reverses a line's entries, so that its unit comes last
 
     def __init__(self, a, b, c, order: int | None = None):
-        self.order, self.coeffs = _normalize_triple((a, b, c), order, leading_first=True)
+        order = field_order((a, b, c), order)
+        vector = integral_form([as_cyclo(v, order).coeffs for v in (a, b, c)])
+        key = projective_key(vector[::self._step], order)
+        if key is None:
+            raise ArrangementError("projective coordinates must not all vanish")
+        self.order, self._key, self._values = order, key[::self._step], None
+
+    @classmethod
+    def _of_key(cls, key, order: int):
+        """The element whose key is ``key``, already canonical."""
+        element = cls.__new__(cls)
+        element.order, element._key, element._values = order, key, None
+        return element
 
     def key(self):
-        return tuple(v.coeffs for v in self.coeffs)
+        return self._key
+
+    def _normalized(self) -> tuple:
+        if self._values is None:
+            unit = next(x[0] for x in self._key[::-self._step] if x[0])
+            self._values = tuple(CycloNumber(self.order, tuple(Fraction(c, unit) for c in x))
+                                 for x in self._key)
+        return self._values
 
     def __eq__(self, other):
-        return isinstance(other, ProjLine) and self.order == other.order \
-            and self.key() == other.key()
+        return type(other) is type(self) and self.order == other.order \
+            and self._key == other._key
+
+    def to_json(self):
+        return [v.to_json() for v in self._normalized()]
+
+
+class ProjLine(_Projective):
+    """The line a*x + b*y + c*z = 0; ``coeffs`` are scaled so the first
+    nonzero coefficient is 1."""
+
+    __slots__ = ()
+    _step = -1
+    coeffs = property(_Projective._normalized)
 
     def __repr__(self):
         a, b, c = self.coeffs
         return f"ProjLine({a}, {b}, {c})"
 
-    def to_json(self):
-        return [v.to_json() for v in self.coeffs]
 
+class ProjPoint(_Projective):
+    """A point of P^2; ``coords`` are scaled so the last nonzero coordinate
+    is 1."""
 
-class ProjPoint:
-    """A point of P^2, scaled so the last nonzero coordinate is 1.
-
-    A lattice point is made by :meth:`from_key` from its integral projective
-    key, and its CycloNumber coordinates are built only when first read: the
-    searches never read them, and the jet route reads them only at the points
-    of multiplicity >= 3.
-    """
-
-    __slots__ = ("order", "_coords", "_key")
-
-    def __init__(self, x, y, z, order: int | None = None):
-        self.order, self._coords = _normalize_triple((x, y, z), order, leading_first=False)
-
-    @classmethod
-    def from_key(cls, key, order: int) -> "ProjPoint":
-        """The point whose projective key is ``key``, its coordinates not yet
-        built."""
-        point = cls.__new__(cls)
-        point.order, point._coords, point._key = order, None, key
-        return point
-
-    @property
-    def coords(self) -> tuple:
-        """The normalized coordinates.  The key's last nonzero entry is a
-        positive rational integer, so dividing by it gives them directly."""
-        if self._coords is None:
-            key = self._key
-            last = next(x[0] for x in reversed(key) if x[0])
-            self._coords = tuple(CycloNumber(self.order, tuple(Fraction(c, last) for c in x))
-                                 for x in key)
-        return self._coords
-
-    def key(self):
-        return tuple(v.coeffs for v in self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.order == other.order \
-            and self.key() == other.key()
+    __slots__ = ()
+    coords = property(_Projective._normalized)
 
     def __repr__(self):
         x, y, z = self.coords
         return f"ProjPoint({x} : {y} : {z})"
-
-    def to_json(self):
-        return [v.to_json() for v in self.coords]
 
 
 class Arrangement:
@@ -141,13 +135,11 @@ class Arrangement:
         self.name = name
         seen = {}
         for i, line in enumerate(self.lines):
-            k = line.key()
-            if k in seen:
+            first = seen.setdefault(line.key(), i)
+            if first != i:
                 raise ArrangementError(
-                    f"duplicate line: index {seen[k]} and {i} coincide (not reduced)")
-            seen[k] = i
-        coeff_rows = [list(line.coeffs) for line in self.lines]
-        if rank(Matrix.from_rows(coeff_rows, cols=3, order=n)) != 3:
+                    f"duplicate line: index {first} and {i} coincide (not reduced)")
+        if int_rank([line.key() for line in self.lines], 3, n) != 3:
             raise ArrangementError(
                 "non-essential arrangement: line normals span less than 3 dimensions")
 
@@ -279,25 +271,22 @@ def pair_key(u, v, minors, order: int):
          for p, q in minors], order)
 
 
-def _group_pairs(rows, minors, order: int) -> dict:
-    """The index sets of the pairs of rows grouped by :func:`pair_key`.
+def _group_pairs(vectors, minors, order: int) -> dict:
+    """The index sets of the pairs of ``vectors`` (integral forms over
+    Z[zeta_order]) grouped by :func:`pair_key`.
 
     Every pair lies in exactly one group, so the pair-count identity
     sum C(m, 2) = C(d, 2) over the groups holds exactly when the pairs of
     each group form a clique; a failure indicates an arithmetic bug rather
     than bad input.
     """
-    d = len(rows)
-    vectors = [integral_form([v.coeffs for v in row]) for row in rows]
+    d = len(vectors)
     groups: dict = {}
     for i, j in combinations(range(d), 2):
         key = pair_key(vectors[i], vectors[j], minors, order)
         if key is None:
             raise ArrangementError(f"hyperplanes {i} and {j} coincide")
-        if key in groups:
-            groups[key].update((i, j))
-        else:
-            groups[key] = {i, j}
+        groups.setdefault(key, set()).update((i, j))
     pair_count = sum(comb(len(group), 2) for group in groups.values())
     if pair_count != comb(d, 2):
         raise InvariantViolation(
@@ -315,7 +304,7 @@ def build_lattice(arr: Arrangement) -> IncidenceLattice:
     vectors that compare as the coordinates do.
     """
     n = arr.field_order
-    groups = _group_pairs([line.coeffs for line in arr.lines], _CROSS, n)
+    groups = _group_pairs([line.key() for line in arr.lines], _CROSS, n)
     lasts = [next(x[0] for x in reversed(key) if x[0]) for key in groups]
     scale = lcm(*lasts)
     ranked = []
@@ -325,7 +314,7 @@ def build_lattice(arr: Arrangement) -> IncidenceLattice:
         factor = scale // last
         ranked.append((tuple(c * factor for x in key for c in x), key, lines))
     ranked.sort(key=lambda t: t[0])
-    points = tuple(LatticePoint(ProjPoint.from_key(key, n), frozenset(lines))
+    points = tuple(LatticePoint(ProjPoint._of_key(key, n), frozenset(lines))
                    for _, key, lines in ranked)
     return IncidenceLattice(arr.d, points)
 
@@ -353,7 +342,7 @@ def rank2_flats(hyperplanes) -> list[frozenset]:
     wedges are proportional.
     """
     order = field_order(v for h in hyperplanes for v in h)
-    rows = [[as_cyclo(v, order) for v in h] for h in hyperplanes]
+    rows = [integral_form([as_cyclo(v, order).coeffs for v in h]) for h in hyperplanes]
     minors = list(combinations(range(len(rows[0])), 2))
     groups = _group_pairs(rows, minors, order)
     return sorted((frozenset(group) for group in groups.values()), key=sorted)

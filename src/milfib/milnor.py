@@ -23,7 +23,8 @@ conditions are linearly independent.
 :func:`cokernel_dims` takes each rank with :func:`linalg.certified_rank`.
 The jet rows are built in integral homogeneous form.  At a point with
 coordinates (X, U, V) in chart x, integral over Z[zeta] (power-basis int
-tuples), the coefficient of u^i v^j in the Taylor expansion of the monomial
+tuples: the entries of the point's projective key, as the lattice stores
+it, so no coordinate is ever built as a CycloNumber), the coefficient of u^i v^j in the Taylor expansion of the monomial
 x^{a_x} u^{a_u} v^{a_v} of degree deg is
 
     C(a_u,i) C(a_v,j) (U/X)^{a_u-i} (V/X)^{a_v-j},
@@ -35,8 +36,8 @@ and row (i, j) is taken times X^{deg-i-j}, which leaves
 with no inverse.  Multiplying the rows by nonzero scalars, a diagonal
 matrix on the left, changes neither the rank nor the right kernel, so every
 cokernel is that of the chart-coordinate matrix.  What does not depend on
-k is built once per arrangement in a :class:`JetContext`: the integral
-coordinates, one Pascal table, and the power tables of X, U and V up to
+k is built once per arrangement in a :class:`JetContext`: the keys in
+chart order, one Pascal table, and the power tables of X, U and V up to
 degree d - 4, over F_p from X, U and V reduced once per prime and root.  A
 prime with X = 0 mod p at a point with jets at k is skipped for that k.  A
 rank read mod p is used only when it is full (min(rows, cols)) or its
@@ -60,7 +61,7 @@ from math import comb, gcd
 # perfbench/tracing.py wraps them by name, as tests/test_bench_hooks.py checks.
 from .arrangement import (Arrangement, IncidenceLattice, InvariantViolation,
                           build_lattice)
-from .cyclotomic import euler_phi, int_mul, integral_form
+from .cyclotomic import euler_phi, int_mul
 from .linalg import certified_rank, nullspace, rank, reduce_mod
 from . import resonance
 
@@ -102,16 +103,15 @@ def _layouts(lattice: IncidenceLattice, k: int):
 
 def _integral_points(lattice: IncidenceLattice, chart_of: dict[int, int]) -> dict:
     """Per point of multiplicity >= 3: (chart, u index, v index, (X, U, V)),
-    with (X, U, V) its coordinates in chart order in integral form over
-    Z[zeta] (power-basis int tuples)."""
+    with (X, U, V) the entries of its projective key, integral coordinates
+    over Z[zeta] (power-basis int tuples), in chart order."""
     points = {}
     for idx, chart in chart_of.items():
-        coords = integral_form([c.coeffs for c in lattice.points[idx].point.coords])
-        if not any(coords[chart]):
+        key = lattice.points[idx].point.key()
+        if not any(key[chart]):
             raise ValueError("chart coordinate vanishes at the point")
         u_idx, v_idx = [i for i in range(3) if i != chart]
-        points[idx] = (chart, u_idx, v_idx,
-                       (coords[chart], coords[u_idx], coords[v_idx]))
+        points[idx] = (chart, u_idx, v_idx, (key[chart], key[u_idx], key[v_idx]))
     return points
 
 
@@ -152,20 +152,22 @@ def _taylor_rows(layout, basis, tables, pascal, p=None, order=1) -> list[list]:
 
 
 def _charts_for(lattice: IncidenceLattice, charts) -> dict[int, int]:
-    """Chart per sigma-point index; default is the largest nonzero coordinate."""
+    """Chart per sigma-point index; default is the last nonzero coordinate,
+    read off the point's key."""
     chosen = {}
     for idx in lattice.sigma_index:
         if charts is not None and idx in charts:
             chosen[idx] = charts[idx]
         else:
-            coords = lattice.points[idx].point.coords
-            chosen[idx] = max(i for i in range(3) if not coords[i].is_zero())
+            key = lattice.points[idx].point.key()
+            chosen[idx] = max(i for i in range(3) if any(key[i]))
     return chosen
 
 
 class JetContext:
     """What the jet maps of one arrangement share over every k: the charts,
-    the integral coordinates of every point of multiplicity >= 3, one
+    the integral coordinates of every point of multiplicity >= 3 (its
+    projective key, read as the lattice stores it), one
     Pascal table up to degree d - 4 (the largest k - 3) and, built on first
     use, the power tables of each point up to that degree over F_p for each
     (p, root), its coordinates reduced once per (p, root)."""

@@ -404,7 +404,7 @@ def check_pencil_partition(lattice: IncidenceLattice, phi: PartitionPhi, m: int,
             details.append(f"cross point {sorted(p.lines)} not simple across blocks")
             break
     certificate_block = None
-    if exact:
+    if exact and in_range:
         if d % m:
             exact = False
         else:

@@ -32,6 +32,9 @@ finds I_y by testing every line against each such intersection point instead
 of grouping the pairs; ``flats_by_rank`` finds each codimension-2 flat by
 exact rank tests of triples; and ``exhaustive_residue_subset`` checks every
 k-subset in lexicographic order instead of pruning by counts.
+``normalize_triple_oracle`` scales a triple to a leading or trailing 1 by a
+field inverse, the values ``ProjLine.coeffs`` and ``ProjPoint.coords`` read
+off the stored key without one.
 
 The search kernels of ``resonance`` work on ints and bitmasks over the
 sigma that the lattice stores.  Their reference implementations here
@@ -52,11 +55,24 @@ import pytest
 
 from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
                                 LatticePoint, ProjLine, ProjPoint, build_lattice)
-from milfib.cyclotomic import CycloNumber, euler_phi, integral_form
+from milfib.cyclotomic import CycloNumber, as_cyclo, euler_phi, field_order, integral_form
 from milfib.linalg import IntMatrix, Matrix, nullspace, rank
 from milfib.milnor import _charts_for, _layouts, ideal_order, monomial_basis
 from milfib.resonance import (PartitionPhi, PartitionVerdict, ResidueVerdict,
                               _default_dist)
+
+
+def normalize_triple_oracle(values, order, leading_first):
+    """(n, the values over Q(zeta_n) scaled to a leading or trailing 1), n
+    their ``field_order``, by one CycloNumber inverse and three products."""
+    order = field_order(values, order)
+    values = [as_cyclo(v, order) for v in values]
+    if all(v.is_zero() for v in values):
+        raise ArrangementError("projective coordinates must not all vanish")
+    idx = next(i for i, v in enumerate(values) if v) if leading_first else \
+        max(i for i, v in enumerate(values) if v)
+    inv = values[idx].inverse()
+    return order, tuple(v * inv for v in values)
 
 
 def line_contains(line: ProjLine, point: ProjPoint) -> bool:
@@ -85,7 +101,7 @@ def lattice_by_incidence(arr: Arrangement) -> IncidenceLattice:
             incident = frozenset(idx for idx, line in enumerate(arr.lines)
                                  if line_contains(line, pt))
             found[pt.key()] = LatticePoint(pt, incident)
-    points = tuple(sorted(found.values(), key=lambda p: p.point.key()))
+    points = tuple(sorted(found.values(), key=lambda p: [x.coeffs for x in p.point.coords]))
     return IncidenceLattice(arr.d, points)
 
 
@@ -254,7 +270,7 @@ def pencil_partition_oracle(lattice: IncidenceLattice, phi: PartitionPhi, m: int
             details.append(f"cross point {sorted(p.lines)} not simple across blocks")
             break
     certificate_block = None
-    if exact:
+    if exact and in_range:
         if d % m:
             exact = False
         else:

@@ -141,18 +141,57 @@ def test_a_second_field_order_is_rejected():
 
 
 def test_from_json_normalizes_each_line_once(monkeypatch):
+    # A line's stored form is its projective key: one key per line.
     data = named_arrangement("hesse").to_json()
     calls = []
-    normalize = arrangement._normalize_triple
+    key = arrangement.projective_key
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return normalize(*args, **kwargs)
+        return key(*args, **kwargs)
 
-    monkeypatch.setattr(arrangement, "_normalize_triple", counted)
+    monkeypatch.setattr(arrangement, "projective_key", counted)
     arr = Arrangement.from_json(data)
     assert arr.field_order == 3
     assert len(calls) == arr.d == 12
+
+
+def count_inverses(monkeypatch) -> list:
+    """Record every CycloNumber.inverse call from here on."""
+    calls = []
+    inverse = CycloNumber.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycloNumber, "inverse", counted)
+    return calls
+
+
+def test_lattice_build_takes_no_field_inverse(monkeypatch):
+    # Lines and points are normalized by dividing the key by a rational
+    # integer, so neither the lines nor the lattice need an inverse.
+    inverses = count_inverses(monkeypatch)
+    for name in ("braid", "ceva3", "hesse"):
+        lat = build_lattice(Arrangement.from_json(named_arrangement(name).to_json()))
+        assert lat.points
+    assert inverses == []
+
+
+def test_four_lines_at_a_large_order_take_no_field_inverse(monkeypatch):
+    # The rational lines xyz(x+y+z) over Q(zeta_10000), phi = 4000: the
+    # lines, the duplicate and rank checks and the lattice all stay on the
+    # int keys.
+    inverses = count_inverses(monkeypatch)
+    data = {"cyclotomic_order": 10000,
+            "lines": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}
+    arr = Arrangement.from_json(data)
+    lat = build_lattice(arr)
+    assert inverses == []
+    assert lat.multiplicity_histogram() == {2: 6}
+    assert arr.lines[3].coeffs[2] == 1
+    assert lat.points[0].point.coords[2] == 1
 
 
 def test_named_arrangement_unknown_name_lists_valid_ones():

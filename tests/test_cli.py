@@ -112,6 +112,15 @@ def test_theorem1_subcommand(capsys):
     assert "exact=True" in out and "predicted_exact=1" in out
 
 
+def test_theorem1_outside_the_range_of_m_is_a_verdict(capsys):
+    # m = 1 and one block: both hypotheses need m and r in [3, d-1], so no
+    # residue certificate is searched for, and nothing asks for k = d.
+    code, out, err = run_cli(capsys, "theorem1", "--name", "braid",
+                             "--partition", "[0,0,0,0,0,0]", "--m", "1")
+    assert code == 0, err
+    assert "bound=False exact=False" in out
+
+
 def test_analyze_exit_codes_and_formats(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--name", "braid",
                            "--format", "json")

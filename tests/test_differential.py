@@ -8,6 +8,11 @@ direct way, so the two must agree exactly.  The key itself is checked for
 what makes the grouping exact: it is constant on each class of proportional
 vectors and separates different classes.
 
+Lines and points store only their projective keys.  The values they print
+(``ProjLine.coeffs``, ``ProjPoint.coords``) must be what the former field
+inverse normalization, ``normalize_triple_oracle``, gives, and clearing
+them of denominators must give the key back.
+
 ``check_residue_integrality``, ``net_detect`` and ``check_pencil_partition``
 work on ints and bitmasks over the stored sigma; ``residue_verdict_oracle``,
 ``net_detect_oracle`` and ``pencil_partition_oracle`` are their Fraction and
@@ -27,11 +32,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (exhaustive_residue_subset, flats_by_rank, lattice_by_incidence,
-                     monomial_arrangement, net_detect_oracle, pencil_partition_oracle,
-                     random_arrangement, random_cyclo, random_hyperplanes,
-                     residue_verdict_oracle)
-from milfib.arrangement import (Arrangement, ArrangementError, ProjLine, build_lattice,
-                                named_arrangement, rank2_flats)
+                     monomial_arrangement, net_detect_oracle, normalize_triple_oracle,
+                     pencil_partition_oracle, random_arrangement, random_cyclo,
+                     random_hyperplanes, residue_verdict_oracle)
+from milfib.arrangement import (Arrangement, ArrangementError, ProjLine, ProjPoint,
+                                build_lattice, named_arrangement, rank2_flats)
 from milfib.cyclotomic import CycloNumber, integral_form, projective_key
 from milfib.resonance import (PartitionPhi, check_pencil_partition,
                               check_residue_integrality, net_detect,
@@ -121,13 +126,10 @@ def test_partition_verdicts_match_the_fraction_oracle(arr, seed):
     d = lat.d
     cases = [(phi, m, rng.choice([None, rng.randrange(d)]))
              for m in range(3, d) if d % m == 0 for phi in net_detect(lat, m)]
-    # m >= 2: at m = 1 a one-block partition sends the whole line set to the
-    # residue check, which refuses k = d.
     for _ in range(6):
         r = rng.randint(1, d)
         phi = PartitionPhi(tuple(rng.randrange(r) for _ in range(d)))
-        cases.append((phi, rng.choice([max(phi.r, 2), rng.randint(2, d)]),
-                      rng.randrange(d)))
+        cases.append((phi, rng.choice([phi.r, rng.randint(1, d)]), rng.randrange(d)))
     for phi, m, dist in cases:
         assert check_pencil_partition(lat, phi, m, dist) == \
             pencil_partition_oracle(lat, phi, m, dist), (phi.labels, m, dist)
@@ -197,3 +199,53 @@ def test_projective_key_names_exactly_the_proportionality_class(order, size, see
     for u in (w, [random_cyclo(rng, order) for _ in range(size)]):
         if any(u):
             assert (_key(u, order) == _key(v, order)) == _proportional(u, v)
+
+
+def _random_lines(order: int, seed: int) -> Arrangement:
+    """Six random lines over Q(zeta_order), each with a non-rational first
+    coefficient."""
+    rng = random.Random(seed)
+    while True:
+        lines = []
+        for _ in range(6):
+            a = random_cyclo(rng, order, nonzero=True)
+            while a.is_rational():
+                a = random_cyclo(rng, order, nonzero=True)
+            lines.append(ProjLine(a, random_cyclo(rng, order), random_cyclo(rng, order)))
+        try:
+            return Arrangement(lines)
+        except ArrangementError:
+            continue
+
+
+REPRESENTED = [pytest.param(lambda name=name: named_arrangement(name), id=name)
+               for name in ("braid", "pappus-dual", "ex-3-1-iii", "ceva3", "hesse")]
+REPRESENTED += [pytest.param(lambda n=n: monomial_arrangement(n), id=f"monomial-{n}")
+                for n in (3, 4, 5, 6, 7, 12)]
+REPRESENTED += [pytest.param(lambda n=n: _random_lines(n, 100 + n), id=f"random-order-{n}")
+                for n in (3, 4, 5, 8, 12)]
+
+
+@pytest.mark.parametrize("build", REPRESENTED)
+def test_stored_keys_give_the_normalized_values_of_the_inverse_oracle(build):
+    # Each line and point stores only its projective key; its values are
+    # the key over its end entry, which must be what scaling the input by a
+    # field inverse gives, and clearing them of denominators gives the key.
+    arr = build()
+    rng = random.Random(arr.d)
+    n = arr.field_order
+    for line in arr.lines:
+        scale = random_cyclo(rng, n, nonzero=True)
+        scaled = [scale * v for v in line.coeffs]
+        again = ProjLine(*scaled, n)
+        assert again == line
+        assert again.coeffs == line.coeffs == \
+            normalize_triple_oracle(scaled, n, leading_first=True)[1]
+        assert integral_form([v.coeffs for v in line.coeffs]) == line.key()
+    for p in build_lattice(arr).points:
+        i, j = sorted(p.lines)[:2]
+        (a1, b1, c1), (a2, b2, c2) = arr.lines[i].coeffs, arr.lines[j].coeffs
+        cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+        assert p.point.coords == normalize_triple_oracle(cross, n, leading_first=False)[1]
+        assert integral_form([v.coeffs for v in p.point.coords]) == p.point.key()
+        assert ProjPoint(*cross) == p.point

@@ -12,7 +12,7 @@ from helpers import (chart_inverse_matrix, ideal_basis, ideal_dim_oracle,
 from milfib import milnor
 from milfib.arrangement import (Arrangement, ArrangementError, ProjLine,
                                 build_lattice, named_arrangement)
-from milfib.cyclotomic import CycloNumber, integral_form
+from milfib.cyclotomic import CycloNumber
 from milfib.linalg import (Matrix, certified_rank, field_primes, nullspace, rank,
                            reduce_mod)
 from milfib.milnor import (InvariantViolation, cokernel_dims, full_spectrum,
@@ -207,28 +207,24 @@ def test_cokernel_dims_ranks_c_alone_only_when_c_f_is_row_deficient(
     assert len(calls) == 1, calls
 
 
-def test_jet_context_is_built_once_per_arrangement(monkeypatch, lattices, arrangements):
-    # Over all k, each multiple point is put in integral form once, and its
-    # X, U and V are reduced once per prime and root.
-    forms, reductions = Counter(), Counter()
-
-    def counted_form(entries):
-        forms[tuple(map(tuple, entries))] += 1
-        return integral_form(entries)
+def test_jet_context_is_built_once_per_arrangement(monkeypatch, arrangements):
+    # Over all k, the jet route reads each multiple point's key as the
+    # lattice stores it, so no point's CycloNumber coordinates are built, and
+    # it reduces the key's X, U and V once per prime and root.
+    reductions = Counter()
 
     def counted_reduce(coeffs, p, root):
         reductions[p, root] += 1
         return reduce_mod(coeffs, p, root)
 
-    monkeypatch.setattr(milnor, "integral_form", counted_form)
     monkeypatch.setattr(milnor, "reduce_mod", counted_reduce)
-    arr, lat = arrangements["hesse"], lattices["hesse"]
+    arr = arrangements["hesse"]
+    lat = build_lattice(arr)
     full_spectrum(arr, lat)
-    points = [tuple(c.coeffs for c in p.point.coords)
-              for p in lat.points if p.multiplicity >= 3]
-    assert forms == Counter(points)
+    sigma = lat.sigma()
+    assert [p.point._values for p in sigma] == [None] * 9
     assert reductions
-    assert set(reductions.values()) == {3 * len(points)}, reductions
+    assert set(reductions.values()) == {3 * len(sigma)}, reductions
 
 
 def test_cokernel_pair_agreement_on_randoms():

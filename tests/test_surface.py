@@ -9,17 +9,25 @@ attribute (``.name``), so a local variable or a keyword argument of the same
 name does not keep it alive.  A method that overrides a method of a base
 class from outside the package is exempt, because that base class calls
 it.  The match is by name token, so this is a cheap guard, not a call graph.
+
+Every name a module imports is read in that module, except where the
+benchmark's traced run (perfbench/tracing.py ``SPANS``) wraps the name in
+that module, which keeps the import alive though the module never calls it.
 """
 
 import ast
 import importlib
+import importlib.util
 import io
+import os
 import pathlib
 import tokenize
 
 import milfib
 
 SRC = pathlib.Path(milfib.__file__).parent
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
 MODULES = {path: path.read_text() for path in sorted(SRC.glob("*.py"))
            if path.name != "__init__.py"}
 
@@ -72,3 +80,29 @@ def test_no_public_name_is_used_only_by_tests():
               for path, node, method in _public_definitions()
               if not _used_in_src(path, node, method)]
     assert not unused, unused
+
+
+def _traced_names():
+    """The (module, name) pairs the traced benchmark run wraps."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(path, attr) for _metric, path, attr in tracing.SPANS}
+
+
+def _unread_imports():
+    for path, text in MODULES.items():
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        yield path.stem, name
+
+
+def test_every_imported_name_is_read_or_traced():
+    unread = set(_unread_imports()) - _traced_names()
+    assert not unread, sorted(unread)
