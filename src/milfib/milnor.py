@@ -23,9 +23,10 @@ conditions are linearly independent.
 :func:`cokernel_dims` takes each rank with :func:`linalg.certified_rank`.
 The jet rows are built in integral homogeneous form.  At a point with
 coordinates (X, U, V) in chart x, integral over Z[zeta] (power-basis int
-tuples: the entries of the point's projective key, as the lattice stores
-it, so no coordinate is ever built as a CycloNumber), the coefficient of u^i v^j in the Taylor expansion of the monomial
-x^{a_x} u^{a_u} v^{a_v} of degree deg is
+tuples: the entries of the point's projective key as the lattice stores
+it, so no coordinate is built as a CycloNumber), the coefficient of u^i v^j
+in the Taylor expansion of the monomial x^{a_x} u^{a_u} v^{a_v} of degree
+deg is
 
     C(a_u,i) C(a_v,j) (U/X)^{a_u-i} (V/X)^{a_v-j},
 
@@ -167,10 +168,10 @@ def _charts_for(lattice: IncidenceLattice, charts) -> dict[int, int]:
 class JetContext:
     """What the jet maps of one arrangement share over every k: the charts,
     the integral coordinates of every point of multiplicity >= 3 (its
-    projective key, read as the lattice stores it), one
-    Pascal table up to degree d - 4 (the largest k - 3) and, built on first
-    use, the power tables of each point up to that degree over F_p for each
-    (p, root), its coordinates reduced once per (p, root)."""
+    projective key, as the lattice stores it), one Pascal table up to
+    degree d - 4 (the largest k - 3) and, built on first use, the power
+    tables of each point up to that degree over F_p for each (p, root), its
+    coordinates reduced once per (p, root)."""
 
     def __init__(self, arr: Arrangement, lattice: IncidenceLattice, charts=None):
         self.order = arr.field_order

@@ -26,15 +26,13 @@ Bareiss elimination, and ``same_affine_orbit`` compares realization vectors
 up to the affine group.
 
 The combinatorial route has oracles of its own, none of them keyed by
-``cyclotomic.projective_key``: ``line_intersection`` takes the cross product
-over Q(zeta) and normalizes it as a ``ProjPoint``; ``lattice_by_incidence``
-finds I_y by testing every line against each such intersection point instead
-of grouping the pairs; ``flats_by_rank`` finds each codimension-2 flat by
+``cyclotomic.projective_key``: ``lattice_by_incidence`` takes the cross
+product of two lines over Q(zeta), normalizes it by a field inverse
+(``normalize_triple_oracle``, the values ``ProjLine.coeffs`` and
+``ProjPoint.coords`` read off the stored key without one), and finds I_y by
+testing every line against each such point instead of grouping the pairs; ``flats_by_rank`` finds each codimension-2 flat by
 exact rank tests of triples; and ``exhaustive_residue_subset`` checks every
 k-subset in lexicographic order instead of pruning by counts.
-``normalize_triple_oracle`` scales a triple to a leading or trailing 1 by a
-field inverse, the values ``ProjLine.coeffs`` and ``ProjPoint.coords`` read
-off the stored key without one.
 
 The search kernels of ``resonance`` work on ints and bitmasks over the
 sigma that the lattice stores.  Their reference implementations here
@@ -81,28 +79,35 @@ def line_contains(line: ProjLine, point: ProjPoint) -> bool:
     return (a * x + b * y + c * z).is_zero()
 
 
-def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    """Exact intersection point by 2x2 minors (cross product of coefficients)."""
+def cross_product(l1: ProjLine, l2: ProjLine) -> tuple:
+    """The 2x2 minors of two lines' coefficients: their intersection point,
+    not normalized."""
     a1, b1, c1 = l1.coeffs
     a2, b2, c2 = l2.coeffs
-    x = b1 * c2 - c1 * b2
-    y = c1 * a2 - a1 * c2
-    z = a1 * b2 - b1 * a2
-    return ProjPoint(x, y, z, l1.order)
+    return (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+
+
+def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
+    """Exact intersection point by 2x2 minors (cross product of coefficients)."""
+    return ProjPoint(*cross_product(l1, l2), l1.order)
 
 
 def lattice_by_incidence(arr: Arrangement) -> IncidenceLattice:
     """The incidence lattice with I_y found by testing all d lines against
-    each new intersection point."""
+    each new intersection point, whose coordinates are normalized by
+    ``normalize_triple_oracle``; the points are sorted by those coordinates."""
     found = {}
     for i, j in combinations(range(arr.d), 2):
-        pt = line_intersection(arr.lines[i], arr.lines[j])
-        if pt.key() not in found:
-            incident = frozenset(idx for idx, line in enumerate(arr.lines)
-                                 if line_contains(line, pt))
-            found[pt.key()] = LatticePoint(pt, incident)
-    points = tuple(sorted(found.values(), key=lambda p: [x.coeffs for x in p.point.coords]))
-    return IncidenceLattice(arr.d, points)
+        _, coords = normalize_triple_oracle(
+            cross_product(arr.lines[i], arr.lines[j]), arr.field_order, leading_first=False)
+        name = tuple(v.coeffs for v in coords)
+        if name not in found:
+            x, y, z = coords
+            found[name] = coords, frozenset(
+                idx for idx, (a, b, c) in enumerate(line.coeffs for line in arr.lines)
+                if (a * x + b * y + c * z).is_zero())
+    return IncidenceLattice(arr.d, tuple(LatticePoint(ProjPoint(*coords), incident)
+                                         for _, (coords, incident) in sorted(found.items())))
 
 
 def _vector_rank(vectors, order):

@@ -31,10 +31,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import (exhaustive_residue_subset, flats_by_rank, lattice_by_incidence,
-                     monomial_arrangement, net_detect_oracle, normalize_triple_oracle,
-                     pencil_partition_oracle, random_arrangement, random_cyclo,
-                     random_hyperplanes, residue_verdict_oracle)
+from helpers import (cross_product, exhaustive_residue_subset, flats_by_rank,
+                     lattice_by_incidence, monomial_arrangement, net_detect_oracle,
+                     normalize_triple_oracle, pencil_partition_oracle, random_arrangement,
+                     random_cyclo, random_hyperplanes, residue_verdict_oracle)
 from milfib.arrangement import (Arrangement, ArrangementError, ProjLine, ProjPoint,
                                 build_lattice, named_arrangement, rank2_flats)
 from milfib.cyclotomic import CycloNumber, integral_form, projective_key
@@ -244,8 +244,7 @@ def test_stored_keys_give_the_normalized_values_of_the_inverse_oracle(build):
         assert integral_form([v.coeffs for v in line.coeffs]) == line.key()
     for p in build_lattice(arr).points:
         i, j = sorted(p.lines)[:2]
-        (a1, b1, c1), (a2, b2, c2) = arr.lines[i].coeffs, arr.lines[j].coeffs
-        cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+        cross = cross_product(arr.lines[i], arr.lines[j])
         assert p.point.coords == normalize_triple_oracle(cross, n, leading_first=False)[1]
         assert integral_form([v.coeffs for v in p.point.coords]) == p.point.key()
         assert ProjPoint(*cross) == p.point
