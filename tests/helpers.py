@@ -30,9 +30,10 @@ The combinatorial route has oracles of its own, none of them keyed by
 product of two lines over Q(zeta), normalizes it by a field inverse
 (``normalize_triple_oracle``, the values ``ProjLine.coeffs`` and
 ``ProjPoint.coords`` read off the stored key without one), and finds I_y by
-testing every line against each such point instead of grouping the pairs; ``flats_by_rank`` finds each codimension-2 flat by
-exact rank tests of triples; and ``exhaustive_residue_subset`` checks every
-k-subset in lexicographic order instead of pruning by counts.
+testing every line against each such point instead of grouping the pairs;
+``flats_by_rank`` finds each codimension-2 flat by exact rank tests of
+triples; and ``exhaustive_residue_subset`` checks every k-subset in
+lexicographic order instead of pruning by counts.
 
 The search kernels of ``resonance`` work on ints and bitmasks over the
 sigma that the lattice stores.  Their reference implementations here
