@@ -8,9 +8,11 @@ needs.  Arrangements of central hyperplanes in C^n with n > 3 are reduced to
 the plane case by a certified generic 2-plane section.
 
 Lines and points have one stored form from the input to the jet rows, the
-integral projective key of :class:`_Projective`: duplicate lines are found
-by hashing keys, essentiality is the :func:`~milfib.linalg.int_rank` of the
-key rows, and the lattice is built from the keys.
+integral projective key of :class:`_Projective`.  Every line is made from an
+integral vector over Z[zeta_n] (:meth:`_Projective._of_vector`), read off
+the ints and Fractions of the input without building a CycloNumber.
+Duplicate lines are found by hashing keys; essentiality is one determinant
+test, :func:`_essential`; and the lattice is built from the keys.
 
 Points and codimension-2 flats are found the same way: two lines meet in one
 point and two hyperplanes span one flat, so each is a class of pairs whose
@@ -29,12 +31,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 
-from .cyclotomic import (CycloNumber, as_cyclo, field_order, int_mul,
-                         integral_form, projective_key)
+from .cyclotomic import (CycloNumber, coefficients_from_json, euler_phi, field_order,
+                         int_mul, integral_form, projective_key)
 # `rank` is not called here; perfbench/tracing.py wraps it by name, as
 # tests/test_bench_hooks.py checks.
-from .linalg import int_rank, rank
+from .linalg import rank
 
 
 class ArrangementError(ValueError):
@@ -63,11 +66,21 @@ class _Projective:
 
     def __init__(self, a, b, c, order: int | None = None):
         order = field_order((a, b, c), order)
-        vector = integral_form([as_cyclo(v, order).coeffs for v in (a, b, c)])
-        key = projective_key(vector[::self._step], order)
+        vector = integral_form([_power_basis(v, order) for v in (a, b, c)])
+        self.order, self._key, self._values = order, self._key_of(vector, order), None
+
+    @classmethod
+    def _key_of(cls, vector, order: int):
+        key = projective_key(vector[::cls._step], order)
         if key is None:
             raise ArrangementError("projective coordinates must not all vanish")
-        self.order, self._key, self._values = order, key[::self._step], None
+        return key[::cls._step]
+
+    @classmethod
+    def _of_vector(cls, vector, order: int):
+        """The element through the integral vector ``vector``: three
+        power-basis int tuples over Z[zeta_order], not all zero."""
+        return cls._of_key(cls._key_of(vector, order), order)
 
     @classmethod
     def _of_key(cls, key, order: int):
@@ -92,6 +105,16 @@ class _Projective:
 
     def to_json(self):
         return [v.to_json() for v in self._normalized()]
+
+
+def _power_basis(value, order: int) -> tuple:
+    """The power-basis coefficients of an int, a Fraction or a CycloNumber
+    of order ``order``, read without building a CycloNumber."""
+    if isinstance(value, CycloNumber):
+        return value.coeffs
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return (value,) + (0,) * (euler_phi(order) - 1)
 
 
 class ProjLine(_Projective):
@@ -139,7 +162,7 @@ class Arrangement:
             if first != i:
                 raise ArrangementError(
                     f"duplicate line: index {first} and {i} coincide (not reduced)")
-        if int_rank([line.key() for line in self.lines], 3, n) != 3:
+        if not _essential([line.key() for line in self.lines], n):
             raise ArrangementError(
                 "non-essential arrangement: line normals span less than 3 dimensions")
 
@@ -164,13 +187,16 @@ class Arrangement:
         for coeffs in _json_array(data.get("lines"), "'lines'"):
             if len(_json_array(coeffs, "a line")) != 3:
                 raise ArrangementError("each line needs exactly 3 coefficients")
-            a, b, c = (CycloNumber.from_json(v, n) for v in coeffs)
-            lines.append(ProjLine(a, b, c, n))
+            vector = integral_form([coefficients_from_json(v, n) for v in coeffs])
+            lines.append(ProjLine._of_vector(vector, n))
         return cls(lines, name=data.get("name", ""))
 
 
 def hyperplanes_from_json(data: dict) -> list[list[CycloNumber]]:
-    """The coefficient rows of a {"dimension", "hyperplanes"} input."""
+    """The coefficient rows of a {"dimension", "hyperplanes"} input, each
+    value read by :func:`~milfib.cyclotomic.coefficients_from_json`.  They
+    stay CycloNumbers, which carry the input's field order to
+    :func:`generic_section` even when every value is rational."""
     n = _json_count(data, "cyclotomic_order", 1)
     dim = _json_count(data, "dimension")
     hyperplanes = []
@@ -265,10 +291,37 @@ def pair_key(u, v, minors, order: int):
         if next(c for c in reversed(wedge) if c) < 0:
             g = -g
         return tuple((c // g,) for c in wedge)
-    return projective_key(
-        [tuple(x - y for x, y in zip(int_mul(u[p], v[q], order),
-                                     int_mul(u[q], v[p], order)))
-         for p, q in minors], order)
+    return projective_key(_wedge(u, v, minors, order), order)
+
+
+def _wedge(u, v, minors, order: int) -> list:
+    """The 2x2 minors (p, q) of the rows u, v over Z[zeta_order]."""
+    return [tuple(x - y for x, y in zip(int_mul(u[p], v[q], order),
+                                        int_mul(u[q], v[p], order)))
+            for p, q in minors]
+
+
+def _essential(keys, order: int) -> bool:
+    """Whether the line keys span 3 dimensions over Q(zeta_order).
+
+    The keys are distinct, so keys 0 and 1 are not proportional, and the
+    span is 3-dimensional exactly when det(l_0, l_1, l_j), the dot product
+    of l_j with the cross product l_0 x l_1, is nonzero for some j >= 2:
+    one cross product, then one dot product per line until the first
+    nonzero one, all over Z[zeta_order].
+    """
+    if len(keys) < 3:
+        return False
+    if order == 1:
+        (a, b, c), (x, y, z) = ([e[0] for e in key] for key in keys[:2])
+        p, q, r = b * z - c * y, c * x - a * z, a * y - b * x
+        return any(p * l[0][0] + q * l[1][0] + r * l[2][0] for l in keys[2:])
+    cross = _wedge(keys[0], keys[1], _CROSS, order)
+    for l in keys[2:]:
+        products = [int_mul(w, e, order) for w, e in zip(cross, l)]
+        if any(map(sum, zip(*products))):
+            return True
+    return False
 
 
 def _group_pairs(vectors, minors, order: int) -> dict:
@@ -332,20 +385,29 @@ class SectionCertificate:
     flat_index_sets: tuple
 
 
-def rank2_flats(hyperplanes) -> list[frozenset]:
+def rank2_flats(hyperplanes, rows=None) -> list[frozenset]:
     """Index sets of the codimension-2 flats of a central arrangement,
     sorted; hyperplanes that coincide raise ArrangementError, and
-    coefficients over two fields ValueError.
+    coefficients over two fields ValueError.  ``rows``, when given, are the
+    hyperplanes' :func:`_integral_rows`, which a caller that has them
+    passes instead of having them made again.
 
     The normals of the hyperplanes through a flat span a plane, spanned by
     any two of them, and two pairs span the same plane exactly when their
     wedges are proportional.
     """
     order = field_order(v for h in hyperplanes for v in h)
-    rows = [integral_form([as_cyclo(v, order).coeffs for v in h]) for h in hyperplanes]
+    if rows is None:
+        rows = _integral_rows(hyperplanes, order)
     minors = list(combinations(range(len(rows[0])), 2))
     groups = _group_pairs(rows, minors, order)
     return sorted((frozenset(group) for group in groups.values()), key=sorted)
+
+
+def _integral_rows(hyperplanes, order: int) -> list:
+    """Each hyperplane's coefficients cleared of denominators: power-basis
+    int tuples over Z[zeta_order], a nonzero multiple of the hyperplane."""
+    return [integral_form([_power_basis(v, order) for v in h]) for h in hyperplanes]
 
 
 def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
@@ -357,6 +419,13 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
     checked for (a) pairwise distinct restricted lines and (b) a bijection
     between rank-2 flats and section points preserving incident index sets.
     Failing draws are retried with fresh randomness from the same stream.
+
+    The work is on ints: the hyperplanes' integral rows over Z[zeta_n] are
+    made once and serve both the flats and every draw, and a draw's plane
+    is three rows of rng.randint values, so each restricted line is three
+    int dot products per power-basis coefficient, made into a line by
+    :meth:`ProjLine._of_vector`.  A row is a nonzero multiple of its
+    hyperplane, so the restricted lines are those of the hyperplanes.
     """
     planes = [list(h) for h in hyperplanes]
     if not planes:
@@ -368,35 +437,28 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
         raise ArrangementError(
             "generic_section needs ambient dimension > 3; use the lines directly")
     order = field_order(v for h in planes for v in h)
-    coerced = [[as_cyclo(v, order) for v in h] for h in planes]
-    for i, row in enumerate(coerced):
-        if all(v.is_zero() for v in row):
+    rows = _integral_rows(planes, order)
+    for i, row in enumerate(rows):
+        if not any(map(any, row)):
             raise ArrangementError(f"hyperplane {i} is all zero")
     # Rank >= 3 is what a section to an essential P^2 arrangement needs; the
     # input may live in a proper subspace (e.g. reflection arrangements whose
     # normals are orthogonal to a fixed vector).  Distinct normals span 3 or
     # more dimensions exactly when they lie in at least two flats.
-    flats = rank2_flats(coerced)
+    flats = rank2_flats(planes, rows)
     if len(flats) < 2:
         raise ArrangementError(
             "hyperplane normals span less than 3 dimensions; no essential section")
+    # columns[h][t]: the t-th power-basis coefficients of row h's n entries.
+    columns = [list(zip(*row)) for row in rows]
 
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
-        plane = [[Fraction(rng.randint(-1000, 1000)) for _ in range(n)]
-                 for _ in range(3)]
-        restricted = []
-        for h in coerced:
-            coeffs = []
-            for row in plane:
-                acc = CycloNumber.zero(order)
-                for p, hv in zip(row, h):
-                    acc = acc + hv * p
-                coeffs.append(acc)
-            restricted.append(coeffs)
+        plane = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(3)]
+        vectors = [tuple(tuple(sum(map(mul, p, column)) for column in cols) for p in plane)
+                   for cols in columns]
         try:
-            arr = Arrangement(
-                [ProjLine(a, b, c, order) for a, b, c in restricted], name=name)
+            arr = Arrangement([ProjLine._of_vector(v, order) for v in vectors], name=name)
             lattice = build_lattice(arr)
         except ArrangementError:
             continue

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
 
 
@@ -272,27 +273,46 @@ class CycloNumber:
 
     @classmethod
     def from_json(cls, data, order: int) -> "CycloNumber":
-        """Accepts the array form or a plain "p/q" string for a constant.
-
-        Floats are accepted only when they are integers, in either form.
-        """
-        if isinstance(data, list):
-            return cls(order, [_json_rational(c) for c in data])
-        return cls.from_rational(_json_rational(data), order)
+        """The element :func:`coefficients_from_json` reads off ``data``."""
+        return cls(order, coefficients_from_json(data, order))
 
 
-def _json_rational(value) -> Fraction:
-    """An int, an integral float or a "p/q" string; nothing else is coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+def coefficients_from_json(data, order: int) -> tuple:
+    """The power-basis coefficients over Q(zeta_order) of a JSON coefficient,
+    as ints and Fractions, without building a CycloNumber.
+
+    ``data`` is the array form, phi(order) rationals for zeta^0 ...
+    zeta^(phi-1), or one rational for a constant.  A rational is an int, a
+    float that is an integer, or a "p/q" string; nothing else is coerced.
+    """
+    phi = euler_phi(order)
+    if isinstance(data, list):
+        coeffs = tuple(_json_rational(c) for c in data)
+        if len(coeffs) != phi:
+            raise ValueError(f"order {order} needs {phi} coefficients, got {len(coeffs)}")
+        return coeffs
+    return (_json_rational(data),) + (0,) * (phi - 1)
+
+
+def _json_rational(value):
+    """An int, an integral float or a "p/q" string, as an int or a
+    Fraction; nothing else is coerced."""
+    if isinstance(value, str):
+        # A signed run of decimal digits is the integer that Fraction would
+        # parse it to, without Fraction's regular expression.
+        if value.isdecimal() or value[:1] in ("-", "+") and value[1:].isdecimal():
+            return int(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"not a rational coefficient: {value!r}")
     if isinstance(value, float):
         if not value.is_integer():
             raise ValueError("non-integer float coefficients are not accepted")
-        return Fraction(int(value))
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+        return int(value)
+    return value
 
 
 def as_cyclo(value, order: int = 1) -> CycloNumber:
@@ -315,6 +335,8 @@ def integral_form(entries) -> tuple[tuple[int, ...], ...]:
     times the lcm of its denominators: int tuples in the same projective
     class."""
     den = lcm(*(c.denominator for entry in entries for c in entry))
+    if den == 1:
+        return tuple(tuple(map(int, entry)) for entry in entries)
     return tuple(tuple(c.numerator * (den // c.denominator) for c in entry)
                  for entry in entries)
 
@@ -340,10 +362,11 @@ def int_mul(a, b, order: int) -> tuple[int, ...]:
     factor scales the other one, which needs no reduction mod Phi_n."""
     if len(a) == 1:
         return (a[0] * b[0],)
-    if not any(a[1:]):
+    # islice, not a[1:]: the test copies nothing, at phi(n) = 40000 too.
+    if not any(islice(a, 1, None)):
         x = a[0]
         return tuple(x * y for y in b)
-    if not any(b[1:]):
+    if not any(islice(b, 1, None)):
         y = b[0]
         return tuple(x * y for x in a)
     acc = [0] * (len(a) + len(b) - 1)

@@ -234,6 +234,15 @@ def search_residue_subset(lattice: IncidenceLattice, k: int,
     count cannot reach c_y with the lines of I_y still ahead and the slots
     left.  The first complete subset is then the lexicographically first
     passing one; its verdict comes from ``check_residue_integrality``.
+
+    Both tests are running tallies, updated only at the points through the
+    line just added, removed or passed over.  The first is ``over == 0``,
+    ``over`` the number of points whose count exceeds c_y.  The second
+    splits in two: no point is short, its count plus its lines not yet
+    passed over below c_y (``short``, kept as lines are passed over and
+    restored when a search level returns), and the largest deficit
+    c_y - count, read off a histogram of the positive deficits, is at most
+    the slots left.
     """
     d = lattice.d
     if not 1 <= k or 2 * k > d:
@@ -242,29 +251,58 @@ def search_residue_subset(lattice: IncidenceLattice, k: int,
     points = [p.lines for p in lattice.sigma_k(k)]
     targets = [k * len(lines) // d for lines in points]
     through = [[s for s, lines in enumerate(points) if i in lines] for i in range(d)]
-    # ahead[i][s]: lines of point s with index above i.
-    ahead = [[sum(l > i for l in lines) for lines in points] for i in range(d)]
     counts = [0] * len(points)
+    # spare[s]: how many more lines of point s may be passed over before it
+    # is short; passing one more over makes it short when spare reaches -1.
+    spare = [len(lines) - c for lines, c in zip(points, targets)]
+    # deficits[t]: the points with c_y - count == t > 0 (entry 0 unused).
+    deficits = [0] * (max(targets, default=0) + 1)
+    for c in targets:
+        deficits[c] += 1
+    over = short = 0
     chosen: list[int] = []
 
-    def reachable(last: int, slots: int) -> bool:
-        below = all(n <= c for n, c in zip(counts, targets))
-        return below or all(n + min(a, slots) >= c for n, a, c
-                            in zip(counts, ahead[last], targets))
-
     def extend(start: int) -> bool:
-        slots = k - len(chosen)
-        if slots == 0:
+        nonlocal over, short
+        slots = k - len(chosen) - 1
+        if slots < 0:
             return True
-        for i in range(start, d - slots + 1):
+        end = d - slots
+        for i in range(start, end):
             chosen.append(i)
             for s in through[i]:
-                counts[s] += 1
-            if reachable(i, slots - 1) and extend(i + 1):
+                n = counts[s] = counts[s] + 1
+                gap = targets[s] - n
+                if gap >= 0:
+                    deficits[gap + 1] -= 1
+                    if gap:
+                        deficits[gap] += 1
+                elif gap == -1:
+                    over += 1
+            if (not over or not short and not any(deficits[slots + 1:])) \
+                    and extend(i + 1):
                 return True
             for s in through[i]:
-                counts[s] -= 1
+                n = counts[s]
+                counts[s] = n - 1
+                gap = targets[s] - n
+                if gap >= 0:
+                    deficits[gap + 1] += 1
+                    if gap:
+                        deficits[gap] -= 1
+                elif gap == -1:
+                    over -= 1
             chosen.pop()
+            # Line i is passed over from here on, at this level and below.
+            for s in through[i]:
+                spare[s] -= 1
+                if spare[s] == -1:
+                    short += 1
+        for i in range(start, end):
+            for s in through[i]:
+                if spare[s] == -1:
+                    short -= 1
+                spare[s] += 1
         return False
 
     if not extend(0):
@@ -469,19 +507,6 @@ def net_detect(lattice: IncidenceLattice, m: int,
     sizes = [0] * m
     results: list[PartitionPhi] = []
 
-    def fits(s_idx: int, bit: int) -> bool:
-        """Whether a line labelled ``bit`` may join point s_idx: its lines
-        must stay in one block or head to one line per block."""
-        n = count[s_idx]
-        if not n:
-            return True
-        mask = seen[s_idx]
-        if mask == bit:
-            return inside[s_idx]
-        if mask & bit:
-            return False  # mixed repeats: neither one block nor all distinct
-        return mask.bit_count() == n and across[s_idx]
-
     def assign(line: int, used: int):
         if line == d:
             results.append(PartitionPhi(tuple(labels)))
@@ -491,23 +516,35 @@ def net_detect(lattice: IncidenceLattice, m: int,
             if sizes[b] == q:
                 continue
             bit = 1 << b
-            if not all(fits(s, bit) for s in points):
-                continue
-            labels[line] = b
-            sizes[b] += 1
+            # A line labelled ``bit`` may join each of its points: the
+            # point's lines must stay in one block or head to one line per
+            # block.  Mixed repeats are neither.
             for s in points:
-                seen[s] |= bit
-                count[s] += 1
-            assign(line + 1, max(used, b + 1))
-            for s in points:
-                count[s] -= 1
-                # The label stays while another line of the point has it,
-                # which a fitting line leaves only in a one-block point.
-                if not count[s]:
-                    seen[s] = 0
-                elif seen[s] != bit:
-                    seen[s] ^= bit
-            sizes[b] -= 1
+                n = count[s]
+                if not n:
+                    continue
+                mask = seen[s]
+                if mask == bit:
+                    if not inside[s]:
+                        break
+                elif mask & bit or mask.bit_count() != n or not across[s]:
+                    break
+            else:
+                labels[line] = b
+                sizes[b] += 1
+                for s in points:
+                    seen[s] |= bit
+                    count[s] += 1
+                assign(line + 1, max(used, b + 1))
+                for s in points:
+                    count[s] -= 1
+                    # The label stays while another line of the point has it,
+                    # which a fitting line leaves only in a one-block point.
+                    if not count[s]:
+                        seen[s] = 0
+                    elif seen[s] != bit:
+                        seen[s] ^= bit
+                sizes[b] -= 1
 
     assign(0, 0)
     return results

@@ -32,8 +32,14 @@ product of two lines over Q(zeta), normalizes it by a field inverse
 ``ProjPoint.coords`` read off the stored key without one), and finds I_y by
 testing every line against each such point instead of grouping the pairs;
 ``flats_by_rank`` finds each codimension-2 flat by exact rank tests of
-triples; and ``exhaustive_residue_subset`` checks every k-subset in
-lexicographic order instead of pruning by counts.
+triples; ``section_lines_oracle`` restricts the hyperplanes of a section
+draw with CycloNumber sums and products, where ``generic_section`` takes
+int dot products on their integral rows; and ``exhaustive_residue_subset``
+checks every k-subset in lexicographic order instead of pruning by counts.
+``residue_search_oracle`` is the pruned search with both of its tests
+rescanning every sigma_k point at every node, where
+``search_residue_subset`` keeps them as running tallies; it counts the
+nodes it visits, which the tallied search must match.
 
 The search kernels of ``resonance`` work on ints and bitmasks over the
 sigma that the lattice stores.  Their reference implementations here
@@ -135,6 +141,91 @@ def flats_by_rank(hyperplanes, order: int = 1) -> list[frozenset]:
         covered.update(combinations(flat, 2))
         flats.append(frozenset(flat))
     return sorted(flats, key=sorted)
+
+
+def section_lines_oracle(hyperplanes, seed: int, attempt: int) -> list[ProjLine]:
+    """The restricted lines of draw ``attempt`` (from 1) of ``generic_section``
+    at ``seed``: the plane is three rows of Fraction(rng.randint(-1000, 1000)),
+    and each coefficient of a line is the sum of the hyperplane's CycloNumber
+    values times a row."""
+    planes = [list(h) for h in hyperplanes]
+    n = len(planes[0])
+    order = field_order(v for h in planes for v in h)
+    coerced = [[as_cyclo(v, order) for v in h] for h in planes]
+    rng = random.Random(seed)
+    for _ in range(attempt):
+        plane = [[Fraction(rng.randint(-1000, 1000)) for _ in range(n)]
+                 for _ in range(3)]
+    restricted = []
+    for h in coerced:
+        coeffs = []
+        for row in plane:
+            acc = CycloNumber.zero(order)
+            for p, hv in zip(row, h):
+                acc = acc + hv * p
+            coeffs.append(acc)
+        restricted.append(ProjLine(*coeffs, order))
+    return restricted
+
+
+def residue_search_oracle(lattice: IncidenceLattice, k: int):
+    """(``search_residue_subset``'s first subset I or None, the number of
+    search nodes visited), each node testing every sigma_k point anew: no
+    count above its target, or every count able to reach its target with
+    the point's lines still ahead and the slots left."""
+    d = lattice.d
+    points = [p.lines for p in lattice.sigma_k(k)]
+    targets = [k * len(lines) // d for lines in points]
+    through = [[s for s, lines in enumerate(points) if i in lines] for i in range(d)]
+    # ahead[i][s]: lines of point s with index above i.
+    ahead = [[sum(l > i for l in lines) for lines in points] for i in range(d)]
+    counts = [0] * len(points)
+    chosen: list[int] = []
+    nodes = 0
+
+    def reachable(last: int, slots: int) -> bool:
+        below = all(n <= c for n, c in zip(counts, targets))
+        return below or all(n + min(a, slots) >= c for n, a, c
+                            in zip(counts, ahead[last], targets))
+
+    def extend(start: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        slots = k - len(chosen)
+        if slots == 0:
+            return True
+        for i in range(start, d - slots + 1):
+            chosen.append(i)
+            for s in through[i]:
+                counts[s] += 1
+            if reachable(i, slots - 1) and extend(i + 1):
+                return True
+            for s in through[i]:
+                counts[s] -= 1
+            chosen.pop()
+        return False
+
+    found = frozenset(chosen) if extend(0) else None
+    return found, nodes
+
+
+def three_pencils(q: int, seed: int) -> Arrangement:
+    """Three pencils of q rational lines through (0:0:1), (1:0:1) and (0:1:1),
+    meeting otherwise only in double points."""
+    rng = random.Random(seed)
+    centres = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
+    while True:
+        triples = []
+        for cx, cy, cz in centres:
+            for _ in range(q):
+                a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+                triples.append((a * cz, b * cz, -(a * cx + b * cy)))
+        try:
+            arr = Arrangement([ProjLine(*t) for t in triples], name=f"pencils{q}x3")
+        except ArrangementError:
+            continue
+        if build_lattice(arr).multiplicity_histogram() == {2: 3 * q * q, q: 3}:
+            return arr
 
 
 def exhaustive_residue_subset(lattice: IncidenceLattice, k: int):

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from helpers import line_contains, line_intersection, random_arrangements
-from milfib import arrangement
+from milfib import arrangement, linalg, resonance
 from milfib.arrangement import (Arrangement, ArrangementError, GenericityError,
                                 ProjLine, ProjPoint, build_lattice,
                                 generic_section, named_arrangement, rank2_flats)
@@ -192,6 +192,56 @@ def test_four_lines_at_a_large_order_take_no_field_inverse(monkeypatch):
     assert lat.multiplicity_histogram() == {2: 6}
     assert arr.lines[3].coeffs[2] == 1
     assert lat.points[0].point.coords[2] == 1
+
+
+def count_constructions(monkeypatch) -> list:
+    """Record every CycloNumber built, and every int_rank call under any
+    name a module reads it by, from here on."""
+    calls = []
+    init = CycloNumber.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("CycloNumber")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CycloNumber, "__init__", counted_init)
+    for module in (arrangement, linalg, resonance):
+        if hasattr(module, "int_rank"):
+            rank_of = module.int_rank
+            monkeypatch.setattr(module, "int_rank", lambda *args, f=rank_of:
+                                calls.append("int_rank") or f(*args))
+    return calls
+
+
+def test_from_json_builds_no_cyclo_number_and_no_elimination(monkeypatch):
+    # Coefficients are read straight to ints and Fractions, and essentiality
+    # is one determinant test on the keys, not an elimination.
+    inputs = [named_arrangement("hesse").to_json(),
+              {"lines": [[t, t ** 3, 1] for t in range(-8, 9) if t]}]
+    calls = count_constructions(monkeypatch)
+    for data in inputs:
+        assert Arrangement.from_json(data).d in (12, 16)
+    assert calls == []
+
+
+def test_generic_section_builds_no_cyclo_number(monkeypatch):
+    # The A_5 braid arrangement, x_i - x_j in C^6, given as ints and as the
+    # caller's CycloNumbers: the section works on the integral rows.
+    planes = [[(t == i) - (t == j) for t in range(6)]
+              for i in range(6) for j in range(i + 1, 6)]
+    given = [[CycloNumber.from_json(v, 1) for v in row] for row in planes]
+    calls = count_constructions(monkeypatch)
+    for rows in (planes, given):
+        arr, _cert = generic_section(rows)
+        assert build_lattice(arr).multiplicity_histogram() == {2: 45, 3: 20}
+    assert calls == []
+
+
+def test_a_rational_line_builds_no_cyclo_number(monkeypatch):
+    calls = count_constructions(monkeypatch)
+    line = ProjLine(2, -3, 5)
+    assert calls == []
+    assert line.key() == ((2,), (-3,), (5,))
 
 
 def test_named_arrangement_unknown_name_lists_valid_ones():

@@ -19,11 +19,20 @@ work on ints and bitmasks over the stored sigma; ``residue_verdict_oracle``,
 list/set references, which must agree with them exactly, on the random
 arrangements and on pencil-type inputs that have nets.
 
+The input layer works on ints.  ``generic_section`` restricts the
+integral rows of the hyperplanes by int dot products, and its lines must be
+those of the CycloNumber restriction, ``section_lines_oracle``.  An
+arrangement is essential by one determinant test, which must agree with
+``int_rank`` of the line keys.  ``search_residue_subset`` keeps its pruning
+tests as running tallies, and must return what the rescanning search,
+``residue_search_oracle``, returns after visiting as many nodes.
+
 Examples come from a fixed, derandomized hypothesis profile so runs are
 repeatable.
 """
 
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -34,10 +43,14 @@ from hypothesis import strategies as st
 from helpers import (cross_product, exhaustive_residue_subset, flats_by_rank,
                      lattice_by_incidence, monomial_arrangement, net_detect_oracle,
                      normalize_triple_oracle, pencil_partition_oracle, random_arrangement,
-                     random_cyclo, random_hyperplanes, residue_verdict_oracle)
-from milfib.arrangement import (Arrangement, ArrangementError, ProjLine, ProjPoint,
-                                build_lattice, named_arrangement, rank2_flats)
+                     random_cyclo, random_hyperplanes, residue_search_oracle,
+                     residue_verdict_oracle, section_lines_oracle, three_pencils)
+from milfib import resonance
+from milfib.arrangement import (Arrangement, ArrangementError, GenericityError, ProjLine,
+                                ProjPoint, build_lattice, generic_section,
+                                named_arrangement, rank2_flats)
 from milfib.cyclotomic import CycloNumber, integral_form, projective_key
+from milfib.linalg import int_rank
 from milfib.resonance import (PartitionPhi, check_pencil_partition,
                               check_residue_integrality, net_detect,
                               search_residue_subset)
@@ -72,6 +85,123 @@ def test_residue_search_matches_the_exhaustive_oracle(arr):
     lat = build_lattice(arr)
     for k in range(1, lat.d // 2 + 1):
         assert search_residue_subset(lat, k) == exhaustive_residue_subset(lat, k), k
+
+
+def _search_nodes(lattice, k):
+    """(the subset ``search_residue_subset`` finds or None, the number of
+    calls of its depth-first ``extend``, one per search node)."""
+    code = resonance.__file__
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "extend" \
+                and frame.f_code.co_filename == code:
+            nodes += 1
+
+    sys.setprofile(count)
+    try:
+        found = search_residue_subset(lattice, k)
+    finally:
+        sys.setprofile(None)
+    return (None if found is None else found[0]), nodes
+
+
+@FIXED
+@given(arrangements)
+def test_residue_search_visits_the_nodes_of_the_rescanning_oracle(arr):
+    lat = build_lattice(arr)
+    for k in range(1, lat.d // 2 + 1):
+        found, nodes = _search_nodes(lat, k)
+        assert nodes > 0
+        assert (found, nodes) == residue_search_oracle(lat, k), k
+
+
+def _braid_section(n):
+    """The generic section of the braid arrangement A_n, x_i - x_j in C^(n+1)."""
+    planes = []
+    for i, j in product(range(n + 1), repeat=2):
+        if i < j:
+            planes.append([(t == i) - (t == j) for t in range(n + 1)])
+    return generic_section(planes)[0]
+
+
+@pytest.mark.parametrize("build, ks, none_at", [
+    (lambda: _braid_section(5), (5,), [5]),
+    (lambda: three_pencils(4, 4), range(1, 7), []),
+    (lambda: monomial_arrangement(4), range(1, 7), []),
+    (lambda: named_arrangement("hesse"), range(1, 7), []),
+], ids=["braid-A5-section", "pencils4x3", "ceva4", "hesse"])
+def test_residue_searches_on_sigma_k_inputs_visit_the_nodes_of_the_oracle(build, ks, none_at):
+    # Inputs with many sigma_k points.  On the A_5 section at k = 5 the
+    # search runs through the whole tree and finds nothing, so every restore
+    # of the tallies is exercised.
+    lat = build_lattice(build())
+    nothing = []
+    for k in ks:
+        found, nodes = _search_nodes(lat, k)
+        assert (found, nodes) == residue_search_oracle(lat, k), k
+        if found is None:
+            nothing.append(k)
+    assert nothing == none_at
+
+
+@FIXED
+@given(st.sampled_from([1, 3, 4]), st.integers(4, 6), st.integers(4, 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_section_lines_match_the_cyclotomic_oracle(order, n, d, seed):
+    # Each hyperplane is scaled by a random nonzero element, so rows have
+    # denominators to clear; the restricted lines stay the same.
+    rng = random.Random(seed)
+    rows = [[scale * x for x in row] for row, scale in
+            zip(random_hyperplanes(rng, order, n, d),
+                (random_cyclo(rng, order, nonzero=True) for _ in range(d)))]
+    try:
+        arr, cert = generic_section(rows, seed=seed % 7)
+    except (ArrangementError, GenericityError):
+        return
+    assert list(arr.lines) == section_lines_oracle(rows, seed % 7, cert.attempts)
+
+
+def _concurrent_lines(rng, order, d):
+    """d random lines s*u + t*v through the point where u and v meet."""
+    u, v = ([random_cyclo(rng, order) for _ in range(3)] for _ in range(2))
+    lines = []
+    for _ in range(d):
+        s, t = random_cyclo(rng, order, nonzero=True), random_cyclo(rng, order, nonzero=True)
+        lines.append([s * x + t * y for x, y in zip(u, v)])
+    return lines
+
+
+@FIXED
+@given(st.sampled_from([1, 3, 4]), st.integers(2, 7),
+       st.sampled_from(["random", "concurrent", "concurrent-and-one"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_essentiality_matches_the_rank_of_the_keys(order, d, shape, seed):
+    # The determinant test of Arrangement must say what int_rank says of
+    # the d x 3 key rows, also when every line, or every line but one at a
+    # random place, passes through one point.
+    rng = random.Random(seed)
+    if shape == "random":
+        values = [[random_cyclo(rng, order) for _ in range(3)] for _ in range(d)]
+    else:
+        values = _concurrent_lines(rng, order, d)
+        if shape == "concurrent-and-one":
+            values.insert(rng.randrange(d + 1), [random_cyclo(rng, order) for _ in range(3)])
+    try:
+        lines = [ProjLine(*v, order) for v in values]
+    except ArrangementError:
+        return  # a zero line
+    keys = [line.key() for line in lines]
+    if len(set(keys)) < len(keys):
+        return
+    try:
+        Arrangement(lines)
+        essential = True
+    except ArrangementError as exc:
+        assert "non-essential" in str(exc)
+        essential = False
+    assert essential == (int_rank(keys, 3, order) == 3), shape
 
 
 # Pencil-type inputs with nets, their lines in a random order: the braid
