@@ -119,10 +119,8 @@ def test_residue_search_visits_the_nodes_of_the_rescanning_oracle(arr):
 
 def _braid_section(n):
     """The generic section of the braid arrangement A_n, x_i - x_j in C^(n+1)."""
-    planes = []
-    for i, j in product(range(n + 1), repeat=2):
-        if i < j:
-            planes.append([(t == i) - (t == j) for t in range(n + 1)])
+    planes = [[(t == i) - (t == j) for t in range(n + 1)]
+              for i in range(n + 1) for j in range(i + 1, n + 1)]
     return generic_section(planes)[0]
 
 
