@@ -312,10 +312,6 @@ def _essential(keys, order: int) -> bool:
     """
     if len(keys) < 3:
         return False
-    if order == 1:
-        (a, b, c), (x, y, z) = ([e[0] for e in key] for key in keys[:2])
-        p, q, r = b * z - c * y, c * x - a * z, a * y - b * x
-        return any(p * l[0][0] + q * l[1][0] + r * l[2][0] for l in keys[2:])
     cross = _wedge(keys[0], keys[1], _CROSS, order)
     for l in keys[2:]:
         products = [int_mul(w, e, order) for w, e in zip(cross, l)]
@@ -385,20 +381,17 @@ class SectionCertificate:
     flat_index_sets: tuple
 
 
-def rank2_flats(hyperplanes, rows=None) -> list[frozenset]:
+def rank2_flats(hyperplanes) -> list[frozenset]:
     """Index sets of the codimension-2 flats of a central arrangement,
     sorted; hyperplanes that coincide raise ArrangementError, and
-    coefficients over two fields ValueError.  ``rows``, when given, are the
-    hyperplanes' :func:`_integral_rows`, which a caller that has them
-    passes instead of having them made again.
+    coefficients over two fields ValueError.
 
     The normals of the hyperplanes through a flat span a plane, spanned by
     any two of them, and two pairs span the same plane exactly when their
     wedges are proportional.
     """
     order = field_order(v for h in hyperplanes for v in h)
-    if rows is None:
-        rows = _integral_rows(hyperplanes, order)
+    rows = _integral_rows(hyperplanes, order)
     minors = list(combinations(range(len(rows[0])), 2))
     groups = _group_pairs(rows, minors, order)
     return sorted((frozenset(group) for group in groups.values()), key=sorted)
@@ -421,7 +414,7 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
     Failing draws are retried with fresh randomness from the same stream.
 
     The work is on ints: the hyperplanes' integral rows over Z[zeta_n] are
-    made once and serve both the flats and every draw, and a draw's plane
+    made once and serve every draw, and a draw's plane
     is three rows of rng.randint values, so each restricted line is three
     int dot products per power-basis coefficient, made into a line by
     :meth:`ProjLine._of_vector`.  A row is a nonzero multiple of its
@@ -445,7 +438,7 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
     # input may live in a proper subspace (e.g. reflection arrangements whose
     # normals are orthogonal to a fixed vector).  Distinct normals span 3 or
     # more dimensions exactly when they lie in at least two flats.
-    flats = rank2_flats(planes, rows)
+    flats = rank2_flats(planes)
     if len(flats) < 2:
         raise ArrangementError(
             "hyperplane normals span less than 3 dimensions; no essential section")
