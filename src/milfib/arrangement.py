@@ -381,17 +381,15 @@ class SectionCertificate:
     flat_index_sets: tuple
 
 
-def rank2_flats(hyperplanes) -> list[frozenset]:
-    """Index sets of the codimension-2 flats of a central arrangement,
-    sorted; hyperplanes that coincide raise ArrangementError, and
-    coefficients over two fields ValueError.
+def _flats(rows, order: int) -> list[frozenset]:
+    """Index sets of the codimension-2 flats of the central arrangement with
+    integral rows ``rows`` over Z[zeta_order], sorted; rows that are
+    proportional raise ArrangementError.
 
     The normals of the hyperplanes through a flat span a plane, spanned by
     any two of them, and two pairs span the same plane exactly when their
     wedges are proportional.
     """
-    order = field_order(v for h in hyperplanes for v in h)
-    rows = _integral_rows(hyperplanes, order)
     minors = list(combinations(range(len(rows[0])), 2))
     groups = _group_pairs(rows, minors, order)
     return sorted((frozenset(group) for group in groups.values()), key=sorted)
@@ -414,9 +412,9 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
     Failing draws are retried with fresh randomness from the same stream.
 
     The work is on ints: the hyperplanes' integral rows over Z[zeta_n] are
-    made once and serve every draw, and a draw's plane
-    is three rows of rng.randint values, so each restricted line is three
-    int dot products per power-basis coefficient, made into a line by
+    made once and serve both the flats and every draw, and a draw's plane is
+    three rows of rng.randint values, so each restricted line is three int
+    dot products per power-basis coefficient, made into a line by
     :meth:`ProjLine._of_vector`.  A row is a nonzero multiple of its
     hyperplane, so the restricted lines are those of the hyperplanes.
     """
@@ -438,7 +436,7 @@ def generic_section(hyperplanes, seed: int = 0, max_attempts: int = 32,
     # input may live in a proper subspace (e.g. reflection arrangements whose
     # normals are orthogonal to a fixed vector).  Distinct normals span 3 or
     # more dimensions exactly when they lie in at least two flats.
-    flats = rank2_flats(planes)
+    flats = _flats(rows, order)
     if len(flats) < 2:
         raise ArrangementError(
             "hyperplane normals span less than 3 dimensions; no essential section")

@@ -32,7 +32,8 @@ product of two lines over Q(zeta), normalizes it by a field inverse
 ``ProjPoint.coords`` read off the stored key without one), and finds I_y by
 testing every line against each such point instead of grouping the pairs;
 ``flats_by_rank`` finds each codimension-2 flat by exact rank tests of
-triples; ``section_lines_oracle`` restricts the hyperplanes of a section
+triples, where ``rank2_flats`` groups pairs by the keys of their wedges, as
+``generic_section`` does on its integral rows; ``section_lines_oracle`` restricts the hyperplanes of a section
 draw with CycloNumber sums and products, where ``generic_section`` takes
 int dot products on their integral rows; and ``exhaustive_residue_subset``
 checks every k-subset in lexicographic order instead of pruning by counts.
@@ -59,7 +60,8 @@ from math import comb, gcd
 import pytest
 
 from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
-                                LatticePoint, ProjLine, ProjPoint, build_lattice)
+                                LatticePoint, ProjLine, ProjPoint, _flats, _integral_rows,
+                                build_lattice)
 from milfib.cyclotomic import CycloNumber, as_cyclo, euler_phi, field_order, integral_form
 from milfib.linalg import IntMatrix, Matrix, nullspace, rank
 from milfib.milnor import _charts_for, _layouts, ideal_order, monomial_basis
@@ -120,6 +122,15 @@ def lattice_by_incidence(arr: Arrangement) -> IncidenceLattice:
 def _vector_rank(vectors, order):
     return rank(Matrix.from_rows([list(v) for v in vectors],
                                  cols=len(vectors[0]), order=order))
+
+
+def rank2_flats(hyperplanes) -> list[frozenset]:
+    """Index sets of the codimension-2 flats of a central arrangement given
+    by its values, sorted: ``arrangement._flats`` on the integral rows that
+    ``generic_section`` makes.  Hyperplanes that coincide raise
+    ArrangementError, and coefficients over two fields ValueError."""
+    order = field_order(v for h in hyperplanes for v in h)
+    return _flats(_integral_rows(hyperplanes, order), order)
 
 
 def flats_by_rank(hyperplanes, order: int = 1) -> list[frozenset]:

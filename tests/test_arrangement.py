@@ -5,11 +5,11 @@ from math import comb
 
 import pytest
 
-from helpers import line_contains, line_intersection, random_arrangements
+from helpers import line_contains, line_intersection, random_arrangements, rank2_flats
 from milfib import arrangement, linalg, resonance
 from milfib.arrangement import (Arrangement, ArrangementError, GenericityError,
                                 ProjLine, ProjPoint, build_lattice,
-                                generic_section, named_arrangement, rank2_flats)
+                                generic_section, named_arrangement)
 from milfib.cyclotomic import CycloNumber
 from milfib.linalg import Matrix
 

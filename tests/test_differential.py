@@ -43,12 +43,12 @@ from hypothesis import strategies as st
 from helpers import (cross_product, exhaustive_residue_subset, flats_by_rank,
                      lattice_by_incidence, monomial_arrangement, net_detect_oracle,
                      normalize_triple_oracle, pencil_partition_oracle, random_arrangement,
-                     random_cyclo, random_hyperplanes, residue_search_oracle,
+                     random_cyclo, random_hyperplanes, rank2_flats, residue_search_oracle,
                      residue_verdict_oracle, section_lines_oracle, three_pencils)
 from milfib import resonance
 from milfib.arrangement import (Arrangement, ArrangementError, GenericityError, ProjLine,
                                 ProjPoint, build_lattice, generic_section,
-                                named_arrangement, rank2_flats)
+                                named_arrangement)
 from milfib.cyclotomic import CycloNumber, integral_form, projective_key
 from milfib.linalg import int_rank
 from milfib.resonance import (PartitionPhi, check_pencil_partition,
