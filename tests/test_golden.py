@@ -2,9 +2,11 @@
 
 The files under ``tests/golden`` are the exact standard output of
 ``milfib analyze --format json``, ``milfib analyze --format table``,
-``milfib milnor --format json`` and ``milfib lattice --format json``.  The
-lattice documents hold the normalized line and point coordinates over
-Q(zeta_n), so they pin the field arithmetic as well as the counts.  Any
+``milfib milnor --format json`` and ``milfib lattice --format json``, and
+of ``milfib realize`` over one group (``REALIZE``) on each fixture whose
+multiple points are all triple points.  The lattice documents hold the
+normalized line and point coordinates over Q(zeta_n), so they pin the field
+arithmetic as well as the counts.  Any
 change to a number, a key, an ordering or the layout shows up here as a
 diff.
 """
@@ -21,6 +23,13 @@ RUNS = (("analyze", "json", "analyze.json"),
         ("analyze", "table", "analyze.txt"),
         ("milnor", "json", "milnor.json"),
         ("lattice", "json", "lattice.json"))
+REALIZE = (("braid", "2,2"), ("pappus-dual", "3"), ("ex-3-1-iii", "27"),
+           ("ceva3", "3,3"))
+
+
+def _assert_golden(out, filename):
+    with open(os.path.join(GOLDEN, filename), encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -29,6 +38,12 @@ def test_cli_output_matches_golden_file(name, command, fmt, suffix, capsys):
     code = main([command, "--name", name, "--format", fmt])
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
-    with open(os.path.join(GOLDEN, f"{name}.{suffix}"), encoding="utf-8",
-              newline="") as fh:
-        assert out == fh.read()
+    _assert_golden(out, f"{name}.{suffix}")
+
+
+@pytest.mark.parametrize("name,moduli", REALIZE)
+def test_realize_output_matches_golden_file(name, moduli, capsys):
+    code = main(["realize", "--name", name, "--mod", moduli])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    _assert_golden(out, f"{name}.realize.txt")
