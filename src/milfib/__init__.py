@@ -12,7 +12,7 @@ All arithmetic is exact, over Q or a cyclotomic field Q(zeta_n).
 """
 
 from .cyclotomic import CycloNumber, cyclotomic_polynomial, euler_phi
-from .linalg import IntMatrix, Matrix, nullspace, rank, smith_normal_form, solve_mod
+from .linalg import Matrix, nullspace, rank, smith_normal_form, solve_mod
 from .arrangement import (Arrangement, ArrangementError, GenericityError,
                           IncidenceLattice, LatticePoint, ProjLine, ProjPoint,
                           build_lattice, generic_section, named_arrangement,

@@ -52,9 +52,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
-from .cyclotomic import (CycloNumber, as_cyclo, conjugate_product, euler_phi,
-                         field_order, int_mul, int_reduce, integral_form,
-                         prime_factors)
+from .cyclotomic import (CycloNumber, conjugate_product, euler_phi, int_mul,
+                         int_reduce, integral_form, prime_factors)
 
 
 class Matrix:
@@ -70,36 +69,12 @@ class Matrix:
         self.order = order
         self.entries = entries
 
-    @classmethod
-    def from_rows(cls, data, cols: int | None = None, order: int | None = None) -> "Matrix":
-        data = [list(row) for row in data]
-        nrows = len(data)
-        if nrows == 0:
-            return cls(0, 0 if cols is None else cols, order or 1, ())
-        ncols = len(data[0])
-        if any(len(row) != ncols for row in data):
-            raise ValueError("ragged rows")
-        n = field_order((v for row in data for v in row), order)
-        flat = []
-        for row in data:
-            for v in row:
-                flat.append(_coerce_scalar(v, n))
-        return cls(nrows, ncols, n, tuple(flat))
-
     def to_rows(self):
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, order={self.order})"
-
-
-def _coerce_scalar(v, order: int):
-    if order == 1:
-        if isinstance(v, CycloNumber):
-            return v.rational_value()
-        return Fraction(v)
-    return as_cyclo(v, order)
 
 
 def _one_zero(order: int):
@@ -447,61 +422,20 @@ def certified_rank(shape: tuple[int, int], order: int,
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices: Smith normal form and kernels over Z/aZ.
+# Integer matrices, as lists of int rows: Smith normal form and kernels
+# over Z/aZ.
 
 
-class IntMatrix:
-    """Dense row-major matrix with arbitrary-precision integer entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: tuple):
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise ValueError("inconsistent matrix shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(int(v) for v in entries)
-
-    @classmethod
-    def from_rows(cls, data, cols: int | None = None) -> "IntMatrix":
-        data = [list(row) for row in data]
-        nrows = len(data)
-        if nrows == 0:
-            return cls(0, 0 if cols is None else cols, ())
-        ncols = len(data[0])
-        if any(len(row) != ncols for row in data):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(v for row in data for v in row))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self):
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols])
-                for i in range(self.rows)]
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols})"
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Returns (S, U, V) with U*m*V = S, S diagonal, d1 | d2 | ..., det U, V = +-1."""
-    a = m.to_rows()
-    nr, nc = m.rows, m.cols
-    u = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
+def smith_normal_form(rows, ncols: int) -> tuple[list[int], list[list[int]]]:
+    """(invariant factors, V) of the int matrix m with the given rows: U*m*V
+    is diagonal with entries s_1 | s_2 | ... >= 0, min(len(rows), ncols) of
+    them, for unimodular U and V; U is not built."""
+    a = [list(row) for row in rows]
+    nr, nc = len(a), ncols
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def add_row(i, src, c):
         a[i] = [x + c * y for x, y in zip(a[i], a[src])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[src])]
 
     def add_col(j, src, c):
         for row in a:
@@ -509,19 +443,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         for row in v:
             row[j] += c * row[src]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     for t in range(min(nr, nc)):
         while True:
@@ -534,7 +460,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if best is None:
                 break
             if best[0] != t:
-                swap_rows(t, best[0])
+                a[t], a[best[0]] = a[best[0]], a[t]
             if best[1] != t:
                 swap_cols(t, best[1])
             # Clear row and column t; restarts when a remainder becomes the new pivot.
@@ -565,51 +491,34 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if fix is None:
                 break
             add_row(t, fix, 1)
-        if t < min(nr, nc) and a[t][t] < 0:
-            negate_row(t)
-
-    s = IntMatrix.from_rows(a, cols=nc) if nr else IntMatrix(0, nc, ())
-    return (s,
-            IntMatrix.from_rows(u, cols=nr) if nr else IntMatrix(0, 0, ()),
-            IntMatrix.from_rows(v, cols=nc) if nc else IntMatrix(0, 0, ()))
+    return [abs(a[t][t]) for t in range(min(nr, nc))], v
 
 
-def kernel_mod_generators(m: IntMatrix, modulus: int,
-                          snf: tuple[IntMatrix, IntMatrix, IntMatrix] | None = None
-                          ) -> list[tuple[tuple[int, ...], int]]:
-    """(generator, order) pairs of {x in (Z/modulus)^cols : m x = 0}, via the
-    Smith form: x = V y solves it iff s_j y_j = 0 for all j, so the kernel is
-    the direct product of the cyclic groups of order gcd(s_j, modulus)
-    spanned by the scaled columns of the unimodular V."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    s, _, v = snf if snf is not None else smith_normal_form(m)
-    gens = []
-    for j in range(m.cols):
-        order = gcd(s.entry(j, j) if j < min(m.rows, m.cols) else 0, modulus)
-        if order > 1:
-            step = modulus // order
-            gens.append((tuple(v.entry(i, j) * step % modulus
-                               for i in range(m.cols)), order))
-    return gens
+def solve_mod(rows, ncols: int, moduli) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """(generator, order) pairs of {x in G^ncols : m x = 0}, m the int matrix
+    with the given rows and G = Z/a1 x Z/a2 x ...; the kernel is the direct
+    product of their cyclic groups.
 
-
-def solve_mod(m: IntMatrix, moduli) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
-    """(generator, order) pairs of the kernel of m over G^cols, G = Z/a1 x
-    Z/a2 x ...; the kernel is the direct product of their cyclic groups.
-
-    Each generator is a length-``cols`` vector whose entries are tuples with
-    one component per modulus.  Solved componentwise through the Smith form.
+    Each generator is a length-``ncols`` vector whose entries are tuples with
+    one component per modulus.  Solved componentwise through one Smith form:
+    x = V y solves m x = 0 over Z/a iff s_j y_j = 0 for all j, so that
+    component is the direct product of the cyclic groups of order
+    gcd(s_j, a) spanned by the scaled columns of V (s_j = 0 past the
+    diagonal).
     """
     moduli = list(moduli)
     if not moduli or any(a < 2 for a in moduli):
         raise ValueError("moduli must be a nonempty list of integers >= 2")
-    snf = smith_normal_form(m)
+    s, v = smith_normal_form(rows, ncols)
+    s += [0] * (ncols - len(s))
     width = len(moduli)
     gens = []
     for t, a in enumerate(moduli):
-        for g, order in kernel_mod_generators(m, a, snf=snf):
-            vec = tuple(tuple(g[i] if w == t else 0 for w in range(width))
-                        for i in range(m.cols))
-            gens.append((vec, order))
+        for j in range(ncols):
+            order = gcd(s[j], a)
+            if order > 1:
+                step = a // order
+                gens.append((tuple(tuple(v[i][j] * step % a if w == t else 0
+                                         for w in range(width))
+                                   for i in range(ncols)), order))
     return gens

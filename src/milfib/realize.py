@@ -20,7 +20,7 @@ from itertools import combinations
 from math import prod
 
 from .arrangement import IncidenceLattice
-from .linalg import IntMatrix, solve_mod
+from .linalg import solve_mod
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
@@ -32,14 +32,9 @@ class IncidenceSystem:
     d: int
     rows: tuple
 
-    def matrix(self) -> IntMatrix:
-        data = []
-        for triple in self.rows:
-            row = [0] * self.d
-            for i in triple:
-                row[i] = 1
-            data.append(row)
-        return IntMatrix.from_rows(data, cols=self.d)
+    def matrix(self) -> list[list[int]]:
+        """The 0/1 rows of M, one per triple point."""
+        return [[int(i in triple) for i in range(self.d)] for triple in self.rows]
 
     @property
     def q(self) -> int:
@@ -65,7 +60,7 @@ def _group_add(a, b, moduli):
 def _kernel_generators(system: IncidenceSystem, moduli: tuple, cap: int):
     """The Smith-form generators of the kernel and its size, the product of
     their orders; a size above ``cap`` is refused (ValueError)."""
-    gens = solve_mod(system.matrix(), moduli)
+    gens = solve_mod(system.matrix(), system.d, moduli)
     size = prod(order for _, order in gens)
     if size > cap:
         raise ValueError(f"the kernel has {size} elements, more than the "
@@ -73,25 +68,20 @@ def _kernel_generators(system: IncidenceSystem, moduli: tuple, cap: int):
     return gens, size
 
 
-def enumerate_kernel(system: IncidenceSystem, moduli,
-                     cap: int = DEFAULT_ENUM_CAP):
-    """Yield each solution of M x = 0 over (prod Z/a)^d once, as a tuple of
-    group elements, by running through the multiples of every Smith-form
-    generator.  Their orders multiply to the kernel size, which is checked
-    against ``cap`` (ValueError) before the first vector is built."""
-    moduli = tuple(moduli)
-    gens, _ = _kernel_generators(system, moduli, cap)
-
-    def span(base, rest):
+def _span(gens, moduli: tuple, d: int):
+    """A generator of each element of the direct product of the cyclic
+    groups of the (generator, order) pairs, once, as a tuple of d group
+    elements, by running through the multiples of every generator."""
+    def walk(base, rest):
         if not rest:
             yield base
             return
         g, order = rest[0]
         for _ in range(order):
-            yield from span(base, rest[1:])
+            yield from walk(base, rest[1:])
             base = tuple(_group_add(x, y, moduli) for x, y in zip(base, g))
 
-    yield from span(((0,) * len(moduli),) * system.d, gens)
+    return walk(((0,) * len(moduli),) * d, gens)
 
 
 @dataclass(frozen=True)
@@ -128,22 +118,16 @@ def search_realizations(system: IncidenceSystem, moduli,
     counts; a kernel of more than ``cap`` elements is refused (ValueError).
 
     induced_triples counts every zero-sum 3-subset of labels; the original
-    rows are always among them, so new_triples = induced - q >= 0.  A group
-    of fewer than d elements has no d distinct labels, so its kernel is
-    counted, not walked.
+    rows are always among them, so new_triples = induced - q >= 0.  The
+    kernel size is the product of the Smith orders, and the kernel is walked
+    only when the group has at least d elements: a smaller group has no d
+    distinct labels.
     """
     moduli = tuple(int(a) for a in moduli)
-    if prod(moduli) < system.d:
-        _, size = _kernel_generators(system, moduli, cap)
-        return RealizationSearch(candidates=(), kernel_size=size)
-    kernel_size = 0
-    distinct = []
-    for vec in enumerate_kernel(system, moduli, cap):
-        kernel_size += 1
-        if len(set(vec)) == len(vec):
-            distinct.append(vec)
+    gens, kernel_size = _kernel_generators(system, moduli, cap)
+    walk = _span(gens, moduli, system.d) if prod(moduli) >= system.d else ()
     candidates = []
-    for vec in sorted(distinct):
+    for vec in sorted(v for v in walk if len(set(v)) == len(v)):
         induced = _zero_sum_triples(vec, moduli)
         candidates.append(RealizationCandidate(
             moduli=moduli, vector=vec,

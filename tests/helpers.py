@@ -21,9 +21,12 @@ F_p ranks, the unconstrained one from its own layout of truncated jets
 CycloNumber products with an inverse, where ``milnor`` builds integral rows
 over Z[zeta] that are these rows times X^(deg-i-j).  ``reduce_fraction_mod``
 reduces Fraction and CycloNumber entries mod p, ``integral_rows`` clears a
-matrix's rows of their denominators, ``int_det`` checks the Smith diagonal by
-Bareiss elimination, and ``same_affine_orbit`` compares realization vectors
-up to the affine group.
+matrix's rows of their denominators, ``int_det`` takes the determinant of
+int rows by Bareiss elimination (the Smith tests read determinantal divisors
+from its minors), ``enumerate_kernel`` walks the whole kernel of a
+realization search, which ``search_realizations`` walks only when the group
+has at least d elements, and ``same_affine_orbit`` compares realization
+vectors up to the affine group.
 
 The combinatorial route has oracles of its own, none of them keyed by
 ``cyclotomic.projective_key``: ``lattice_by_incidence`` takes the cross
@@ -59,11 +62,12 @@ from math import comb, gcd
 
 import pytest
 
+from milfib import realize
 from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
                                 LatticePoint, ProjLine, ProjPoint, _flats, _integral_rows,
                                 build_lattice)
 from milfib.cyclotomic import CycloNumber, as_cyclo, euler_phi, field_order, integral_form
-from milfib.linalg import IntMatrix, Matrix, nullspace, rank
+from milfib.linalg import Matrix, nullspace, rank
 from milfib.milnor import _charts_for, _layouts, ideal_order, monomial_basis
 from milfib.resonance import (PartitionPhi, PartitionVerdict, ResidueVerdict,
                               _default_dist)
@@ -120,7 +124,7 @@ def lattice_by_incidence(arr: Arrangement) -> IncidenceLattice:
 
 
 def _vector_rank(vectors, order):
-    return rank(Matrix.from_rows([list(v) for v in vectors],
+    return rank(matrix_from_rows([list(v) for v in vectors],
                                  cols=len(vectors[0]), order=order))
 
 
@@ -490,22 +494,19 @@ def ideal_dim_oracle(arr, lattice, deg, k):
                 rows.append(row)
     if not rows:
         return len(basis)
-    constraints = Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)
+    constraints = matrix_from_rows(rows, cols=len(basis), order=arr.field_order)
     return len(basis) - rank(constraints)
 
 
-def diagonal(m: IntMatrix) -> list[int]:
-    return [m.entry(i, i) for i in range(min(m.rows, m.cols))]
-
-
-def int_det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
+def int_det(rows) -> int:
+    """Exact determinant of a square matrix of int rows by fraction-free
+    (Bareiss) elimination."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
     if n == 0:
         return 1
-    a = m.to_rows()
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -572,7 +573,7 @@ def chart_inverse_matrix(arr: Arrangement, lattice: IncidenceLattice, chart_of,
     basis = monomial_basis(deg)
     rows = _taylor_rows(layout, basis,
                         _exact_charts(lattice, chart_of, layout, deg))
-    return Matrix.from_rows(rows, cols=len(basis), order=arr.field_order)
+    return matrix_from_rows(rows, cols=len(basis), order=arr.field_order)
 
 
 def reduce_fraction_mod(x, p: int, root: int) -> int | None:
@@ -641,7 +642,7 @@ def jet_matrix(arr: Arrangement, lattice: IncidenceLattice, k: int,
     layer = chart_inverse_matrix(arr, lattice, chart_of, graded, deg)
     rows = [[sum(f * vec[t] for t, f in enumerate(row)) for vec in ideal]
             for row in layer.to_rows()]
-    return Matrix.from_rows(rows, cols=len(ideal), order=arr.field_order)
+    return matrix_from_rows(rows, cols=len(ideal), order=arr.field_order)
 
 
 def ideal_basis(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
@@ -656,6 +657,15 @@ def ideal_basis(arr: Arrangement, lattice: IncidenceLattice, deg: int, k: int,
     constraints = chart_inverse_matrix(arr, lattice, _charts_for(lattice, charts),
                                        outer, deg)
     return nullspace(constraints)
+
+
+def enumerate_kernel(system, moduli, cap: int = realize.DEFAULT_ENUM_CAP):
+    """Each solution of M x = 0 over (prod Z/a)^d once, as a tuple of group
+    elements: the walk of ``search_realizations`` over the Smith-form
+    generators, after the same size check against ``cap`` (ValueError)."""
+    moduli = tuple(moduli)
+    gens, _ = realize._kernel_generators(system, moduli, cap)
+    return realize._span(gens, moduli, system.d)
 
 
 def same_affine_orbit(vec_a, vec_b, moduli) -> bool:
@@ -769,6 +779,25 @@ def monomial_arrangement(n: int, full: bool = False) -> Arrangement:
     return Arrangement(lines, name=f"A({n},1,3)" if full else f"ceva{n}")
 
 
+def matrix_from_rows(data, cols: int | None = None, order: int | None = None) -> Matrix:
+    """A Matrix over Q(zeta_n) from rows of ints, Fractions and CycloNumbers,
+    n their ``field_order`` (with ``order``); order 1 stores Fractions."""
+    data = [list(row) for row in data]
+    if not data:
+        return Matrix(0, 0 if cols is None else cols, order or 1, ())
+    ncols = len(data[0])
+    if any(len(row) != ncols for row in data):
+        raise ValueError("ragged rows")
+    n = field_order((v for row in data for v in row), order)
+    values = [v for row in data for v in row]
+    if n == 1:
+        flat = [v.coeffs[0] if isinstance(v, CycloNumber) else Fraction(v)
+                for v in values]
+    else:
+        flat = [as_cyclo(v, n) for v in values]
+    return Matrix(len(data), ncols, n, tuple(flat))
+
+
 def identity_matrix(n: int, order: int = 1) -> Matrix:
     one = Fraction(1) if order == 1 else CycloNumber.one(order)
     zero = Fraction(0) if order == 1 else CycloNumber.zero(order)
@@ -784,11 +813,3 @@ def mat_vec(m: Matrix, vec) -> list:
             acc = acc + x * v
         out.append(acc)
     return out
-
-
-def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch")
-    return IntMatrix(a.rows, b.cols, tuple(
-        sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols))
-        for i in range(a.rows) for j in range(b.cols)))

@@ -5,13 +5,13 @@ from math import comb
 
 import pytest
 
-from helpers import line_contains, line_intersection, random_arrangements, rank2_flats
+from helpers import (line_contains, line_intersection, matrix_from_rows,
+                     random_arrangements, rank2_flats)
 from milfib import arrangement, linalg, resonance
 from milfib.arrangement import (Arrangement, ArrangementError, GenericityError,
                                 ProjLine, ProjPoint, build_lattice,
                                 generic_section, named_arrangement)
 from milfib.cyclotomic import CycloNumber
-from milfib.linalg import Matrix
 
 
 def test_projline_normalization_and_equality():
@@ -126,8 +126,8 @@ def test_a_second_field_order_is_rejected():
     z3, z4 = CycloNumber.zeta(3), CycloNumber.zeta(4)
     for build in (lambda: ProjLine(z3, z4, 1), lambda: ProjLine(z3, 1, 0, order=4),
                   lambda: ProjPoint(z3, z4, 1),
-                  lambda: Matrix.from_rows([[z3, 1], [z4, 0]]),
-                  lambda: Matrix.from_rows([[z3, 1]], order=4)):
+                  lambda: matrix_from_rows([[z3, 1], [z4, 0]]),
+                  lambda: matrix_from_rows([[z3, 1]], order=4)):
         with pytest.raises(ValueError, match="do not share a field"):
             build()
     rational = [ProjLine(1, 0, 0), ProjLine(0, 1, 0), ProjLine(0, 0, 1)]

@@ -11,7 +11,7 @@ from math import prod
 
 import pytest
 
-from helpers import (integral_rows, jet_matrix, monomial_arrangement,
+from helpers import (integral_rows, jet_matrix, matrix_from_rows, monomial_arrangement,
                      random_arrangement, reduce_fraction_mod)
 from milfib import milnor
 from milfib.arrangement import (Arrangement, ProjLine, ProjPoint, build_lattice,
@@ -121,7 +121,7 @@ def test_random_ranks_and_kernel_lifts_agree_with_exact_rank():
             right = [[entry() for _ in range(c)] for _ in range(inner)]
             rows = [[sum((left[i][t] * right[t][j] for t in range(inner)),
                          CycloNumber.zero(order)) for j in range(c)] for i in range(r)]
-            m = Matrix.from_rows(rows, cols=c, order=order)
+            m = matrix_from_rows(rows, cols=c, order=order)
             result = _certify(m)
             assert result.rank == rank(m)
             kinds.add(result.certificate)
@@ -130,9 +130,9 @@ def test_random_ranks_and_kernel_lifts_agree_with_exact_rank():
 
 def test_denominator_divisible_by_the_first_prime_moves_to_the_next():
     first, second = (fp.p for fp in field_primes(1)[:2])
-    full = Matrix.from_rows([[Fraction(1, first), 0], [0, 1]])
+    full = matrix_from_rows([[Fraction(1, first), 0], [0, 1]])
     assert _certify(full) == CertifiedRank(2, "full_rank", second)
-    deficient = Matrix.from_rows([[Fraction(1, first)] * 2, [2, 2]])
+    deficient = matrix_from_rows([[Fraction(1, first)] * 2, [2, 2]])
     assert _certify(deficient) == CertifiedRank(1, "kernel_lift", second)
 
 
@@ -140,7 +140,7 @@ def test_rank_lost_mod_p_is_not_certified():
     first, second = (fp.p for fp in field_primes(1)[:2])
     # Mod the first prime the matrix has rank 1; its kernel vector (1, 0)
     # fails M x = 0 over Q, so the rank comes from the second prime.
-    m = Matrix.from_rows([[first, 1], [0, 1]])
+    m = matrix_from_rows([[first, 1], [0, 1]])
     assert _certify(m) == CertifiedRank(2, "full_rank", second)
 
 
@@ -177,8 +177,8 @@ def test_kernel_lift_across_several_word_size_primes():
     zeta = CycloNumber.zeta(3)
     big = b + (2 ** 41 + 3) * zeta
     w = 3 - zeta
-    cases = [Matrix.from_rows([[a, b], [2 * a, 2 * b]]),
-             Matrix.from_rows([[a, big], [a * w, big * w]], order=3)]
+    cases = [matrix_from_rows([[a, b], [2 * a, 2 * b]]),
+             matrix_from_rows([[a, big], [a * w, big * w]], order=3)]
     for m in cases:
         result = _certify(m)
         assert (result.rank, result.certificate) == (1, "kernel_lift"), m
@@ -189,8 +189,8 @@ def test_kernel_lift_across_several_word_size_primes():
 def test_kernel_beyond_the_prime_budget_falls_back_to_exact_elimination():
     a, b = 2 ** 200 + 235, 3 ** 126 + 2
     # Full rank needs no lift, however large the entries.
-    assert _certify(Matrix.from_rows([[a, b]])) == CertifiedRank(1, "full_rank",
+    assert _certify(matrix_from_rows([[a, b]])) == CertifiedRank(1, "full_rank",
                                                                  field_primes(1)[0].p)
     # The kernel vector (-b/a, 1) needs about 400 bits; the budget gives 210.
-    singular = Matrix.from_rows([[a, b], [2 * a, 2 * b]])
+    singular = matrix_from_rows([[a, b], [2 * a, 2 * b]])
     assert _certify(singular) == CertifiedRank(1, "exact", None)

@@ -112,8 +112,7 @@ def test_embed_rational_shapes():
     assert CycloNumber.from_rational(1, 3).coeffs == (Fraction(1), Fraction(0))
     assert CycloNumber.from_rational(0, 12).coeffs == (Fraction(0),) * 4
     assert CycloNumber.from_rational(Fraction(-5, 7), 1) == Fraction(-5, 7)
-    assert CycloNumber.from_rational(3, 12).is_rational()
-    assert CycloNumber.from_rational(3, 12).rational_value() == 3
+    assert CycloNumber.from_rational(3, 12).coeffs == (Fraction(3),) + (Fraction(0),) * 3
 
 
 def test_phi_n_annihilates_zeta_n():

@@ -337,7 +337,7 @@ def _random_lines(order: int, seed: int) -> Arrangement:
         lines = []
         for _ in range(6):
             a = random_cyclo(rng, order, nonzero=True)
-            while a.is_rational():
+            while not any(a.coeffs[1:]):
                 a = random_cyclo(rng, order, nonzero=True)
             lines.append(ProjLine(a, random_cyclo(rng, order), random_cyclo(rng, order)))
         try:

@@ -1,33 +1,33 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import (diagonal, identity_matrix, int_det, int_mat_mul, mat_vec,
-                     qq_rank)
+from helpers import identity_matrix, int_det, mat_vec, matrix_from_rows, qq_rank
 from milfib.cyclotomic import CycloNumber, euler_phi
-from milfib.linalg import (IntMatrix, Matrix, _echelon, int_rank,
-                           kernel_mod_generators, nullspace, rank,
+from milfib.linalg import (Matrix, _echelon, int_rank, nullspace, rank,
                            smith_normal_form, solve_mod)
 
 
 def test_rank_basics():
-    assert rank(Matrix.from_rows([])) == 0
+    assert rank(matrix_from_rows([])) == 0
     assert rank(identity_matrix(3)) == 3
 
 
 def test_rank_of_point_evaluation_matrix():
     # Hand elimination: rows 3 and 4 are dependent on the first three.
-    m = Matrix.from_rows([(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)])
+    m = matrix_from_rows([(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)])
     assert rank(m) == 3
 
 
 def test_nullspace_basics():
     assert nullspace(identity_matrix(2)) == []
-    basis = nullspace(Matrix.from_rows([(1, -1)]))
+    basis = nullspace(matrix_from_rows([(1, -1)]))
     assert basis == [(Fraction(1), Fraction(1))]
 
 
@@ -38,7 +38,7 @@ def _random_matrix(rng, r, c, order):
         rows = [[CycloNumber(order, [rng.randint(-2, 2)
                                      for _ in range(euler_phi(order))])
                  for _ in range(c)] for _ in range(r)]
-    return Matrix.from_rows(rows, cols=c, order=order)
+    return matrix_from_rows(rows, cols=c, order=order)
 
 
 def test_rank_nullity_and_kernel_vectors_random():
@@ -66,7 +66,7 @@ def test_rank_invariance_under_permutation_and_scaling():
         scale_row = rng.randrange(r)
         factor = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
         shuffled[scale_row] = [factor * x for x in shuffled[scale_row]]
-        assert rank(Matrix.from_rows(shuffled, cols=c)) == rank(m)
+        assert rank(matrix_from_rows(shuffled, cols=c)) == rank(m)
 
 
 BIG = 2 ** 64
@@ -130,7 +130,7 @@ def cyclotomic_matrices(draw):
             rows.append([zero] * cols)
             continue
         a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-        f = draw(entry.filter(lambda x: not x.is_rational()))
+        f = draw(entry.filter(lambda x: any(x.coeffs[1:])))
         rows.append(a if kind == "repeat" else [f * x for x in a] if kind == "scale"
                     else [x + f * y for x, y in zip(a, b)])
     shuffled = draw(st.permutations(range(len(rows))))
@@ -154,7 +154,7 @@ def test_elimination_over_z_zeta_keeps_entries_small():
     rows = [[CycloNumber(order, [rng.randint(-3, 3) for _ in range(4)])
              for _ in range(n)] for _ in range(n - 1)]
     rows.append([a + zeta * b for a, b in zip(rows[0], rows[1])])
-    m = Matrix.from_rows(rows, cols=n, order=order)
+    m = matrix_from_rows(rows, cols=n, order=order)
     pivots, echelon = _echelon([[tuple(c.numerator for c in x.coeffs) for x in row]
                                 for row in rows], n, None, order)
     assert len(pivots) == rank(m) == n - len(nullspace(m)) == n - 1
@@ -169,83 +169,49 @@ def test_int_rank_leaves_its_rows_alone():
 
 
 def test_smith_normal_form_identity():
-    s, u, v = smith_normal_form(IntMatrix.identity(4))
-    assert s == IntMatrix.identity(4)
-    assert u == IntMatrix.identity(4)
-    assert v == IntMatrix.identity(4)
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert smith_normal_form(identity, 4) == ([1, 1, 1, 1], identity)
 
 
 def test_smith_normal_form_diag_2_3():
-    s, u, v = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    assert diagonal(s) == [1, 6]
-    m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert int_mat_mul(int_mat_mul(u, m), v) == s
+    s, v = smith_normal_form([[2, 0], [0, 3]], 2)
+    assert s == [1, 6]
+    assert abs(int_det(v)) == 1
+
+
+def _determinantal_divisors(rows, ncols):
+    """D_k = gcd of all k x k minors, for k = 1 .. min(rows, cols)."""
+    return [gcd(*(int_det([[rows[i][j] for j in cs] for i in rs])
+                  for rs in combinations(range(len(rows)), k)
+                  for cs in combinations(range(ncols), k)))
+            for k in range(1, min(len(rows), ncols) + 1)]
 
 
 def test_smith_normal_form_random_properties():
+    # s_k = D_k / D_{k-1} (D_0 = 1, and s_k = 0 once D_k = 0), V is
+    # unimodular, and column j of m V is a multiple of s_j: then some
+    # unimodular U has U m V = diag(s), with no U built.
     rng = random.Random(13)
-    for _ in range(60):
-        r, c = rng.randint(1, 5), rng.randint(1, 5)
-        m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(c)]
-                                 for _ in range(r)])
-        s, u, v = smith_normal_form(m)
-        assert int_mat_mul(int_mat_mul(u, m), v) == s
-        assert abs(int_det(u)) == 1
+    for _ in range(120):
+        r, c = rng.randint(0, 4), rng.randint(1, 4)
+        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        before = [list(row) for row in rows]
+        s, v = smith_normal_form(rows, c)
+        assert rows == before and len(s) == min(r, c)
+        previous = 1
+        for s_k, d_k in zip(s, _determinantal_divisors(rows, c)):
+            assert s_k == (d_k // previous if d_k else 0)
+            previous = d_k
         assert abs(int_det(v)) == 1
-        diag = diagonal(s)
-        for i in range(len(diag) - 1):
-            if diag[i + 1]:
-                assert diag[i] and diag[i + 1] % diag[i] == 0
-            assert diag[i] >= 0
-        for i in range(s.rows):
-            for j in range(s.cols):
-                if i != j:
-                    assert s.entry(i, j) == 0
-        if r == c:
-            assert abs(int_det(m)) == abs(math.prod(diag))
-
-
-def test_unimodular_inverses_reconstruct_the_matrix():
-    # U^-1 S V^-1 = m with integer inverses, checked through Fractions.
-    rng = random.Random(14)
-    for _ in range(10):
-        n = rng.randint(1, 4)
-        m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)]
-                                 for _ in range(n)])
-        s, u, v = smith_normal_form(m)
-        ui = _fraction_inverse(u)
-        vi = _fraction_inverse(v)
-        assert all(x.denominator == 1 for row in ui for x in row)
-        assert all(x.denominator == 1 for row in vi for x in row)
-        recon = _fraction_mat_mul(_fraction_mat_mul(ui, s.to_rows()), vi)
-        assert recon == [[Fraction(x) for x in row] for row in m.to_rows()]
-
-
-def _fraction_inverse(m: IntMatrix):
-    n = m.rows
-    aug = [[Fraction(m.entry(i, j)) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _fraction_mat_mul(a, b):
-    if isinstance(b, IntMatrix):
-        b = b.to_rows()
-    return [[sum(Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
+        mv = [[sum(row[t] * v[t][j] for t in range(c)) for j in range(c)]
+              for row in rows]
+        for j in range(c):
+            s_j = s[j] if j < len(s) else 0
+            assert all((x % s_j == 0) if s_j else x == 0 for x in (row[j] for row in mv))
 
 
 def test_solve_mod_zero_matrix_spans_everything():
-    gens = solve_mod(IntMatrix.from_rows([[0, 0, 0]]), [5])
+    gens = solve_mod([[0, 0, 0]], 3, [5])
     elements = {(0, 0, 0)}
     frontier = [(0, 0, 0)]
     flat = [tuple(entry[0] for entry in g) for g, _order in gens]
@@ -260,27 +226,62 @@ def test_solve_mod_zero_matrix_spans_everything():
 
 
 def test_solve_mod_identity_is_trivial():
-    assert solve_mod(IntMatrix.identity(2), [6]) == []
+    assert solve_mod([[1, 0], [0, 1]], 2, [6]) == []
 
 
 def test_solve_mod_generators_satisfy_the_equation():
     rng = random.Random(15)
     for _ in range(25):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
-        m = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(c)]
-                                 for _ in range(r)])
+        rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
         moduli = rng.choice(([4], [27], [3, 9], [2, 6]))
-        for g, _order in solve_mod(m, moduli):
-            for i in range(r):
-                total = [0] * len(moduli)
-                for j in range(c):
-                    for t in range(len(moduli)):
-                        total[t] = (total[t] + m.entry(i, j) * g[j][t]) % moduli[t]
-                assert all(x == 0 for x in total)
+        for g, _order in solve_mod(rows, c, moduli):
+            for row in rows:
+                assert all(sum(x * g[j][t] for j, x in enumerate(row)) % a == 0
+                           for t, a in enumerate(moduli))
 
 
-def test_kernel_mod_generators_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        kernel_mod_generators(IntMatrix.identity(2), 1)
-    with pytest.raises(ValueError):
-        solve_mod(IntMatrix.identity(2), [])
+def _span_of(gens, moduli, ncols):
+    """The subgroup of (prod Z/a)^ncols the generators span, by closure."""
+    zero = ((0,) * len(moduli),) * ncols
+    elements, frontier = {zero}, [zero]
+    while frontier:
+        x = frontier.pop()
+        for g, _order in gens:
+            y = tuple(tuple((p + q) % a for p, q, a in zip(xe, ge, moduli))
+                      for xe, ge in zip(x, g))
+            if y not in elements:
+                elements.add(y)
+                frontier.append(y)
+    return elements
+
+
+def _kernel_cases(count=40):
+    rng = random.Random(16)
+    cases = [([], 3, [5])]
+    for _ in range(count):
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        cases.append(([[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)],
+                      c, rng.choice(([4], [6], [2, 2], [3, 9]))))
+    return cases
+
+
+@pytest.mark.parametrize("rows, ncols, moduli", _kernel_cases())
+def test_solve_mod_spans_the_brute_force_kernel(rows, ncols, moduli):
+    # Every x of (prod Z/a)^ncols with m x = 0, against the span of the
+    # generators; the orders multiply to the kernel size, so the product of
+    # cyclic groups is direct.  The empty system has the whole group as its
+    # kernel, as an arrangement with no triple point does.
+    group = list(product(*(range(a) for a in moduli)))
+    kernel = {x for x in product(group, repeat=ncols)
+              if all(sum(c * xe[t] for c, xe in zip(row, x)) % a == 0
+                     for row in rows for t, a in enumerate(moduli))}
+    gens = solve_mod(rows, ncols, moduli)
+    assert _span_of(gens, moduli, ncols) == kernel
+    assert math.prod(order for _, order in gens) == len(kernel)
+
+
+def test_solve_mod_rejects_bad_moduli():
+    for moduli in ([], [1], [4, 1]):
+        with pytest.raises(ValueError, match="moduli must be"):
+            solve_mod([[1, 0], [0, 1]], 2, moduli)

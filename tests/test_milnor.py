@@ -7,13 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (chart_inverse_matrix, ideal_basis, ideal_dim_oracle,
-                     jet_matrix, monomial_arrangement, random_arrangements,
+                     jet_matrix, matrix_from_rows, monomial_arrangement, random_arrangements,
                      random_hyperplanes, truncated_jet_layout, truncation_order)
 from milfib import milnor
 from milfib.arrangement import (Arrangement, ArrangementError, ProjLine,
                                 build_lattice, named_arrangement)
 from milfib.cyclotomic import CycloNumber
-from milfib.linalg import (Matrix, certified_rank, field_primes, nullspace, rank,
+from milfib.linalg import (certified_rank, field_primes, nullspace, rank,
                            reduce_mod)
 from milfib.milnor import (InvariantViolation, cokernel_dims, full_spectrum,
                            grf_dims, ideal_order, monomial_basis,
@@ -71,7 +71,7 @@ def test_hesse_kernel_at_k6_is_the_cubic_pencil(lattices, arrangements):
     product = [1 if mono == (1, 1, 1) else 0 for mono in basis]
     for target in (fermat, product):
         stacked = [list(v) for v in kernel] + [target]
-        m = Matrix.from_rows(stacked, cols=10, order=3)
+        m = matrix_from_rows(stacked, cols=10, order=3)
         assert rank(m) == 2  # target already in the kernel span
 
 
