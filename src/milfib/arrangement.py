@@ -39,6 +39,10 @@ from .cyclotomic import (CycloNumber, coefficients_from_json, euler_phi, field_o
 # tests/test_bench_hooks.py checks.
 from .linalg import rank
 
+# The zero every normalized coordinate shares, so that CycloNumber takes it
+# as it is instead of building a Fraction per zero entry.
+_ZERO = Fraction(0)
+
 
 class ArrangementError(ValueError):
     """Invalid arrangement input (duplicate lines, non-essential, bad names)."""
@@ -95,8 +99,9 @@ class _Projective:
     def _normalized(self) -> tuple:
         if self._values is None:
             unit = next(x[0] for x in self._key[::-self._step] if x[0])
-            self._values = tuple(CycloNumber(self.order, tuple(Fraction(c, unit) for c in x))
-                                 for x in self._key)
+            self._values = tuple(
+                CycloNumber(self.order, tuple(Fraction(c, unit) if c else _ZERO for c in x))
+                for x in self._key)
         return self._values
 
     def __eq__(self, other):
