@@ -431,6 +431,8 @@ def smith_normal_form(rows, ncols: int) -> tuple[list[int], list[list[int]]]:
     is diagonal with entries s_1 | s_2 | ... >= 0, min(len(rows), ncols) of
     them, for unimodular U and V; U is not built."""
     a = [list(row) for row in rows]
+    if any(len(row) != ncols for row in a):
+        raise ValueError(f"every row needs {ncols} entries")
     nr, nc = len(a), ncols
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 

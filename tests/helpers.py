@@ -788,8 +788,8 @@ def matrix_from_rows(data, cols: int | None = None, order: int | None = None) ->
     ncols = len(data[0])
     if any(len(row) != ncols for row in data):
         raise ValueError("ragged rows")
-    n = field_order((v for row in data for v in row), order)
     values = [v for row in data for v in row]
+    n = field_order(values, order)
     if n == 1:
         flat = [v.coeffs[0] if isinstance(v, CycloNumber) else Fraction(v)
                 for v in values]
