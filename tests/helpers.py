@@ -55,6 +55,7 @@ set, and ``pencil_partition_oracle`` compares Fraction ratio profiles.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -65,10 +66,11 @@ import pytest
 from milfib import realize
 from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
                                 LatticePoint, ProjLine, ProjPoint, _flats, _integral_rows,
-                                build_lattice)
+                                build_lattice, generic_section)
 from milfib.cyclotomic import CycloNumber, as_cyclo, euler_phi, field_order, integral_form
 from milfib.linalg import Matrix, nullspace, rank
-from milfib.milnor import _charts_for, _layouts, ideal_order, monomial_basis
+from milfib.milnor import (JetContext, _charts_for, _layouts, cokernel_dims, ideal_order,
+                           monomial_basis, precheck_vanishing)
 from milfib.resonance import (PartitionPhi, PartitionVerdict, ResidueVerdict,
                               _default_dist)
 
@@ -777,6 +779,49 @@ def monomial_arrangement(n: int, full: bool = False) -> Arrangement:
         lines += [ProjLine(one, zero, zero, n), ProjLine(zero, one, zero, n),
                   ProjLine(zero, zero, one, n)]
     return Arrangement(lines, name=f"A({n},1,3)" if full else f"ceva{n}")
+
+
+def braid_section(n: int) -> Arrangement:
+    """The generic section of the braid arrangement A_n, x_i - x_j in C^(n+1),
+    at seed 0."""
+    planes = [[(t == i) - (t == j) for t in range(n + 1)]
+              for i in range(n + 1) for j in range(i + 1, n + 1)]
+    return generic_section(planes)[0]
+
+
+# The scaling ladder pinned in golden/ladder.json, by member name.
+LADDER = {**{f"ceva{n}": (monomial_arrangement, n) for n in range(3, 7)},
+          **{f"A({n},1,3)": (monomial_arrangement, n, True) for n in range(1, 7)},
+          **{f"A{n}-section": (braid_section, n) for n in range(4, 7)}}
+
+
+def ladder_member(name: str) -> Arrangement:
+    build, *args = LADDER[name]
+    return build(*args)
+
+
+def ladder_record(arr: Arrangement) -> dict:
+    """What golden/ladder.json pins for one member: d, the field order, the
+    multiplicity histogram, the k where both values of
+    ``precheck_vanishing`` hold, and every nonzero (unconstrained,
+    constrained) ``cokernel_dims`` pair, by k."""
+    lat = build_lattice(arr)
+    jets = JetContext(arr, lat)
+    pairs = {k: cokernel_dims(arr, lat, k, jets=jets) for k in range(1, lat.d)}
+    return {"d": lat.d, "order": arr.field_order,
+            "histogram": {str(m): c for m, c in sorted(lat.multiplicity_histogram().items())},
+            "open_k": [k for k in range(1, lat.d) if all(precheck_vanishing(lat, k))],
+            "cokernels": {str(k): list(pair) for k, pair in pairs.items() if any(pair)}}
+
+
+def ladder_document() -> str:
+    """The text of golden/ladder.json, computed afresh; to regenerate it, from
+    the root of a checkout:
+
+        PYTHONPATH=src:tests python -c "import helpers; print(helpers.ladder_document(), end='')" > tests/golden/ladder.json
+    """
+    records = {name: ladder_record(ladder_member(name)) for name in LADDER}
+    return json.dumps(records, sort_keys=True, indent=2) + "\n"
 
 
 def matrix_from_rows(data, cols: int | None = None, order: int | None = None) -> Matrix:

@@ -40,11 +40,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import (cross_product, exhaustive_residue_subset, flats_by_rank,
-                     lattice_by_incidence, monomial_arrangement, net_detect_oracle,
-                     normalize_triple_oracle, pencil_partition_oracle, random_arrangement,
-                     random_cyclo, random_hyperplanes, rank2_flats, residue_search_oracle,
-                     residue_verdict_oracle, section_lines_oracle, three_pencils)
+from helpers import (braid_section, cross_product, exhaustive_residue_subset,
+                     flats_by_rank, lattice_by_incidence, monomial_arrangement,
+                     net_detect_oracle, normalize_triple_oracle, pencil_partition_oracle,
+                     random_arrangement, random_cyclo, random_hyperplanes, rank2_flats,
+                     residue_search_oracle, residue_verdict_oracle, section_lines_oracle,
+                     three_pencils)
 from milfib import resonance
 from milfib.arrangement import (Arrangement, ArrangementError, GenericityError, ProjLine,
                                 ProjPoint, build_lattice, generic_section,
@@ -117,15 +118,8 @@ def test_residue_search_visits_the_nodes_of_the_rescanning_oracle(arr):
         assert (found, nodes) == residue_search_oracle(lat, k), k
 
 
-def _braid_section(n):
-    """The generic section of the braid arrangement A_n, x_i - x_j in C^(n+1)."""
-    planes = [[(t == i) - (t == j) for t in range(n + 1)]
-              for i in range(n + 1) for j in range(i + 1, n + 1)]
-    return generic_section(planes)[0]
-
-
 @pytest.mark.parametrize("build, ks, none_at", [
-    (lambda: _braid_section(5), (5,), [5]),
+    (lambda: braid_section(5), (5,), [5]),
     (lambda: three_pencils(4, 4), range(1, 7), []),
     (lambda: monomial_arrangement(4), range(1, 7), []),
     (lambda: named_arrangement("hesse"), range(1, 7), []),
