@@ -2,12 +2,13 @@
 
 Given residue weights alpha_1..alpha_d summing to zero, the degree-one
 cohomology of the Orlik-Solomon complex with differential (wedge by
-omega = sum alpha_i e_i) is computed exactly, over Z.  The degree-two part
-is realized concretely through the anchored basis e_{i,k0(V)} per affine
-intersection point V, so the whole differential is one block matrix and
-no Groebner machinery is needed at rank <= 2.  With the weights scaled by
-the lcm of their denominators its rows are ints, and its rank over Q comes
-from fraction-free elimination.
+omega = sum alpha_i e_i) is computed exactly.  The degree-two part is
+realized through the anchored basis e_{i,k0(V)} per affine intersection
+point V, so the differential is one block matrix, one block per V.  Its
+rank is not taken by eliminating that matrix: each block spans a space read
+off the weights at V, and the rank is the size of the alpha-components of
+the affine lines plus the rank of a small int matrix over the points of
+multiplicity >= 3 whose residue sum vanishes (``aomoto_h1``).
 
 Also here: the integrality check on the residue sums alpha_{I,y} that
 certifies when the Aomoto dimension equals the Milnor fiber eigenspace
@@ -56,9 +57,6 @@ class ResidueWeights:
     def d(self) -> int:
         return len(self.alphas)
 
-    def point_sum(self, lines):
-        return sum((self.alphas[i] for i in lines), Fraction(0))
-
 
 def weights_from_kI(d: int, k: int, I) -> ResidueWeights:
     """alpha_i = k/d - 1 for i in I, k/d otherwise; requires |I| = k, which
@@ -83,48 +81,80 @@ def _default_dist(d: int, dist: int | None) -> int:
     return dist
 
 
-def build_aomoto_system(lattice: IncidenceLattice, weights: ResidueWeights,
-                        dist: int | None = None) -> list[list[int]]:
-    """The block matrix of (omega wedge): A^1 -> A^2 in anchored bases, as
-    int rows of the weights times the lcm of their denominators (a nonzero
-    scale that leaves the rank as it is).
-
-    Columns are indexed by the lines other than the distinguished one, rows
-    by pairs (V, i) with V an affine intersection point (doubles included)
-    and i in I_V minus the anchor k0(V) = max(I_V).  The row implements
-    beta |-> alpha_i * beta_V - alpha_V * beta_i.
-    """
-    d = lattice.d
-    if weights.d != d:
+def _affine_classes(lattice: IncidenceLattice, a: list[int], dist: int):
+    """One union-find over the affine lines (every line but ``dist``) of
+    nonzero integral weight a_i, joined through each affine point V that is
+    a double point or has a_V = sum of a_i over V nonzero.  Returns the root
+    of each such line, the lines of the points with a_V != 0, and the other
+    affine points that carry a nonzero weight."""
+    if len(a) != lattice.d:
         raise ValueError("weights length does not match the arrangement")
-    dist = _default_dist(d, dist)
-    alphas = clear_denominators(weights.alphas)
-    col_pos = {i: t for t, i in enumerate(i for i in range(d) if i != dist)}
-    rows = []
+    parent = {i: i for i, x in enumerate(a) if x and i != dist}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    good, resonant = set(), []
     for p in lattice.points:
         if dist in p.lines:
             continue
-        incident = sorted(p.lines)
-        alpha_v = sum(alphas[i] for i in incident)
-        for i in incident[:-1]:
-            row = [0] * (d - 1)
-            for j in incident:
-                row[col_pos[j]] = alphas[i]
-            row[col_pos[i]] -= alpha_v
-            rows.append(row)
-    return rows
+        a_v = sum(a[i] for i in p.lines)
+        weighted = sorted(i for i in p.lines if a[i])
+        if a_v or p.multiplicity == 2:
+            if a_v:
+                good.update(p.lines)
+            for i in weighted[1:]:
+                rx, ry = find(weighted[0]), find(i)
+                if rx != ry:
+                    parent[max(rx, ry)] = min(rx, ry)
+        elif weighted:
+            resonant.append(p)
+    return {i: find(i) for i in parent}, good, resonant
 
 
 def aomoto_h1(lattice: IncidenceLattice, weights: ResidueWeights,
               dist: int | None = None) -> int:
-    """dim H^1 of the Aomoto complex: kernel nullity of the block matrix minus
-    one, the subtracted dimension being the image of (omega wedge) on A^0."""
+    """dim H^1 of the Aomoto complex: (d - 2) minus the rank of (omega wedge)
+    from A^1 to A^2, the subtracted one being the image of A^0.
+
+    In the anchored basis the rows at an affine point V are
+    a_i 1_V - a_V e_i (i in V), a the weights times the lcm of their
+    denominators.  When a_V != 0 they span {w on V : sum a_i w_i = 0}; in
+    the coordinates a_i w_i on the lines of nonzero weight that is the
+    zero-sum space on those lines, plus every e_i of zero weight on V
+    ("killed").  A double point of a_V = 0 spans the zero-sum space on its
+    two lines in those coordinates as well.  Over a connected class of such
+    joins the zero-sum spaces add up to the zero-sum space on the class.
+    The rest, one row 1_V per point of multiplicity >= 3 with a_V = 0 and a
+    nonzero weight, is the matrix B of its class sums sum a_i over V and
+    of a 1 at each of its lines of zero weight killed nowhere ("free").  So
+
+        rank = (lines of nonzero weight - classes) + killed + rank B.
+    """
     d = lattice.d
     dist = _default_dist(d, dist)
-    if all(weights.alphas[i] == 0 for i in range(d) if i != dist):
+    a = clear_denominators(weights.alphas)
+    if not any(x for i, x in enumerate(a) if i != dist):
         raise ValueError("omega = 0: the Aomoto quotient convention differs; refusing")
-    rows = build_aomoto_system(lattice, weights, dist)
-    return (d - 1) - int_rank(rows, d - 1) - 1
+    root, good, resonant = _affine_classes(lattice, a, dist)
+    index = {r: t for t, r in enumerate(set(root.values()))}
+    column = {i: index[r] for i, r in root.items()}
+    free = [i for i in range(d) if i != dist and not a[i] and i not in good]
+    column.update((i, len(index) + t) for t, i in enumerate(free))
+    ncols = len(index) + len(free)
+    rows = []
+    for p in resonant:
+        row = [0] * ncols
+        for i in p.lines:
+            if i in column:
+                row[column[i]] += a[i] or 1
+        rows.append(row)
+    killed = sum(1 for i in good if not a[i])
+    rank = len(root) - len(index) + killed + int_rank(rows, ncols)
+    return d - 2 - rank
 
 
 def alpha_components(lattice: IncidenceLattice, weights: ResidueWeights,
@@ -140,30 +170,11 @@ def alpha_components(lattice: IncidenceLattice, weights: ResidueWeights,
     for i in range(d):
         if i != dist and weights.alphas[i] == 0:
             raise ValueError(f"alpha_{i} = 0: alpha-connectivity needs nonzero weights")
-    parent = {i: i for i in range(d) if i != dist}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for p in lattice.points:
-        if dist in p.lines:
-            continue
-        if p.multiplicity == 2 or weights.point_sum(p.lines) != 0:
-            incident = sorted(p.lines)
-            for i in incident[1:]:
-                union(incident[0], i)
+    root, _, _ = _affine_classes(lattice, clear_denominators(weights.alphas), dist)
     groups: dict[int, list[int]] = {}
-    for i in parent:
-        groups.setdefault(find(i), []).append(i)
-    return sorted(tuple(sorted(g)) for g in groups.values())
+    for i, r in root.items():
+        groups.setdefault(r, []).append(i)
+    return sorted(tuple(g) for g in groups.values())
 
 
 # ---------------------------------------------------------------------------

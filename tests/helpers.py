@@ -68,7 +68,7 @@ from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
                                 LatticePoint, ProjLine, ProjPoint, _flats, _integral_rows,
                                 build_lattice, generic_section)
 from milfib.cyclotomic import CycloNumber, as_cyclo, euler_phi, field_order, integral_form
-from milfib.linalg import Matrix, nullspace, rank
+from milfib.linalg import Matrix, clear_denominators, nullspace, rank
 from milfib.milnor import (JetContext, _charts_for, _layouts, cokernel_dims, ideal_order,
                            monomial_basis, precheck_vanishing)
 from milfib.resonance import (PartitionPhi, PartitionVerdict, ResidueVerdict,
@@ -403,6 +403,40 @@ def pencil_partition_oracle(lattice: IncidenceLattice, phi: PartitionPhi, m: int
         predicted_lower=r - 2 if bound else None,
         predicted_exact=m - 2 if exact else None,
         details=tuple(details))
+
+
+def build_aomoto_system(lattice: IncidenceLattice, weights, dist: int | None = None
+                        ) -> list[list[int]]:
+    """The block matrix of (omega wedge): A^1 -> A^2 in anchored bases, as
+    int rows of the weights times the lcm of their denominators (a nonzero
+    scale that leaves the rank as it is).  ``aomoto_h1`` reads its rank off
+    the weights at each point instead; (d - 1) - ``int_rank`` of these rows
+    - 1 is the H^1 it must give.
+
+    Columns are indexed by the lines other than the distinguished one, rows
+    by pairs (V, i) with V an affine intersection point (doubles included)
+    and i in I_V minus the anchor k0(V) = max(I_V).  The row implements
+    beta |-> alpha_i * beta_V - alpha_V * beta_i.
+    """
+    d = lattice.d
+    if weights.d != d:
+        raise ValueError("weights length does not match the arrangement")
+    dist = _default_dist(d, dist)
+    alphas = clear_denominators(weights.alphas)
+    col_pos = {i: t for t, i in enumerate(i for i in range(d) if i != dist)}
+    rows = []
+    for p in lattice.points:
+        if dist in p.lines:
+            continue
+        incident = sorted(p.lines)
+        alpha_v = sum(alphas[i] for i in incident)
+        for i in incident[:-1]:
+            row = [0] * (d - 1)
+            for j in incident:
+                row[col_pos[j]] = alphas[i]
+            row[col_pos[i]] -= alpha_v
+            rows.append(row)
+    return rows
 
 
 def aomoto_h1_oracle(lattice, weights, dist=None):

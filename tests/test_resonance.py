@@ -4,9 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from helpers import aomoto_h1_oracle, random_arrangement, random_arrangements
+from helpers import (aomoto_h1_oracle, build_aomoto_system, random_arrangement,
+                     random_arrangements)
 from milfib.arrangement import Arrangement, IncidenceLattice, ProjLine, build_lattice
 from milfib.cyclotomic import CycloNumber
+from milfib.linalg import int_rank
 from milfib.resonance import (PartitionPhi, ResidueWeights, SearchCapExceeded,
                               alpha_components, aomoto_h1,
                               check_pencil_partition,
@@ -116,6 +118,8 @@ def test_aomoto_agrees_with_exterior_algebra_oracle(lattices):
         for dist in range(lat.d):
             h1 = aomoto_h1(lat, w, dist)
             assert h1 == aomoto_h1_oracle(lat, w, dist), (lat.d, w.alphas, dist)
+            block = build_aomoto_system(lat, w, dist)
+            assert h1 == lat.d - 2 - int_rank(block, lat.d - 1), (lat.d, w.alphas, dist)
             nonzero += h1 > 0
     assert nonzero
 
