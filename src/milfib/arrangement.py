@@ -30,11 +30,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import mul
 
 from .cyclotomic import (CycloNumber, coefficients_from_json, euler_phi, field_order,
-                         int_mul, integral_form, projective_key)
+                         int_mul, integral_form, projective_key, rational_key)
 # `rank` is not called here; perfbench/tracing.py wraps it by name, as
 # tests/test_bench_hooks.py checks.
 from .linalg import rank
@@ -279,23 +279,13 @@ _CROSS = ((1, 2), (2, 0), (0, 1))
 
 
 def pair_key(u, v, minors, order: int):
-    """The projective key of the wedge u ^ v, whose entries are the 2x2
-    minors (p, q) of the rows u, v (integral forms over Z[zeta_order]), or
-    None when u and v are proportional.
-
-    Over Q (order 1) the minors are ints, and the key is the wedge divided
-    by the gcd of its entries, signed so that the last nonzero one is
-    positive: :func:`~milfib.cyclotomic.projective_key` at order 1, without
-    its Z[zeta_n] products.
-    """
+    """The :func:`~milfib.cyclotomic.projective_key` of the wedge u ^ v, whose
+    entries are the 2x2 minors (p, q) of the rows u, v (integral forms over
+    Z[zeta_order]), or None when u and v are proportional.  Over Q (order
+    1) the minors are int products, keyed by its order-1 path
+    :func:`~milfib.cyclotomic.rational_key`."""
     if order == 1:
-        wedge = [u[p][0] * v[q][0] - u[q][0] * v[p][0] for p, q in minors]
-        g = gcd(*wedge)
-        if not g:
-            return None
-        if next(c for c in reversed(wedge) if c) < 0:
-            g = -g
-        return tuple((c // g,) for c in wedge)
+        return rational_key([u[p][0] * v[q][0] - u[q][0] * v[p][0] for p, q in minors])
     return projective_key(_wedge(u, v, minors, order), order)
 
 

@@ -386,6 +386,18 @@ def conjugate_product(x, order: int) -> tuple[int, ...]:
     return product
 
 
+def rational_key(ints):
+    """:func:`projective_key` at order 1, of the vector of ints ``ints``: the
+    vector over the gcd of its entries, signed so that its last nonzero
+    entry is positive, as 1-tuples; None when every entry is zero."""
+    g = gcd(*ints)
+    if not g:
+        return None
+    if next(c for c in reversed(ints) if c) < 0:
+        g = -g
+    return tuple((c // g,) for c in ints)
+
+
 def projective_key(vector, order: int):
     """One canonical int vector for the class of ``vector`` (power-basis int
     tuples over Z[zeta_order]) under scaling by Q(zeta_order)^*, or None
@@ -397,8 +409,11 @@ def projective_key(vector, order: int):
     coefficients, signed so that entry is positive, leaves the unique
     primitive integral vector on the line of v / w with a positive last
     entry.  So two vectors get the same key exactly when they are
-    proportional over Q(zeta_order).
+    proportional over Q(zeta_order).  At order 1 there is no conjugate to
+    take: :func:`rational_key`.
     """
+    if order == 1:
+        return rational_key([x for x, in vector])
     last = next((x for x in reversed(vector) if any(x)), None)
     if last is None:
         return None
