@@ -18,7 +18,8 @@ from . import milnor, realize, resonance
 from .arrangement import (Arrangement, ArrangementError, GenericityError,
                           build_lattice, generic_section, hyperplanes_from_json,
                           named_arrangement, named_arrangement_names)
-from .report import AnalyzeOptions, analyze, render, skip_note, skipped_stages
+from .report import (AnalyzeOptions, analyze, render, settled_skips, skip_note,
+                     skipped_stages)
 
 
 def _add_input_flags(sub):
@@ -228,7 +229,7 @@ def _cmd_milnor(args) -> int:
         return 0
     reports = milnor.full_spectrum(arr, lat)
     for entry in skipped_stages(lat.d, resonance.DEFAULT_SEARCH_CAP,
-                                ["residue_search"]):
+                                ["residue_search"]) + settled_skips(reports):
         print(skip_note(entry), file=sys.stderr)
     if args.format == "json":
         print(json.dumps([r.as_dict() for r in reports], sort_keys=True, indent=2))

@@ -50,7 +50,10 @@ Q(zeta) in the chart coordinates U/X and V/X, the unconstrained one from
 its own truncated-jet layout, and serve as the reference for tests.
 
 The piece of Hodge level one at k is the level-zero piece at d-k, so one
-report per k combines the two cokernels and their sum b_1.
+report per k combines the two cokernels and their sum b_1.  A full
+spectrum (:func:`spectrum_with_checks`) computes them only at the k where
+both values of :func:`precheck_vanishing` hold: elsewhere the vanishing
+criterion already gives zero.  :func:`grf_dims` computes them at any k.
 """
 
 from __future__ import annotations
@@ -277,8 +280,8 @@ def _agreed(k: int, tilde: int, constrained: int) -> int:
 def precheck_vanishing(lattice: IncidenceLattice, k: int) -> tuple[bool, bool]:
     """(some multiple point has lambda^{m_y} = 1, every line contains one).
 
-    If either is False the eigenspace must vanish, so any nonzero computed
-    dimension is an invariant violation.
+    If either is False the eigenspace vanishes (Libgober), and a full
+    spectrum takes no cokernel at k.
     """
     d = lattice.d
     sigma_k = lattice.sigma_k(k)
@@ -336,17 +339,26 @@ def spectrum_with_checks(arr: Arrangement, lattice: IncidenceLattice,
                          searches: dict, dist: int | None = None):
     """All per-k reports plus the raw cokernel agreement records.
 
+    The cokernels are computed only at the open k, where both values of
+    :func:`precheck_vanishing` hold.  At every other k the vanishing
+    criterion gives grf0 = grf1 = 0, and since sigma_k(k) = sigma_k(d-k)
+    the open k are closed under k -> d-k, so no open k reads a settled k's
+    cokernel.  The :class:`JetContext` is built only when some k is open.
+
     ``searches`` is a :func:`residue_searches` result; {} leaves the Aomoto
     route out.  The first subset passing the residue check at each low k is
     resolved to the (k, I) the Aomoto computation should actually use: the
     branch avoiding negative integers routes through d-k and the
     complementary subset.  Returns (reports, agreements) where agreements is
-    a list of (k, unconstrained cokernel, constrained cokernel) triples.
+    a list of (k, unconstrained cokernel, constrained cokernel) triples, one
+    per open k.
     """
     d = lattice.d
-    jets = JetContext(arr, lattice)
-    agreements = [(k, *cokernel_dims(arr, lattice, k, jets=jets))
-                  for k in range(1, d)]
+    prechecks = {k: precheck_vanishing(lattice, k) for k in range(1, d)}
+    open_k = [k for k in range(1, d) if all(prechecks[k])]
+    jets = JetContext(arr, lattice) if open_k else None
+    agreements = [(k, *cokernel_dims(arr, lattice, k, jets=jets)) for k in open_k]
+    cokernel = {k: tilde for k, tilde, _ in agreements}
     aomoto = {}
     for low, found in searches.items():
         if found is None:
@@ -361,8 +373,8 @@ def spectrum_with_checks(arr: Arrangement, lattice: IncidenceLattice,
                         "branch": verdict.branch})
     reports = []
     for k in range(1, d):
-        pre_point, pre_lines = precheck_vanishing(lattice, k)
-        grf0, grf1 = agreements[k - 1][1], agreements[d - k - 1][1]
+        pre_point, pre_lines = prechecks[k]
+        grf0, grf1 = cokernel.get(k, 0), cokernel.get(d - k, 0)
         value, certificate = aomoto.get(min(k, d - k), (None, None))
         reports.append(EigenReport(
             k=k, k_conj=d - k, lambda_exponent=_lambda_exponent(k, d),

@@ -1,7 +1,8 @@
 """Per-arrangement analysis documents and their renderings.
 
 ``analyze`` runs the full battery on one arrangement: lattice summary, one
-eigen report per k from the jet-evaluation route with attached Aomoto
+eigen report per k from the jet-evaluation route (the k the vanishing
+criterion settles are named in ``skipped``) with attached Aomoto
 certificates where the residue check succeeds, net detection with the
 partition-based predictions, and a list of consistency checks.  Every check
 encodes a theorem, so a failed check is diagnostic gold: it is recorded in
@@ -78,7 +79,18 @@ def skipped_stages(d: int, cap: int, stages) -> list[dict]:
     return [{"stage": stage, "d": d, "cap": cap} for stage in stages]
 
 
+def settled_skips(reports) -> list[dict]:
+    """The entry naming the k whose jets were not computed, because the
+    vanishing criterion settles them; none when every k is open."""
+    settled = [r.k for r in reports if not (r.precheck_point and r.precheck_lines)]
+    return [{"stage": "jets", "k": settled, "reason": "vanishing criterion"}] \
+        if settled else []
+
+
 def skip_note(entry: dict) -> str:
+    if "k" in entry:
+        return (f"skipped {entry['stage']} at k={','.join(map(str, entry['k']))}: "
+                f"zero by the {entry['reason']}")
     return f"skipped {entry['stage']}: d={entry['d']} > search cap {entry['cap']}"
 
 
@@ -103,6 +115,7 @@ def analyze(arr: Arrangement, options: AnalyzeOptions | None = None) -> Analysis
     skipped = skipped_stages(d, options.search_cap, stages)
     reports, agreements = milnor.spectrum_with_checks(arr, lattice, searches,
                                                       options.dist)
+    skipped += settled_skips(reports)
 
     residue_certs: dict = {}
     for k, found in searches.items():
@@ -175,11 +188,6 @@ def _consistency_checks(d, reports, agreements, verdicts):
            if r.aomoto_certificate is not None and r.aomoto != r.b1]
     checks.append(ConsistencyCheck(
         "aomoto_equals_b1_with_certificate", not bad, "; ".join(bad)))
-
-    bad = [f"k={r.k}" for r in reports
-           if (not r.precheck_point or not r.precheck_lines) and r.b1 != 0]
-    checks.append(ConsistencyCheck(
-        "precheck_forces_zero", not bad, "; ".join(bad)))
 
     bad = []
     for v in verdicts:

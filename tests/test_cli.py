@@ -298,20 +298,27 @@ def _cubic17(tmp_path):
 def test_search_cap_skips_are_reported(tmp_path, capsys):
     path = _cubic17(tmp_path)
     note = "skipped residue_search: d=17 > search cap 16"
+    # d = 17 is prime, so no multiple point has lambda^m = 1 at any k: the
+    # vanishing criterion settles every k, and no jet is computed.
+    settled = list(range(1, 17))
+    jets = f"skipped jets at k={','.join(map(str, settled))}: zero by the vanishing criterion"
     code, out, _ = run_cli(capsys, "analyze", "--input", str(path),
                            "--format", "json")
     doc = json.loads(out)
     assert code == 0 and doc["residue_certificates"] == {}
-    assert doc["skipped"] == [{"stage": "residue_search", "d": 17, "cap": 16}]
+    assert doc["skipped"] == [{"stage": "residue_search", "d": 17, "cap": 16},
+                              {"stage": "jets", "k": settled,
+                               "reason": "vanishing criterion"}]
     code, out, _ = run_cli(capsys, "analyze", "--input", str(path))
-    assert code == 0 and note in out.splitlines()
+    assert code == 0 and [line for line in out.splitlines()
+                          if line.startswith("skipped")] == [note, jets]
     code, out, err = run_cli(capsys, "milnor", "--input", str(path))
-    assert code == 0 and err == note + "\n"
+    assert code == 0 and err == note + "\n" + jets + "\n"
 
     code, out, _ = run_cli(capsys, "analyze", "--name", "pappus-dual",
                            "--search-cap", "8", "--format", "json")
     assert [s["stage"] for s in json.loads(out)["skipped"]] == \
-        ["residue_search", "net_detect"]
+        ["residue_search", "net_detect", "jets"]
 
 
 def test_distinguished_line_is_checked_above_the_search_cap(tmp_path, capsys):

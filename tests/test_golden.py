@@ -25,6 +25,10 @@ RUNS = (("analyze", "json", "analyze.json"),
         ("lattice", "json", "lattice.json"))
 REALIZE = (("braid", "2,2"), ("pappus-dual", "3"), ("ex-3-1-iii", "27"),
            ("ceva3", "3,3"))
+# The full `milnor` table names on stderr the k whose jets it leaves out.
+SETTLED = {"braid": "1,3,5", "pappus-dual": "1,2,4,5,7,8",
+           "ex-3-1-iii": "1,2,4,5,7,8", "ceva3": "1,2,4,5,7,8",
+           "hesse": "1,2,4,5,7,8,10,11"}
 
 
 def _assert_golden(out, filename):
@@ -37,7 +41,8 @@ def _assert_golden(out, filename):
 def test_cli_output_matches_golden_file(name, command, fmt, suffix, capsys):
     code = main([command, "--name", name, "--format", fmt])
     out, err = capsys.readouterr()
-    assert code == 0 and err == ""
+    note = f"skipped jets at k={SETTLED[name]}: zero by the vanishing criterion\n"
+    assert code == 0 and err == (note if command == "milnor" else "")
     _assert_golden(out, f"{name}.{suffix}")
 
 
