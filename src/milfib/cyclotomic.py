@@ -387,9 +387,8 @@ def conjugate_product(x, order: int) -> tuple[int, ...]:
 
 
 def rational_key(ints):
-    """:func:`projective_key` at order 1, of the vector of ints ``ints``: the
-    vector over the gcd of its entries, signed so that its last nonzero
-    entry is positive, as 1-tuples; None when every entry is zero."""
+    """:func:`projective_key` at order 1 of the ints ``ints``: they over their
+    gcd, signed to end positive, as 1-tuples; None when all are zero."""
     g = gcd(*ints)
     if not g:
         return None
@@ -409,8 +408,7 @@ def projective_key(vector, order: int):
     coefficients, signed so that entry is positive, leaves the unique
     primitive integral vector on the line of v / w with a positive last
     entry.  So two vectors get the same key exactly when they are
-    proportional over Q(zeta_order).  At order 1 there is no conjugate to
-    take: :func:`rational_key`.
+    proportional over Q(zeta_order).  Order 1 is :func:`rational_key`.
     """
     if order == 1:
         return rational_key([x for x, in vector])

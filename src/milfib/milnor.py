@@ -50,10 +50,9 @@ Q(zeta) in the chart coordinates U/X and V/X, the unconstrained one from
 its own truncated-jet layout, and serve as the reference for tests.
 
 The piece of Hodge level one at k is the level-zero piece at d-k, so one
-report per k combines the two cokernels and their sum b_1.  A full
-spectrum (:func:`spectrum_with_checks`) computes them only at the k where
-both values of :func:`precheck_vanishing` hold: elsewhere the vanishing
-criterion already gives zero.  :func:`grf_dims` computes them at any k.
+report per k combines the two cokernels and their sum b_1.  A full spectrum
+takes them only at the k the vanishing criterion leaves open; :func:`grf_dims`
+takes them at any k.
 """
 
 from __future__ import annotations
@@ -339,11 +338,10 @@ def spectrum_with_checks(arr: Arrangement, lattice: IncidenceLattice,
                          searches: dict, dist: int | None = None):
     """All per-k reports plus the raw cokernel agreement records.
 
-    The cokernels are computed only at the open k, where both values of
-    :func:`precheck_vanishing` hold.  At every other k the vanishing
-    criterion gives grf0 = grf1 = 0, and since sigma_k(k) = sigma_k(d-k)
-    the open k are closed under k -> d-k, so no open k reads a settled k's
-    cokernel.  The :class:`JetContext` is built only when some k is open.
+    Cokernels are taken only at the open k, where both values of
+    :func:`precheck_vanishing` hold; elsewhere grf0 = grf1 = 0 by the
+    vanishing criterion.  sigma_k(k) = sigma_k(d-k), so the open k are
+    closed under k -> d-k.  The :class:`JetContext` is built only if needed.
 
     ``searches`` is a :func:`residue_searches` result; {} leaves the Aomoto
     route out.  The first subset passing the residue check at each low k is

@@ -80,11 +80,11 @@ def skipped_stages(d: int, cap: int, stages) -> list[dict]:
 
 
 def settled_skips(reports) -> list[dict]:
-    """The entry naming the k whose jets were not computed, because the
-    vanishing criterion settles them; none when every k is open."""
+    """The entry naming the k whose jets the vanishing criterion settles."""
     settled = [r.k for r in reports if not (r.precheck_point and r.precheck_lines)]
-    return [{"stage": "jets", "k": settled, "reason": "vanishing criterion"}] \
-        if settled else []
+    if not settled:
+        return []
+    return [{"stage": "jets", "k": settled, "reason": "vanishing criterion"}]
 
 
 def skip_note(entry: dict) -> str:

@@ -2,13 +2,12 @@
 
 Given residue weights alpha_1..alpha_d summing to zero, the degree-one
 cohomology of the Orlik-Solomon complex with differential (wedge by
-omega = sum alpha_i e_i) is computed exactly.  The degree-two part is
-realized through the anchored basis e_{i,k0(V)} per affine intersection
-point V, so the differential is one block matrix, one block per V.  Its
-rank is not taken by eliminating that matrix: each block spans a space read
-off the weights at V, and the rank is the size of the alpha-components of
-the affine lines plus the rank of a small int matrix over the points of
-multiplicity >= 3 whose residue sum vanishes (``aomoto_h1``).
+omega = sum alpha_i e_i) is computed exactly.  In the anchored basis
+e_{i,k0(V)} per affine intersection point V the differential is one block
+matrix, but its rank is not taken by eliminating it: each block spans a
+space read off the weights at V, so the rank comes from the
+alpha-components of the affine lines and a small int matrix over the
+points of multiplicity >= 3 whose residue sum vanishes (``aomoto_h1``).
 
 Also here: the integrality check on the residue sums alpha_{I,y} that
 certifies when the Aomoto dimension equals the Milnor fiber eigenspace
@@ -82,11 +81,10 @@ def _default_dist(d: int, dist: int | None) -> int:
 
 
 def _affine_classes(lattice: IncidenceLattice, a: list[int], dist: int):
-    """One union-find over the affine lines (every line but ``dist``) of
-    nonzero integral weight a_i, joined through each affine point V that is
-    a double point or has a_V = sum of a_i over V nonzero.  Returns the root
-    of each such line, the lines of the points with a_V != 0, and the other
-    affine points that carry a nonzero weight."""
+    """One union-find over the affine lines of nonzero weight a_i, joined at
+    each affine point V that is a double point or has a_V = sum a_i != 0:
+    (the root of each such line, the lines of the points with a_V != 0, and
+    the other affine points with a nonzero weight, the resonant ones)."""
     if len(a) != lattice.d:
         raise ValueError("weights length does not match the arrangement")
     parent = {i: i for i, x in enumerate(a) if x and i != dist}
@@ -117,22 +115,16 @@ def _affine_classes(lattice: IncidenceLattice, a: list[int], dist: int):
 
 def aomoto_h1(lattice: IncidenceLattice, weights: ResidueWeights,
               dist: int | None = None) -> int:
-    """dim H^1 of the Aomoto complex: (d - 2) minus the rank of (omega wedge)
-    from A^1 to A^2, the subtracted one being the image of A^0.
+    """dim H^1 of the Aomoto complex, (d - 2) - rank of (omega wedge) on A^1.
 
-    In the anchored basis the rows at an affine point V are
-    a_i 1_V - a_V e_i (i in V), a the weights times the lcm of their
-    denominators.  When a_V != 0 they span {w on V : sum a_i w_i = 0}; in
-    the coordinates a_i w_i on the lines of nonzero weight that is the
-    zero-sum space on those lines, plus every e_i of zero weight on V
-    ("killed").  A double point of a_V = 0 spans the zero-sum space on its
-    two lines in those coordinates as well.  Over a connected class of such
-    joins the zero-sum spaces add up to the zero-sum space on the class.
-    The rest, one row 1_V per point of multiplicity >= 3 with a_V = 0 and a
-    nonzero weight, is the matrix B of its class sums sum a_i over V and
-    of a 1 at each of its lines of zero weight killed nowhere ("free").  So
-
-        rank = (lines of nonzero weight - classes) + killed + rank B.
+    a = the weights times the lcm of their denominators.  The rows at an
+    affine point V, a_i 1_V - a_V e_i, span {w on V : sum a_i w_i = 0} if
+    a_V != 0: in coordinates a_i w_i, the zero-sum space on the lines of
+    nonzero weight, plus e_i at each zero-weight line ("killed").  Else they
+    span 1_V: for a double point, a zero-sum space too.  Zero-sum spaces add
+    up over each class, and what is left is B: a row per resonant point, its
+    class sums sum a_i and a 1 at each zero-weight line killed nowhere.  So
+    rank = (lines of nonzero weight - classes) + killed + rank B.
     """
     d = lattice.d
     dist = _default_dist(d, dist)
@@ -140,21 +132,14 @@ def aomoto_h1(lattice: IncidenceLattice, weights: ResidueWeights,
     if not any(x for i, x in enumerate(a) if i != dist):
         raise ValueError("omega = 0: the Aomoto quotient convention differs; refusing")
     root, good, resonant = _affine_classes(lattice, a, dist)
-    index = {r: t for t, r in enumerate(set(root.values()))}
-    column = {i: index[r] for i, r in root.items()}
-    free = [i for i in range(d) if i != dist and not a[i] and i not in good]
-    column.update((i, len(index) + t) for t, i in enumerate(free))
-    ncols = len(index) + len(free)
-    rows = []
-    for p in resonant:
-        row = [0] * ncols
+    # B's columns: each class at its root line, each free line at itself.
+    rows = [[0] * d for _ in resonant]
+    for row, p in zip(rows, resonant):
         for i in p.lines:
-            if i in column:
-                row[column[i]] += a[i] or 1
-        rows.append(row)
+            if a[i] or i not in good:
+                row[root.get(i, i)] += a[i] or 1
     killed = sum(1 for i in good if not a[i])
-    rank = len(root) - len(index) + killed + int_rank(rows, ncols)
-    return d - 2 - rank
+    return d - 2 - (len(root) - len(set(root.values())) + killed + int_rank(rows, d))
 
 
 def alpha_components(lattice: IncidenceLattice, weights: ResidueWeights,
