@@ -385,7 +385,7 @@ def spectrum_with_checks(arr: Arrangement, lattice: IncidenceLattice,
 
 def full_spectrum(arr: Arrangement, lattice: IncidenceLattice) -> list[EigenReport]:
     """One EigenReport per k in [1, d-1]; raises InvariantViolation if the two
-    cokernel computations ever disagree."""
+    cokernel computations disagree at an open k."""
     reports, agreements = spectrum_with_checks(arr, lattice,
                                                residue_searches(lattice))
     for agreement in agreements:

@@ -208,7 +208,7 @@ def test_cokernel_dims_ranks_c_alone_only_when_c_f_is_row_deficient(
 
 
 def test_jet_context_is_built_once_per_arrangement(monkeypatch, arrangements):
-    # Over all k, the jet route reads each multiple point's key as the
+    # Over the open k, the jet route reads each multiple point's key as the
     # lattice stores it, so no point's CycloNumber coordinates are built, and
     # it reduces the key's X, U and V once per prime and root.
     reductions = Counter()
