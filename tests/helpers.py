@@ -842,8 +842,9 @@ def ladder_record(arr: Arrangement) -> dict:
     lat = build_lattice(arr)
     jets = JetContext(arr, lat)
     pairs = {k: cokernel_dims(arr, lat, k, jets=jets) for k in range(1, lat.d)}
+    hist = sorted(lat.multiplicity_histogram().items())
     return {"d": lat.d, "order": arr.field_order,
-            "histogram": {str(m): c for m, c in sorted(lat.multiplicity_histogram().items())},
+            "histogram": {str(m): c for m, c in hist},
             "open_k": [k for k in range(1, lat.d) if all(precheck_vanishing(lat, k))],
             "cokernels": {str(k): list(pair) for k, pair in pairs.items() if any(pair)}}
 

@@ -81,15 +81,16 @@ def main(argv=None) -> int:
         order = list(trees) if r % 2 == 0 else list(trees)[::-1]
         for side in order:
             rounds[side].append(_round(trees[side], documents))
-    medians = {side: {name: {metric: round(statistics.median(run[name][metric] for run in runs), 6)
-                             for metric in ("all_k", "open_k", "analyze")}
+    metrics = ("all_k", "open_k", "analyze")
+    medians = {side: {name: {m: round(statistics.median(run[name][m] for run in runs), 6)
+                             for m in metrics}
                       for name in documents}
                for side, runs in rounds.items()}
     print(f"{'member':<14}" + "".join(f"{side + ' ' + m:>20}" for side in trees
-                                      for m in ("all_k", "open_k", "analyze")))
+                                      for m in metrics))
     for name in documents:
         print(f"{name:<14}" + "".join(f"{medians[side][name][m]:>20.4f}" for side in trees
-                                      for m in ("all_k", "open_k", "analyze")))
+                                      for m in metrics))
     print(json.dumps(medians, sort_keys=True))
     return 0
 

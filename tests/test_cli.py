@@ -301,7 +301,8 @@ def test_search_cap_skips_are_reported(tmp_path, capsys):
     # d = 17 is prime, so no multiple point has lambda^m = 1 at any k: the
     # vanishing criterion settles every k, and no jet is computed.
     settled = list(range(1, 17))
-    jets = f"skipped jets at k={','.join(map(str, settled))}: zero by the vanishing criterion"
+    jets = (f"skipped jets at k={','.join(map(str, settled))}: "
+            "zero by the vanishing criterion")
     code, out, _ = run_cli(capsys, "analyze", "--input", str(path),
                            "--format", "json")
     doc = json.loads(out)
