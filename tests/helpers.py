@@ -63,7 +63,7 @@ from math import comb, gcd
 
 import pytest
 
-from milfib import realize
+from milfib import milnor, realize
 from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
                                 LatticePoint, ProjLine, ProjPoint, _flats, _integral_rows,
                                 build_lattice, generic_section)
@@ -837,16 +837,34 @@ def ladder_member(name: str) -> Arrangement:
 def ladder_record(arr: Arrangement) -> dict:
     """What golden/ladder.json pins for one member: d, the field order, the
     multiplicity histogram, the k where both values of
-    ``precheck_vanishing`` hold, and every nonzero (unconstrained,
-    constrained) ``cokernel_dims`` pair, by k."""
+    ``precheck_vanishing`` hold, every nonzero (unconstrained,
+    constrained) ``cokernel_dims`` pair, by k, and the certificate kind of
+    every ``certified_rank`` call that ``cokernel_dims`` makes, by k."""
     lat = build_lattice(arr)
     jets = JetContext(arr, lat)
-    pairs = {k: cokernel_dims(arr, lat, k, jets=jets) for k in range(1, lat.d)}
+    ranked = milnor.certified_rank
+    kinds = []
+
+    def recorded(*args):
+        result = ranked(*args)
+        kinds.append(result.certificate)
+        return result
+
+    pairs, certificates = {}, {}
+    milnor.certified_rank = recorded
+    try:
+        for k in range(1, lat.d):
+            pairs[k] = cokernel_dims(arr, lat, k, jets=jets)
+            certificates[str(k)] = kinds[:]
+            kinds.clear()
+    finally:
+        milnor.certified_rank = ranked
     hist = sorted(lat.multiplicity_histogram().items())
     return {"d": lat.d, "order": arr.field_order,
             "histogram": {str(m): c for m, c in hist},
             "open_k": [k for k in range(1, lat.d) if all(precheck_vanishing(lat, k))],
-            "cokernels": {str(k): list(pair) for k, pair in pairs.items() if any(pair)}}
+            "cokernels": {str(k): list(pair) for k, pair in pairs.items() if any(pair)},
+            "certificates": certificates}
 
 
 def ladder_document() -> str:

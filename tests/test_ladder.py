@@ -3,11 +3,14 @@
 Each member of ``helpers.LADDER`` (Ceva(3..6), A(1..6,1,3) and the generic
 sections of A_4..A_6 at seed 0) must give the recorded d, field order,
 multiplicity histogram, open k (where both values of
-``milnor.precheck_vanishing`` hold) and nonzero cokernel pairs, with
-``milnor.cokernel_dims`` taken at every k.  ``report.analyze`` must give the
-b1 vector those cokernels make: b1(k) = coker(k) + coker(d - k).  The file
-was written before the jet route stopped computing the k the vanishing
-criterion settles, so a criterion that settles an open k fails here.
+``milnor.precheck_vanishing`` hold), nonzero cokernel pairs and the
+certificate kind of every rank, with ``milnor.cokernel_dims`` taken at
+every k.  ``report.analyze`` must give the b1 vector those cokernels make:
+b1(k) = coker(k) + coker(d - k).  The file was written before the jet route stopped computing the k the vanishing
+criterion settles, so a criterion that settles an open k fails here.  The
+certificate kinds were recorded while ``linalg.certified_rank`` still
+verified lifted kernels exactly over Z[zeta], so the lifts at orders 4, 5
+and 6 (Ceva(4..6), A(4,1,3)) pin that a later check accepts what it did.
 """
 
 import json
