@@ -348,6 +348,14 @@ def int_reduce(poly, order: int) -> tuple[int, ...]:
     return tuple(poly[:phi])
 
 
+@lru_cache(maxsize=None)
+def reduction_norms(order: int) -> tuple[int, int]:
+    """(rho_1, rho_inf): the largest 1- and infinity-norm of t^e mod Phi_order
+    over e <= 2 phi(order) - 2, the degrees of an unreduced product."""
+    reduced = [int_reduce((0,) * e + (1,), order) for e in range(2 * euler_phi(order) - 1)]
+    return max(sum(map(abs, r)) for r in reduced), max(abs(c) for r in reduced for c in r)
+
+
 def int_mul(a, b, order: int) -> tuple[int, ...]:
     """The product of two power-basis elements of Q(zeta_order), ints or
     Fractions; on ints it is the product in Z[zeta_order].  A rational

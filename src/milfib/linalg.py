@@ -39,11 +39,18 @@ with a certificate:
   their images under all phi(n) roots of Phi_n mod p, with the same pivots
   under every root, are interpolated to power-basis coordinates mod p,
   combined by CRT over the primes tried so far and rationally reconstructed.
-  The lift certifies rank == rank_p only if M x = 0 holds exactly over
-  Z[zeta] for every vector, on the matrix's integral rows: then the kernel
-  has dimension >= cols - rank_p.
+  The lift certifies rank == rank_p only if M x' = 0 holds exactly over
+  Z[zeta] for every vector x, cleared of its denominators to x', on the
+  matrix's integral rows: then the kernel has dimension >= cols - rank_p.
+* That identity is checked on plain ints, on one image of the rows in Z/q,
+  q = Phi_n(B), B = 2^K, under zeta -> B (Kronecker substitution).  Let A
+  bound the power-basis 1-norm of the rows' entries, and rho_1, rho_inf be
+  the largest 1- and infinity-norm of t^e mod Phi_n over e <= 2 phi - 2.
+  Then S = M x' has coefficients at most C = rho_inf * cols * A * max_j
+  |x'_j|_1.  If B > 2C + 1 and B > 2(|Phi_n|_1 - 1), then a nonzero S has
+  0 < |S(B)| < B^phi / 2 < Phi_n(B), so S(B) = 0 mod q proves S = 0.
 * After PRIME_BUDGET primes without a certificate the rank is taken by
-  fraction-free elimination of those integral rows.
+  fraction-free elimination of the integral rows.
 """
 
 from __future__ import annotations
@@ -52,8 +59,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
-from .cyclotomic import (CycloNumber, conjugate_product, euler_phi, int_mul,
-                         int_reduce, integral_form, prime_factors)
+from .cyclotomic import (CycloNumber, conjugate_product, cyclotomic_polynomial,
+                         euler_phi, int_mul, integral_form, prime_factors,
+                         reduction_norms)
 
 
 class Matrix:
@@ -299,8 +307,9 @@ def field_primes(n: int) -> list[FieldPrime]:
 
 
 def reduce_mod(coeffs, p: int, root: int) -> int:
-    """Image in F_p of an element of Z[zeta] (power-basis ints) under
-    zeta -> root."""
+    """Image in Z/p of an element of Z[zeta] (power-basis ints) under
+    zeta -> root, for any modulus p with Phi_n(root) = 0 mod p: a field
+    prime, or the q = Phi_n(B) of a kernel check with root B."""
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * root + c) % p
@@ -320,23 +329,25 @@ def _rational(u: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _kernel_holds(rows, order: int, vectors) -> bool:
-    """M x = 0 exactly over Z[zeta_order] for every vector of power-basis
-    coordinate lists, M given by its rows of power-basis int tuples; each
-    vector is cleared of its denominators first."""
-    phi = euler_phi(order)
-    xs = [[(j, entry) for j, entry in enumerate(integral_form(vec)) if any(entry)]
-          for vec in vectors]
-    for row in rows:
-        for x in xs:
-            acc = [0] * (2 * phi - 1)
-            for j, xe in x:
-                for s, a in enumerate(row[j]):
-                    if a:
-                        for t, b in enumerate(xe):
-                            acc[s + t] += a * b
-            if any(int_reduce(acc, order)):
-                return False
+def _kernel_in_ring(modular, order: int, bound: int, cols: int, vectors) -> bool:
+    """M x' = 0 over Z[zeta_order] for every vector of power-basis coordinate
+    lists, x' the vector cleared of its denominators, read off the image
+    ``modular(q, B)`` of M's integral rows in Z/q, q = Phi_order(B), with
+    B = 2^K from ``bound`` as in the module docstring."""
+    xs = [integral_form(vec) for vec in vectors]
+    width = max(sum(map(abs, entry)) for x in xs for entry in x)
+    cap = reduction_norms(order)[1] * cols * bound * width
+    phi_poly = cyclotomic_polynomial(order)
+    base = 1 << max((2 * cap + 1).bit_length(),
+                    (2 * (sum(map(abs, phi_poly)) - 1)).bit_length())
+    q = sum(c * base ** e for e, c in enumerate(phi_poly))
+    image = modular(q, base)
+    if image is None:
+        return False
+    for x in xs:
+        xq = [(j, reduce_mod(entry, q, base)) for j, entry in enumerate(x) if any(entry)]
+        if any(sum(row[j] * v for j, v in xq) % q for row in image):
+            return False
     return True
 
 
@@ -355,24 +366,25 @@ class CertifiedRank(NamedTuple):
 
 def certified_rank(shape: tuple[int, int], order: int,
                    modular: Callable[[int, int], list | None],
-                   exact: Callable[[], list]) -> CertifiedRank:
+                   exact: Callable[[], list],
+                   bound: Callable[[], int]) -> CertifiedRank:
     """Rank over Q(zeta_order) of the matrix of the given shape.
 
-    ``modular(p, root)`` returns its rows over F_p under zeta -> root as
-    lists of ints in [0, p), or None when the prime cannot be used (p
-    divides a denominator or another value the rows need).  ``exact()``
-    returns the rows of the matrix, or of the matrix with each row scaled by
-    a nonzero element of Q(zeta), as lists of power-basis int tuples over
-    Z[zeta_order]; such a scaling changes neither the rank nor the right
-    kernel.  It is called only to verify a lifted kernel or for the exact
-    fallback, at most once.
+    ``exact()`` returns the integral rows: the rows of the matrix, or of the
+    matrix with each row scaled by a nonzero element of Q(zeta), as lists of
+    power-basis int tuples over Z[zeta_order]; such a scaling changes
+    neither the rank nor the right kernel.  ``modular(p, root)`` returns
+    their image in Z/p under zeta -> root, over F_p or in the ring of a
+    kernel check, as lists of ints in [0, p), or None when p cannot be used
+    (it divides a denominator or another value the rows need).  ``bound()``
+    bounds the power-basis 1-norm of every entry of the integral rows; it is
+    called only on a lift, and ``exact`` only for the exact fallback.
     """
     rows, cols = shape
     full = min(rows, cols)
     if full == 0:
         return CertifiedRank(0, "full_rank", None)
     phi = euler_phi(order)
-    exact_rows = None
     reading = None       # the pivots whose kernel residues are accumulated
     modulus, residues = 1, None
     for fp in field_primes(order):
@@ -412,13 +424,9 @@ def certified_rank(shape: tuple[int, int], order: int,
                   for vec in residues]
         if any(c is None for vec in lifted for entry in vec for c in entry):
             continue
-        if exact_rows is None:
-            exact_rows = exact()
-        if _kernel_holds(exact_rows, order, lifted):
+        if _kernel_in_ring(modular, order, bound(), cols, lifted):
             return CertifiedRank(cols - len(lifted), "kernel_lift", p)
-    if exact_rows is None:
-        exact_rows = exact()
-    return CertifiedRank(int_rank(exact_rows, cols, order), "exact", None)
+    return CertifiedRank(int_rank(exact(), cols, order), "exact", None)
 
 
 # ---------------------------------------------------------------------------

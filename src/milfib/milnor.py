@@ -42,9 +42,10 @@ chart order, one Pascal table, and the power tables of X, U and V up to
 degree d - 4, over F_p from X, U and V reduced once per prime and root.  A
 prime with X = 0 mod p at a point with jets at k is skipped for that k.  A
 rank read mod p is used only when it is full (min(rows, cols)) or its
-lifted kernel satisfies M x = 0 exactly on the integral rows over Z[zeta];
-otherwise the next prime, and last fraction-free elimination of those rows,
-decide.  So every number reported is exact.  ``jet_matrix`` and
+lifted kernel satisfies M x = 0 exactly on the integral rows over Z[zeta],
+checked on their image in Z/Phi_n(2^K) (:meth:`JetContext.bound` bounds
+their entries); otherwise the next prime, and last fraction-free elimination
+of those rows, decide.  So every number reported is exact.  ``jet_matrix`` and
 ``ideal_basis`` in tests/helpers.py build the same maps exactly over
 Q(zeta) in the chart coordinates U/X and V/X, the unconstrained one from
 its own truncated-jet layout, and serve as the reference for tests.
@@ -64,8 +65,8 @@ from math import comb, gcd
 # perfbench/tracing.py wraps them by name, as tests/test_bench_hooks.py checks.
 from .arrangement import (Arrangement, IncidenceLattice, InvariantViolation,
                           build_lattice)
-from .cyclotomic import euler_phi, int_mul
-from .linalg import certified_rank, nullspace, rank, reduce_mod
+from .cyclotomic import euler_phi, int_mul, reduction_norms
+from .linalg import certified_rank, field_primes, nullspace, rank, reduce_mod
 from . import resonance
 
 
@@ -181,29 +182,37 @@ class JetContext:
         self.points = _integral_points(lattice, _charts_for(lattice, charts))
         self.pascal = [[comb(n, i) for i in range(n + 1)]
                        for n in range(self.degree + 1)]
+        self._primes = {fp.p for fp in field_primes(self.order)}
         self._tables = {}
 
-    def _table(self, idx: int, p: int, root: int):
-        """(chart, u index, v index, (uv, xs)) at point idx over F_p under
-        zeta -> root: the :func:`_power_table` of its reduced (X, U, V) up
-        to degree d - 4, built once; None when X is 0 mod p."""
+    def _table(self, idx: int, p: int, root: int, deg: int):
+        """(chart, u index, v index, (uv, xs)) at point idx in Z/p under
+        zeta -> root: the :func:`_power_table` of its reduced (X, U, V), None
+        when X is 0 mod p; kept up to degree d - 4 for a field prime, built
+        up to ``deg`` for the ring of one kernel check."""
         key = (idx, p, root)
-        if key not in self._tables:
-            chart, u_idx, v_idx, xuv = self.points[idx]
-            x, u, v = (reduce_mod(c, p, root) for c in xuv)
-            self._tables[key] = (chart, u_idx, v_idx, _power_table(
-                x, u, v, self.degree, 1, lambda a, b: a * b % p)) if x else None
-        return self._tables[key]
+        if key in self._tables:
+            return self._tables[key]
+        chart, u_idx, v_idx, xuv = self.points[idx]
+        x, u, v = (reduce_mod(c, p, root) for c in xuv)
+        field = p in self._primes
+        table = (chart, u_idx, v_idx, _power_table(
+            x, u, v, self.degree if field else deg, 1,
+            lambda a, b: a * b % p)) if x else None
+        if field:
+            self._tables[key] = table
+        return table
 
     def rows(self, layout, basis, p=None, root=None) -> list[list] | None:
-        """The integral jet rows of ``layout`` on the monomials ``basis``: over
-        F_p under zeta -> root when p is given, None when X is 0 mod p at a
+        """The integral jet rows of ``layout`` on the monomials ``basis``: in
+        Z/p under zeta -> root when p is given, None when X is 0 mod p at a
         point of the layout; else over Z[zeta] as power-basis int tuples.
-        Exact rows only verify a lifted kernel, at a few k per arrangement,
-        so their power tables are built in the call, at the degree of
+        Exact rows feed only the exact fallback of ``certified_rank``, so
+        their power tables are built in the call, at the degree of
         ``basis``."""
+        deg = sum(basis[0])
         if p is not None:
-            tables = {idx: self._table(idx, p, root) for idx, _ in layout}
+            tables = {idx: self._table(idx, p, root, deg) for idx, _ in layout}
             if None in tables.values():
                 return None
         else:
@@ -213,8 +222,17 @@ class JetContext:
             for idx, _ in layout:
                 chart, u_idx, v_idx, xuv = self.points[idx]
                 tables[idx] = (chart, u_idx, v_idx, _power_table(
-                    *xuv, sum(basis[0]), one, lambda a, b: int_mul(a, b, order)))
+                    *xuv, deg, one, lambda a, b: int_mul(a, b, order)))
         return _taylor_rows(layout, basis, tables, self.pascal, p, self.order)
+
+    def bound(self, deg: int) -> int:
+        """A = C(deg, floor(deg/2))^2 * rho_1^(deg-1) * N^deg, N the largest
+        power-basis 1-norm of a point's X, U or V: an entry of the integral
+        rows of degree ``deg`` is two binomials times at most deg such
+        factors, so its 1-norm is at most A (``cyclotomic.reduction_norms``)."""
+        norm = max(sum(map(abs, c)) for *_, xuv in self.points.values() for c in xuv)
+        rho_1 = reduction_norms(self.order)[0]
+        return comb(deg, deg // 2) ** 2 * rho_1 ** max(deg - 1, 0) * norm ** deg
 
 
 def _row_count(layout) -> int:
@@ -244,7 +262,7 @@ def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
         return certified_rank(
             (_row_count(layout), len(basis)), jets.order,
             lambda p, root: jets.rows(layout, basis, p, root),
-            lambda: jets.rows(layout, basis)).rank
+            lambda: jets.rows(layout, basis), lambda: jets.bound(k - 3)).rank
 
     full = certified(outer + graded)
     rows_c, rows_f = _row_count(outer), _row_count(graded)

@@ -19,9 +19,11 @@ F_p ranks, the unconstrained one from its own layout of truncated jets
 (``truncated_jet_layout``, not milnor's outer plus graded rows), all from
 ``chart_inverse_matrix``: Taylor entries in the chart coordinates U/X, V/X,
 CycloNumber products with an inverse, where ``milnor`` builds integral rows
-over Z[zeta] that are these rows times X^(deg-i-j).  ``reduce_fraction_mod``
-reduces Fraction and CycloNumber entries mod p, ``integral_rows`` clears a
-matrix's rows of their denominators, ``int_det`` takes the determinant of
+over Z[zeta] that are these rows times X^(deg-i-j).  ``integral_rows``
+clears a matrix's rows of their denominators and ``certify_args`` hands them to
+``certified_rank``, ``kernel_holds`` checks M x = 0 over Z[zeta] by
+convolution, the reference for ``certified_rank``'s check in Z/Phi_n(2^K),
+``int_det`` takes the determinant of
 int rows by Bareiss elimination (the Smith tests read determinantal divisors
 from its minors), ``enumerate_kernel`` walks the whole kernel of a
 realization search, which ``search_realizations`` walks only when the group
@@ -59,7 +61,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -67,8 +69,9 @@ from milfib import milnor, realize
 from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
                                 LatticePoint, ProjLine, ProjPoint, _flats, _integral_rows,
                                 build_lattice, generic_section)
-from milfib.cyclotomic import CycloNumber, as_cyclo, euler_phi, field_order, integral_form
-from milfib.linalg import Matrix, clear_denominators, nullspace, rank
+from milfib.cyclotomic import (CycloNumber, as_cyclo, euler_phi, field_order, int_reduce,
+                               integral_form)
+from milfib.linalg import Matrix, clear_denominators, nullspace, rank, reduce_mod
 from milfib.milnor import (JetContext, _charts_for, _layouts, cokernel_dims, ideal_order,
                            monomial_basis, precheck_vanishing)
 from milfib.resonance import (PartitionPhi, PartitionVerdict, ResidueVerdict,
@@ -612,32 +615,52 @@ def chart_inverse_matrix(arr: Arrangement, lattice: IncidenceLattice, chart_of,
     return matrix_from_rows(rows, cols=len(basis), order=arr.field_order)
 
 
-def reduce_fraction_mod(x, p: int, root: int) -> int | None:
-    """Image of an int, Fraction or CycloNumber in F_p under zeta -> root,
-    where root is the image of the CycloNumber's own zeta; None when p
-    divides a denominator."""
-    if isinstance(x, int):
-        return x % p
-    coeffs = x.coeffs if isinstance(x, CycloNumber) else (Fraction(x),)
-    acc, power = 0, 1
-    for c in coeffs:
-        if c:
-            den = c.denominator
-            if den == 1:
-                acc += c.numerator * power
-            elif den % p:
-                acc += c.numerator * pow(den, -1, p) * power
-            else:
-                return None
-        power = power * root % p
-    return acc % p
-
-
 def integral_rows(m: Matrix) -> list[tuple]:
     """Each row of m times the lcm of its denominators, as power-basis int
     tuples: the form ``linalg.certified_rank`` checks kernels on."""
     return [integral_form([x.coeffs if isinstance(x, CycloNumber) else (x,)
                            for x in row]) for row in m.to_rows()]
+
+
+def certify_args(m: Matrix) -> tuple:
+    """The arguments ``linalg.certified_rank`` takes for m: its shape and
+    order, ``modular(p, root)``, the image of ``integral_rows(m)`` in Z/p
+    under zeta -> root (None when p divides a denominator of m), the
+    integral rows and the largest power-basis 1-norm of their entries."""
+    rows = integral_rows(m)
+    dens = [lcm(*(c.denominator for x in row
+                  for c in (x.coeffs if isinstance(x, CycloNumber) else (x,))))
+            for row in m.to_rows()]
+
+    def modular(p, root):
+        if any(den % p == 0 for den in dens):
+            return None
+        return [[reduce_mod(x, p, root) for x in row] for row in rows]
+
+    bound = max((sum(map(abs, x)) for row in rows for x in row), default=0)
+    return (m.rows, m.cols), m.order, modular, lambda: rows, lambda: bound
+
+
+def kernel_holds(rows, order: int, vectors) -> bool:
+    """M x = 0 exactly over Z[zeta_order] for every vector of power-basis
+    coordinate lists, M given by its rows of power-basis int tuples; each
+    vector is cleared of its denominators first.  The reference for the
+    check ``linalg.certified_rank`` makes in Z/Phi_n(2^K): every product is
+    convolved and reduced mod Phi_n here."""
+    phi = euler_phi(order)
+    xs = [[(j, entry) for j, entry in enumerate(integral_form(vec)) if any(entry)]
+          for vec in vectors]
+    for row in rows:
+        for x in xs:
+            acc = [0] * (2 * phi - 1)
+            for j, xe in x:
+                for s, a in enumerate(row[j]):
+                    if a:
+                        for t, b in enumerate(xe):
+                            acc[s + t] += a * b
+            if any(int_reduce(acc, order)):
+                return False
+    return True
 
 
 def truncation_order(m_y: int, k: int, d: int) -> int:

@@ -3,23 +3,29 @@
 ``cokernel_dims`` takes every rank over F_p (linalg.certified_rank); the
 exact matrices of ``jet_matrix`` (tests/helpers.py) with exact ``rank`` are
 the oracle here, and sympy's DomainMatrix over QQ<zeta_n> an independent one.
+The check of lifted kernels in Z/Phi_n(2^K) has ``helpers.kernel_holds``,
+exact convolution over Z[zeta], as its oracle.
 """
 
+import json
+import os
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (integral_rows, jet_matrix, matrix_from_rows, monomial_arrangement,
-                     random_arrangement, reduce_fraction_mod)
-from milfib import milnor
+from helpers import (certify_args, jet_matrix, kernel_holds, ladder_member,
+                     matrix_from_rows, monomial_arrangement, random_arrangement)
+from milfib import linalg, milnor
 from milfib.arrangement import (Arrangement, ProjLine, ProjPoint, build_lattice,
                                 named_arrangement)
-from milfib.cyclotomic import CycloNumber, euler_phi
+from milfib.cyclotomic import CycloNumber, euler_phi, int_mul
 from milfib.linalg import (PRIME_BUDGET, CertifiedRank, Matrix,
                            certified_rank, field_primes, rank, reduce_mod)
-from milfib.milnor import cokernel_dims
+from milfib.milnor import JetContext, cokernel_dims, monomial_basis
 
 
 def _exact_cokernels(arr, lat, k, charts=None):
@@ -29,12 +35,7 @@ def _exact_cokernels(arr, lat, k, charts=None):
 
 
 def _certify(m: Matrix) -> CertifiedRank:
-    def modular(p, root):
-        rows = [[reduce_fraction_mod(x, p, root) for x in row]
-                for row in m.to_rows()]
-        return None if any(x is None for row in rows for x in row) else rows
-    return certified_rank((m.rows, m.cols), m.order, modular,
-                          lambda: integral_rows(m))
+    return certified_rank(*certify_args(m))
 
 
 def _differential_cases():
@@ -194,3 +195,120 @@ def test_kernel_beyond_the_prime_budget_falls_back_to_exact_elimination():
     # The kernel vector (-b/a, 1) needs about 400 bits; the budget gives 210.
     singular = matrix_from_rows([[a, b], [2 * a, 2 * b]])
     assert _certify(singular) == CertifiedRank(1, "exact", None)
+
+
+def test_exact_rows_are_read_only_by_the_fallback():
+    a, b = 2 ** 40 + 15, 2 ** 40 - 87
+    cases = {"kernel_lift": matrix_from_rows([[a, b], [2 * a, 2 * b]]),
+             "exact": matrix_from_rows([[2 ** 200 + 235, 3 ** 126 + 2]] * 2)}
+    for kind, m in cases.items():
+        shape, order, modular, exact, bound = certify_args(m)
+        reads = []
+
+        def counted():
+            reads.append(1)
+            return exact()
+        assert certified_rank(shape, order, modular, counted, bound).certificate == kind
+        assert len(reads) == (kind == "exact")
+
+
+def _kernel_case(rng, order: int, perturb: str):
+    """(integral rows, kernel vectors as power-basis Fraction lists): each
+    vector is 1 at its own free column, 0 at the others, and -A_pf / D_f at
+    the pivot columns p, and each row is L r' on the pivot columns and
+    sum_p r'_p A_pf L / D_f at free column f, L the lcm of the D_f, so
+    that M x = 0.  ``perturb`` adds a unit +-zeta^i to one pivot entry of
+    one row (every vector then fails) or, over D_f, to one pivot entry of
+    one vector (that vector alone fails)."""
+    phi = euler_phi(order)
+    size = 2 ** rng.randint(1, 40)
+
+    def element(nonzero=True):
+        while True:
+            x = tuple(rng.randint(-size, size) for _ in range(phi))
+            if any(x) or not nonzero:
+                return x
+
+    def unit():
+        x = [0] * phi
+        x[rng.randrange(phi)] = rng.choice((-1, 1))
+        return tuple(x)
+
+    pivots, free = rng.randint(1, 3), rng.randint(1, 3)
+    a = [[element() for _ in range(free)] for _ in range(pivots)]
+    dens = [rng.randint(1, 2 ** rng.randint(1, 20)) for _ in range(free)]
+    big = lcm(*dens)
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        r = [element() for _ in range(pivots)]
+        tail = []
+        for f in range(free):
+            acc = [0] * phi
+            for p in range(pivots):
+                acc = [x + y * (big // dens[f]) for x, y in zip(acc, int_mul(r[p], a[p][f], order))]
+            tail.append(tuple(acc))
+        rows.append([tuple(big * c for c in x) for x in r] + tail)
+    zero, one = [Fraction(0)] * phi, [Fraction(1)] + [Fraction(0)] * (phi - 1)
+    vectors = []
+    for f in range(free):
+        vec = [[Fraction(-c, dens[f]) for c in a[p][f]] for p in range(pivots)]
+        vec += [one if g == f else zero for g in range(free)]
+        vectors.append(vec)
+    p = rng.randrange(pivots)
+    if perturb == "row":
+        row = rows[rng.randrange(len(rows))]
+        row[p] = tuple(x + u for x, u in zip(row[p], unit()))
+    elif perturb == "vector":
+        vec = vectors[rng.randrange(free)]
+        vec[p] = [x + Fraction(u, dens[0]) for x, u in zip(vec[p], unit())]
+    rng.shuffle(vectors)
+    return rows, vectors
+
+
+def _ring_check(rows, order, vectors):
+    bound = max(sum(map(abs, x)) for row in rows for x in row)
+    return linalg._kernel_in_ring(
+        lambda q, root: [[reduce_mod(x, q, root) for x in row] for row in rows],
+        order, bound, len(rows[0]), vectors)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.sampled_from((1, 3, 4, 5, 8, 12)), st.sampled_from(("none", "row", "vector")),
+       st.integers(0, 2 ** 32))
+def test_ring_check_agrees_with_the_convolution_oracle(order, perturb, seed):
+    rows, vectors = _kernel_case(random.Random(seed), order, perturb)
+    expected = perturb == "none"
+    assert kernel_holds(rows, order, vectors) == expected
+    assert _ring_check(rows, order, vectors) == expected
+
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "ladder.json"),
+          encoding="utf-8") as fh:
+    _LADDER_LIFTS = sorted((name, int(k)) for name, record in json.load(fh).items()
+                           for k, kinds in record["certificates"].items()
+                           if "kernel_lift" in kinds)
+
+
+def _assert_bound_dominates(arr, ks):
+    lat = build_lattice(arr)
+    context = JetContext(arr, lat)
+    for k in ks:
+        basis = monomial_basis(k - 3)
+        outer, graded = milnor._layouts(lat, k)
+        for layout in (outer + graded, outer):
+            if basis and layout:
+                rows = context.rows(layout, basis)
+                largest = max(sum(map(abs, x)) for row in rows for x in row)
+                assert largest <= context.bound(k - 3), (arr.name, k)
+
+
+@pytest.mark.parametrize("name", ["braid", "pappus-dual", "ex-3-1-iii", "ceva3", "hesse"])
+def test_entry_bound_dominates_the_fixture_rows(name):
+    arr = named_arrangement(name)
+    _assert_bound_dominates(arr, range(3, arr.d))
+
+
+def test_entry_bound_dominates_the_ladder_lift_rows():
+    assert {name for name, _ in _LADDER_LIFTS} == {"ceva4", "ceva5", "ceva6", "A(4,1,3)"}
+    for name, k in _LADDER_LIFTS:
+        _assert_bound_dominates(ladder_member(name), [k])
