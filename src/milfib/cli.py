@@ -43,9 +43,17 @@ def _load_arrangement(args):
     return Arrangement.from_json(data)
 
 
+def _parse_json(text, source):
+    """json.loads, with a nesting too deep for the parser a user error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source} nests its JSON too deeply") from None
+
+
 def _read_json_object(path):
     with open(path) as fh:
-        data = json.load(fh)
+        data = _parse_json(fh.read(), path)
     if not isinstance(data, dict):
         raise ArrangementError("the input must be a JSON object")
     if not isinstance(data.get("name", ""), str):
@@ -289,9 +297,8 @@ def _cmd_theorem1(args) -> int:
     text = args.partition
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            labels = json.load(fh)
-    else:
-        labels = json.loads(text)
+            text = fh.read()
+    labels = _parse_json(text, "--partition")
     if not isinstance(labels, list) or any(type(x) is not int for x in labels):
         raise ArrangementError("--partition must be a JSON array of integer labels")
     phi = resonance.PartitionPhi(tuple(labels))

@@ -278,8 +278,7 @@ def grf_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
     """(dim Gr_F^0, dim Gr_F^1) of the eigenspace at lambda = exp(2*pi*i*k/d)."""
     d = lattice.d
     if not 1 <= k <= d - 1:
-        raise ValueError(f"k must be in [1, d-1]; k=0 (lambda=1) is the "
-                         f"unipotent part, outside this computation")
+        raise ValueError(f"k must be in [1, {d - 1}], got {k}")
     jets = JetContext(arr, lattice, charts)
     return (_agreed(k, *cokernel_dims(arr, lattice, k, jets=jets)),
             _agreed(d - k, *cokernel_dims(arr, lattice, d - k, jets=jets)))

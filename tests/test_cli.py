@@ -287,6 +287,42 @@ def test_malformed_input_is_a_user_error(case, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+DEEP_INPUT = {
+    "lattice": [], "aomoto": ["--k", "2", "--I", "0,1"], "milnor": [],
+    "analyze": [], "net": ["--m", "3"], "cond02": ["--k", "2"],
+    "theorem1": ["--m", "3", "--partition", "[0,0,1,1,2,2]"],
+    "realize": ["--mod", "4"], "section": [],
+}
+
+
+@pytest.mark.parametrize("command", DEEP_INPUT)
+def test_deeply_nested_input_is_a_user_error(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    code, out, err = run_cli(capsys, command, "--input", str(path), *DEEP_INPUT[command])
+    assert (code, out) == (1, "")
+    assert err == f"error: {path} nests its JSON too deeply\n"
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_deeply_nested_partition_is_a_user_error(inline, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    partition = DEEP if inline else f"@{path}"
+    code, out, err = run_cli(capsys, "theorem1", "--name", "braid", "--m", "3",
+                             "--partition", partition)
+    assert (code, out) == (1, "")
+    assert err == "error: --partition nests its JSON too deeply\n"
+
+
+@pytest.mark.parametrize("k", [0, 6])
+def test_milnor_k_outside_the_range_names_k_and_the_range(k, capsys):
+    code, out, err = run_cli(capsys, "milnor", "--name", "braid", "--k", str(k))
+    assert (code, out) == (1, "")
+    assert err == f"error: k must be in [1, 5], got {k}\n"
+
+
 def _cubic17(tmp_path):
     # Duals of 17 points of the cuspidal cubic: d = 17 > the default cap 16.
     path = tmp_path / "cubic17.json"

@@ -84,9 +84,9 @@ def test_grf_examples(lattices, arrangements):
 
 
 def test_grf_rejects_k_out_of_range(lattices, arrangements):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 5\], got 0$"):
         grf_dims(arrangements["braid"], lattices["braid"], 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 5\], got 6$"):
         grf_dims(arrangements["braid"], lattices["braid"], 6)
 
 
