@@ -9,7 +9,10 @@ milfib from a checkout's ``src/``, and timed there, in process:
 - ``all_k``: ``milnor.cokernel_dims`` at every k, with one ``JetContext``;
 - ``open_k``: the same at the k where both values of
   ``milnor.precheck_vanishing`` hold, the only k a full spectrum computes;
-- ``analyze``: ``report.analyze`` on the member.
+- ``analyze``: ``report.analyze`` on the member;
+- ``lifts`` and ``lift_s``: the number of ``linalg.certified_rank`` calls of
+  the ``all_k`` run that end in a ``kernel_lift`` certificate, and the time
+  spent in them.
 
 Each figure is the median of ``REPEATS`` rounds, one child process per
 checkout and round.  With ``--parent`` the parent checkout is timed as well,
@@ -45,13 +48,26 @@ def jets(arr, lat, ks):
     for k in ks:
         milnor.cokernel_dims(arr, lat, k, jets=context)
 
+lifts = []
+ranked = milnor.certified_rank
+
+def timed_rank(*args):
+    start = time.perf_counter()
+    result = ranked(*args)
+    if result.certificate == "kernel_lift":
+        lifts.append(time.perf_counter() - start)
+    return result
+
+milnor.certified_rank = timed_rank
 out = {}
 for name, data in json.load(sys.stdin).items():
     arr = Arrangement.from_json(data)
     lat = build_lattice(arr)
     ks = range(1, lat.d)
     open_k = [k for k in ks if all(milnor.precheck_vanishing(lat, k))]
+    lifts.clear()
     out[name] = {"all_k": timed(lambda: jets(arr, lat, ks)),
+                 "lifts": len(lifts), "lift_s": sum(lifts),
                  "open_k": timed(lambda: jets(arr, lat, open_k)) if open_k else 0.0,
                  "analyze": timed(lambda: report.analyze(arr))}
 print(json.dumps(out))
@@ -81,16 +97,17 @@ def main(argv=None) -> int:
         order = list(trees) if r % 2 == 0 else list(trees)[::-1]
         for side in order:
             rounds[side].append(_round(trees[side], documents))
-    metrics = ("all_k", "open_k", "analyze")
+    metrics = ("all_k", "open_k", "analyze", "lifts", "lift_s")
     medians = {side: {name: {m: round(statistics.median(run[name][m] for run in runs), 6)
                              for m in metrics}
                       for name in documents}
                for side, runs in rounds.items()}
-    print(f"{'member':<14}" + "".join(f"{side + ' ' + m:>20}" for side in trees
+    print(f"{'member':<14}" + "".join(f"{side + ' ' + m:>16}" for side in trees
                                       for m in metrics))
     for name in documents:
-        print(f"{name:<14}" + "".join(f"{medians[side][name][m]:>20.4f}" for side in trees
-                                      for m in metrics))
+        print(f"{name:<14}" + "".join(f"{medians[side][name][m]:>16.4f}" if m != "lifts"
+                                      else f"{medians[side][name][m]:>16d}"
+                                      for side in trees for m in metrics))
     print(json.dumps(medians, sort_keys=True))
     return 0
 
