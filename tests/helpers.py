@@ -20,12 +20,11 @@ F_p ranks, the unconstrained one from its own layout of truncated jets
 ``chart_inverse_matrix``: Taylor entries in the chart coordinates U/X, V/X,
 CycloNumber products with an inverse, where ``milnor`` builds integral rows
 over Z[zeta] that are these rows times X^(deg-i-j).  ``integral_rows``
-clears a matrix's rows of their denominators and ``certify_args`` hands them to
-``certified_rank``, ``kernel_holds`` checks M x = 0 over Z[zeta] by
-convolution, the reference for ``certified_rank``'s check in Z/Phi_n(2^K),
-``int_det`` takes the determinant of
-int rows by Bareiss elimination (the Smith tests read determinantal divisors
-from its minors), ``enumerate_kernel`` walks the whole kernel of a
+clears a matrix's rows of their denominators and ``certify_args`` hands them
+to ``certified_rank``; ``kernel_holds`` checks M x = 0 over Z[zeta] by
+convolution, the reference for ``certified_rank``'s check in Z/Phi_n(2^K);
+``int_det`` takes the determinant of int rows by Bareiss elimination (the
+Smith tests read determinantal divisors from its minors), ``enumerate_kernel`` walks the whole kernel of a
 realization search, which ``search_realizations`` walks only when the group
 has at least d elements, and ``same_affine_orbit`` compares realization
 vectors up to the affine group.
