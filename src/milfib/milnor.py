@@ -210,16 +210,16 @@ class JetContext:
         Exact rows feed only the exact fallback of ``certified_rank``, so
         their power tables are built in the call, at the degree of
         ``basis``."""
-        deg = sum(basis[0])
+        deg, points = sum(basis[0]), {idx for idx, _ in layout}
         if p is not None:
-            tables = {idx: self._table(idx, p, root, deg) for idx, _ in layout}
+            tables = {idx: self._table(idx, p, root, deg) for idx in points}
             if None in tables.values():
                 return None
         else:
             order = self.order
             one = (1,) + (0,) * (euler_phi(order) - 1)
             tables = {}
-            for idx, _ in layout:
+            for idx in points:
                 chart, u_idx, v_idx, xuv = self.points[idx]
                 tables[idx] = (chart, u_idx, v_idx, _power_table(
                     *xuv, deg, one, lambda a, b: int_mul(a, b, order)))
