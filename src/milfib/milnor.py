@@ -210,7 +210,7 @@ class JetContext:
         Exact rows feed only the exact fallback of ``certified_rank``, so
         their power tables are built in the call, at the degree of
         ``basis``."""
-        deg, points = sum(basis[0]), {idx for idx, _ in layout}
+        deg, points = max(map(sum, basis), default=0), {idx for idx, _ in layout}
         if p is not None:
             tables = {idx: self._table(idx, p, root, deg) for idx in points}
             if None in tables.values():
