@@ -1,34 +1,27 @@
 """Dense linear algebra over Q(zeta_n): one Gaussian elimination core over
-Z, Z[zeta_n], F_p and exact fields, certified ranks, and integer Smith
-normal form.
+Z, F_p and exact fields, certified ranks, and integer Smith normal form.
 
-:func:`_echelon` is the only elimination, over four coefficient domains.
-With ``p=None`` on ints, or on power-basis int tuples over Z[zeta_order],
-it is fraction free: the pivot row is kept, and each row below becomes
-``pv * row - row[c] * prow``.  Over Z that row is divided by the gcd of its
-entries.  Over Z[zeta_n] (products by :func:`~milfib.cyclotomic.int_mul`
-mod Phi_n) every waiting row is divided by the previous pivot, an exact
-quotient (Bareiss): its entries are then minors of the input, so they grow
-linearly, where division by the integer content alone lets them grow
-exponentially.  Every step multiplies a row by a nonzero element of
-Q(zeta_n), so the rank is exact with no prime and no certificate;
-:func:`int_rank`, :func:`rank` (rows cleared of denominators) and the exact
-fallback of :func:`certified_rank` use it.  On ints mod a prime ``p``, and on Fraction
-or CycloNumber entries with ``p=None``, pivot rows are scaled to 1;
-:func:`_kernel` back-substitutes to the reduced form and reads off one
-kernel vector per free column.  The unit-pivot field mode serves only
-:func:`nullspace`, the exact reference path.  The first nonzero entry of
-each column is the pivot and updates touch only the tails right of it.
-The reduced row echelon form and its pivot columns are unique, so
-:func:`nullspace` and the modular kernels are reproducible.
+:func:`_echelon` is the only elimination, over three coefficient domains.
+With ``p=None`` on ints it is fraction free: the pivot row is kept, each
+row below becomes ``pv * row - row[c] * prow`` and is divided by the gcd of
+its entries, so the rank over Q is exact with no prime; :func:`int_rank`
+and :func:`rank` at order 1 (rows cleared of denominators) use it.  On ints
+mod a prime ``p``, and on Fraction or CycloNumber entries with ``p=None``,
+pivot rows are scaled to 1; :func:`_kernel` back-substitutes to the reduced
+form and reads off one kernel vector per free column.  The unit-pivot field
+mode serves only :func:`nullspace`, the exact reference path.  The first
+nonzero entry of each column is the pivot and updates touch only the tails
+right of it.  The reduced row echelon form and its pivot columns are
+unique, so :func:`nullspace` and the modular kernels are reproducible.
 
 :func:`certified_rank` takes the rank of a matrix over Q(zeta_n) from its
 images over F_p, for word-size primes p = 1 mod n below 2^30 with zeta
 sent to a root of Phi_n mod p: every residue is one CPython digit, as in
 the word-size prime fields of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
 TOMS 2008).  The caller builds those images itself, so entries are never
-formed as CycloNumber products.  A rank read off mod p is reported only
-with a certificate:
+formed as CycloNumber products; :func:`rank` at order > 1 is such a call
+on the rows cleared of their denominators.  A rank read off mod p is
+reported only with a certificate:
 
 * Every minor that is nonzero mod p is nonzero over Q(zeta), so
   rank_p <= rank.  A prime the caller cannot use (its ``modular`` returns
@@ -49,19 +42,28 @@ with a certificate:
   Then S = M x' has coefficients at most C = rho_inf * cols * A * max_j
   |x'_j|_1.  If B > 2C + 1 and B > 2(|Phi_n|_1 - 1), then a nonzero S has
   0 < |S(B)| < B^phi / 2 < Phi_n(B), so S(B) = 0 mod q proves S = 0.
-* After PRIME_BUDGET primes without a certificate the rank is taken by
-  fraction-free elimination of the integral rows.
+* Primes are taken from :func:`field_primes` until a lift certifies, and
+  that ends.  Fix the pivot columns of the reduced echelon form over
+  Q(zeta) and one nonzero minor on them of size rank.  Every p that divides
+  neither a denominator of the rows nor the norm of that minor (all but
+  finitely many) gives the true rank and the same pivots under every root,
+  so its reduced kernel is the image of the one over Q(zeta).  The CRT
+  residues over such primes reach that kernel, reconstruction returns it
+  once the product of the primes exceeds twice the square of its largest
+  numerator or denominator, and the ring check accepts it.  A kernel that
+  needs more than the primes p = 1 mod n below 2^30 ends the stream, where
+  :func:`field_primes` raises ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .cyclotomic import (CycloNumber, conjugate_product, cyclotomic_polynomial,
-                         euler_phi, int_mul, integral_form, prime_factors,
-                         reduction_norms)
+from .cyclotomic import (CycloNumber, cyclotomic_polynomial, euler_phi,
+                         integral_form, prime_factors, reduction_norms)
 
 
 class Matrix:
@@ -99,35 +101,22 @@ def _subtract(row, c, f, tail, p):
         row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
 
 
-def _quotient_by(d, order: int):
-    """x -> x / d on the multiples x of d in Z[zeta_order]: x times the
-    product of the other conjugates of d, over the norm N(d)."""
-    cofactor = conjugate_product(d, order)
-    norm = int_mul(d, cofactor, order)[0]
-    return lambda x: tuple(c // norm for c in int_mul(x, cofactor, order))
-
-
-def _echelon(rows, ncols, p=None, order=1):
+def _echelon(rows, ncols, p=None):
     """Row echelon form, consuming ``rows``.  With p None it is fraction free
-    on ints (over Z) and on power-basis int tuples (over Z[zeta_order]), and
-    exact with unit pivots on Fraction or CycloNumber entries; with p given
-    it works over F_p on ints in [0, p) with unit pivots.
+    on ints (over Z), and exact with unit pivots on Fraction or CycloNumber
+    entries; with p given it works over F_p on ints in [0, p) with unit
+    pivots.
 
     Returns (pivot columns, echelon rows).  Rows still waiting are zero left
     of the current column, so updates touch only the tail.
     """
     first = rows[0][0] if rows and ncols else None
     integral = p is None and isinstance(first, int)
-    cyclo = p is None and isinstance(first, tuple)
     pivots, done = [], []
-    quotient = None      # division by the previous pivot over Z[zeta]
     for c in range(ncols):
         if not rows:
             break
-        if cyclo:
-            pivot = next((i for i, row in enumerate(rows) if any(row[c])), None)
-        else:
-            pivot = next((i for i, row in enumerate(rows) if row[c]), None)
+        pivot = next((i for i, row in enumerate(rows) if row[c]), None)
         if pivot is None:
             continue
         prow = rows.pop(pivot)
@@ -135,7 +124,7 @@ def _echelon(rows, ncols, p=None, order=1):
         if p is not None:
             inv = pow(pv, -1, p)
             prow[c:] = [x * inv % p for x in prow[c:]]
-        elif pv != 1 and not (integral or cyclo):
+        elif pv != 1 and not integral:
             inv = 1 / pv if isinstance(pv, Fraction) else pv.inverse()
             prow[c:] = [x * inv for x in prow[c:]]
         tail = prow[c:]
@@ -146,14 +135,6 @@ def _echelon(rows, ncols, p=None, order=1):
                     new = [pv * a - f * b for a, b in zip(row[c:], tail)]
                     g = gcd(*new)
                     row[c:] = [x // g for x in new] if g > 1 else new
-        elif cyclo:
-            for row in rows:
-                f = row[c]
-                new = [tuple(x - y for x, y in zip(int_mul(pv, a, order),
-                                                   int_mul(f, b, order)))
-                       for a, b in zip(row[c:], tail)]
-                row[c:] = new if quotient is None else [quotient(x) for x in new]
-            quotient = _quotient_by(pv, order)
         else:
             for row in rows:
                 if row[c]:
@@ -195,19 +176,22 @@ def clear_denominators(values) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in values]
 
 
-def int_rank(rows, ncols: int, order: int = 1) -> int:
-    """Rank over Q(zeta_order) of rows of ints, or of power-basis int tuples
-    over Z[zeta_order], by fraction-free elimination."""
-    return len(_echelon([list(row) for row in rows], ncols, None, order)[0])
+def int_rank(rows, ncols: int) -> int:
+    """Rank over Q of rows of ints, by fraction-free elimination."""
+    return len(_echelon([list(row) for row in rows], ncols)[0])
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the fraction field, fraction free on the rows cleared of
-    their denominators: over Z when the order is 1, else over Z[zeta]."""
+    """Rank over the fraction field of the rows cleared of their
+    denominators: fraction free over Z when the order is 1, else
+    :func:`certified_rank` of their images in Z/p."""
     if m.order == 1:
         return int_rank([clear_denominators(row) for row in m.to_rows()], m.cols)
-    return int_rank([integral_form([x.coeffs for x in row]) for row in m.to_rows()],
-                    m.cols, m.order)
+    rows = [integral_form([x.coeffs for x in row]) for row in m.to_rows()]
+    return certified_rank(
+        (m.rows, m.cols), m.order,
+        lambda p, root: [[reduce_mod(x, p, root) for x in row] for row in rows],
+        lambda: max(sum(map(abs, x)) for row in rows for x in row)).rank
 
 
 def nullspace(m: Matrix) -> list[tuple]:
@@ -220,9 +204,6 @@ def nullspace(m: Matrix) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Certified ranks over F_p.
 
-# The budget's primes lie just below 2^30 and multiply to about 2^210, so a
-# kernel lift that needs a modulus of up to 2^180 still reconstructs.
-PRIME_BUDGET = 7
 _PRIME_BITS = 30
 # Miller-Rabin with these bases is deterministic below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -291,19 +272,20 @@ def _field_prime(n: int, p: int) -> FieldPrime:
 _FIELD_PRIMES: dict[int, list[FieldPrime]] = {}
 
 
-def field_primes(n: int) -> list[FieldPrime]:
-    """The PRIME_BUDGET largest primes p = 1 mod n below 2^30, in the order
-    :func:`certified_rank` tries them; computed once per n."""
-    found = _FIELD_PRIMES.get(n)
-    if found is None:
-        found = []
-        t = ((1 << _PRIME_BITS) - 2) // n
-        while len(found) < PRIME_BUDGET:
-            if _is_prime(n * t + 1):
-                found.append(_field_prime(n, n * t + 1))
-            t -= 1
-        _FIELD_PRIMES[n] = found
-    return found
+def field_primes(n: int) -> Iterator[FieldPrime]:
+    """The primes p = 1 mod n below 2^30, largest first, in the order
+    :func:`certified_rank` tries them; each is built on first use and kept
+    for n.  Raises ValueError when they run out."""
+    found = _FIELD_PRIMES.setdefault(n, [])
+    for index in count():
+        if index == len(found):
+            t = (found[-1].p - 1) // n - 1 if found else ((1 << _PRIME_BITS) - 2) // n
+            while t > 0 and not _is_prime(n * t + 1):
+                t -= 1
+            if t <= 0:
+                raise ValueError(f"no more primes p = 1 mod {n} below 2^{_PRIME_BITS}")
+            found.append(_field_prime(n, n * t + 1))
+        yield found[index]
 
 
 def reduce_mod(coeffs, p: int, root: int) -> int:
@@ -354,9 +336,9 @@ def _kernel_in_ring(modular, order: int, bound: int, cols: int, vectors) -> bool
 class CertifiedRank(NamedTuple):
     """A rank with the way it was certified.
 
-    ``certificate`` is "full_rank" (rank_p == min(rows, cols)), "kernel_lift"
-    (lifted kernel vectors verified exactly) or "exact" (exact elimination
-    after the prime budget ran out); ``prime`` is the certifying prime.
+    ``certificate`` is "full_rank" (rank_p == min(rows, cols)) or
+    "kernel_lift" (lifted kernel vectors verified exactly); ``prime`` is
+    the certifying prime, None for an empty matrix.
     """
 
     rank: int
@@ -366,19 +348,18 @@ class CertifiedRank(NamedTuple):
 
 def certified_rank(shape: tuple[int, int], order: int,
                    modular: Callable[[int, int], list | None],
-                   exact: Callable[[], list],
                    bound: Callable[[], int]) -> CertifiedRank:
     """Rank over Q(zeta_order) of the matrix of the given shape.
 
-    ``exact()`` returns the integral rows: the rows of the matrix, or of the
-    matrix with each row scaled by a nonzero element of Q(zeta), as lists of
-    power-basis int tuples over Z[zeta_order]; such a scaling changes
-    neither the rank nor the right kernel.  ``modular(p, root)`` returns
-    their image in Z/p under zeta -> root, over F_p or in the ring of a
-    kernel check, as lists of ints in [0, p), or None when p cannot be used
-    (it divides a denominator or another value the rows need).  ``bound()``
-    bounds the power-basis 1-norm of every entry of the integral rows; it is
-    called only on a lift, and ``exact`` only for the exact fallback.
+    The integral rows are the matrix's rows over Z[zeta_order], each maybe
+    scaled by a nonzero element of Q(zeta), which changes neither the rank
+    nor the right kernel.  ``modular(p, root)`` returns their image in Z/p
+    under zeta -> root, over F_p or in the ring of a kernel check, as lists
+    of ints in [0, p), or None when p cannot be used (it divides a
+    denominator or another value the rows need).  ``bound()`` bounds the
+    power-basis 1-norm of every entry of the integral rows; it is called
+    only on a lift.  Primes come from :func:`field_primes` until one
+    certifies.
     """
     rows, cols = shape
     full = min(rows, cols)
@@ -426,7 +407,6 @@ def certified_rank(shape: tuple[int, int], order: int,
             continue
         if _kernel_in_ring(modular, order, bound(), cols, lifted):
             return CertifiedRank(cols - len(lifted), "kernel_lift", p)
-    return CertifiedRank(int_rank(exact(), cols, order), "exact", None)
 
 
 # ---------------------------------------------------------------------------

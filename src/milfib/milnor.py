@@ -36,16 +36,17 @@ and row (i, j) is taken times X^{deg-i-j}, which leaves
 
 with no inverse.  Multiplying the rows by nonzero scalars, a diagonal
 matrix on the left, changes neither the rank nor the right kernel, so every
-cokernel is that of the chart-coordinate matrix.  What does not depend on
-k is built once per arrangement in a :class:`JetContext`: the keys in
+cokernel is that of the chart-coordinate matrix.  Only images of these
+integral rows are built, never the rows over Z[zeta].  What does not depend
+on k is built once per arrangement in a :class:`JetContext`: the keys in
 chart order, one Pascal table, and the power tables of X, U and V up to
 degree d - 4, over F_p from X, U and V reduced once per prime and root.  A
 prime with X = 0 mod p at a point with jets at k is skipped for that k.  A
 rank read mod p is used only when it is full (min(rows, cols)) or its
 lifted kernel satisfies M x = 0 exactly on the integral rows over Z[zeta],
 checked on their image in Z/Phi_n(2^K) (:meth:`JetContext.bound` bounds
-their entries); otherwise the next prime, and last fraction-free elimination
-of those rows, decide.  So every number reported is exact.  ``jet_matrix`` and
+their entries); otherwise the next prime of the stream decides, and some
+prime does (``linalg``).  So every number reported is exact.  ``jet_matrix`` and
 ``ideal_basis`` in tests/helpers.py build the same maps exactly over
 Q(zeta) in the chart coordinates U/X and V/X, the unconstrained one from
 its own truncated-jet layout, and serve as the reference for tests.
@@ -65,8 +66,8 @@ from math import comb, gcd
 # perfbench/tracing.py wraps them by name, as tests/test_bench_hooks.py checks.
 from .arrangement import (Arrangement, IncidenceLattice, InvariantViolation,
                           build_lattice)
-from .cyclotomic import euler_phi, int_mul, reduction_norms
-from .linalg import certified_rank, field_primes, nullspace, rank, reduce_mod
+from .cyclotomic import reduction_norms
+from .linalg import _PRIME_BITS, certified_rank, nullspace, rank, reduce_mod
 from . import resonance
 
 
@@ -119,39 +120,31 @@ def _integral_points(lattice: IncidenceLattice, chart_of: dict[int, int]) -> dic
     return points
 
 
-def _power_table(x, u, v, deg: int, one, mul) -> tuple[list, list]:
+def _power_table(x, u, v, deg: int, p: int) -> tuple[list, list]:
     """(uv, xs) with uv[a][b] = u^a * v^b for a + b <= deg and xs[c] = x^c
-    for c <= deg, in the ring whose unit is ``one`` and whose product is
-    ``mul``."""
+    for c <= deg, in Z/p."""
     powers = []
     for y in (u, v, x):
-        row = [one]
+        row = [1]
         for _ in range(deg):
-            row.append(mul(row[-1], y))
+            row.append(row[-1] * y % p)
         powers.append(row)
     pu, pv, px = powers
-    return [[mul(pu[a], pv[b]) for b in range(deg + 1 - a)] for a in range(deg + 1)], px
+    return [[pu[a] * pv[b] % p for b in range(deg + 1 - a)] for a in range(deg + 1)], px
 
 
-def _taylor_rows(layout, basis, tables, pascal, p=None, order=1) -> list[list]:
+def _taylor_rows(layout, basis, tables, pascal, p: int) -> list[list]:
     """Row (y, i, j), column x^{a_x} u^{a_u} v^{a_v} in the chart x of y: the
-    entry C(a_u,i) C(a_v,j) U^{a_u-i} V^{a_v-j} X^{a_x}, the coefficient of
-    u^i v^j in the Taylor expansion at y times X^{deg-i-j}, with
-    pascal[n][i] = C(n, i).  Over F_p when p is given, else over
-    Z[zeta_order] as power-basis int tuples."""
+    entry C(a_u,i) C(a_v,j) U^{a_u-i} V^{a_v-j} X^{a_x} in Z/p, the
+    coefficient of u^i v^j in the Taylor expansion at y times X^{deg-i-j},
+    with pascal[n][i] = C(n, i)."""
     rows = []
-    zero = 0 if p else (0,) * euler_phi(order)
     for idx, jets in layout:
         chart, u_idx, v_idx, (uv, xs) = tables[idx]
         exponents = [(m[chart], m[u_idx], m[v_idx]) for m in basis]
         for i, j in jets:
-            if p:
-                rows.append([uv[au - i][av - j] * xs[ax] * (pascal[au][i] * pascal[av][j]) % p
-                             if au >= i and av >= j else 0 for ax, au, av in exponents])
-            else:
-                rows.append([tuple(pascal[au][i] * pascal[av][j] * c
-                                   for c in int_mul(uv[au - i][av - j], xs[ax], order))
-                             if au >= i and av >= j else zero for ax, au, av in exponents])
+            rows.append([uv[au - i][av - j] * xs[ax] * (pascal[au][i] * pascal[av][j]) % p
+                         if au >= i and av >= j else 0 for ax, au, av in exponents])
     return rows
 
 
@@ -173,8 +166,8 @@ class JetContext:
     the integral coordinates of every point of multiplicity >= 3 (its
     projective key, as the lattice stores it), one Pascal table up to
     degree d - 4 (the largest k - 3) and, built on first use, the power
-    tables of each point up to that degree over F_p for each (p, root), its
-    coordinates reduced once per (p, root)."""
+    tables of each point up to that degree over F_p for each field prime p
+    and root, its coordinates reduced once per (p, root)."""
 
     def __init__(self, arr: Arrangement, lattice: IncidenceLattice, charts=None):
         self.order = arr.field_order
@@ -182,48 +175,35 @@ class JetContext:
         self.points = _integral_points(lattice, _charts_for(lattice, charts))
         self.pascal = [[comb(n, i) for i in range(n + 1)]
                        for n in range(self.degree + 1)]
-        self._primes = {fp.p for fp in field_primes(self.order)}
         self._tables = {}
 
     def _table(self, idx: int, p: int, root: int, deg: int):
         """(chart, u index, v index, (uv, xs)) at point idx in Z/p under
         zeta -> root: the :func:`_power_table` of its reduced (X, U, V), None
-        when X is 0 mod p; kept up to degree d - 4 for a field prime, built
-        up to ``deg`` for the ring of one kernel check."""
+        when X is 0 mod p.  It depends on (idx, p, root) alone: below 2^30,
+        as every field prime is, it is built up to degree d - 4 and kept;
+        for the larger ring of one kernel check, up to ``deg`` and dropped."""
         key = (idx, p, root)
         if key in self._tables:
             return self._tables[key]
         chart, u_idx, v_idx, xuv = self.points[idx]
         x, u, v = (reduce_mod(c, p, root) for c in xuv)
-        field = p in self._primes
+        field = p < 1 << _PRIME_BITS
         table = (chart, u_idx, v_idx, _power_table(
-            x, u, v, self.degree if field else deg, 1,
-            lambda a, b: a * b % p)) if x else None
+            x, u, v, self.degree if field else deg, p)) if x else None
         if field:
             self._tables[key] = table
         return table
 
-    def rows(self, layout, basis, p=None, root=None) -> list[list] | None:
-        """The integral jet rows of ``layout`` on the monomials ``basis``: in
-        Z/p under zeta -> root when p is given, None when X is 0 mod p at a
-        point of the layout; else over Z[zeta] as power-basis int tuples.
-        Exact rows feed only the exact fallback of ``certified_rank``, so
-        their power tables are built in the call, at the degree of
-        ``basis``."""
+    def rows(self, layout, basis, p: int, root: int) -> list[list] | None:
+        """The integral jet rows of ``layout`` on the monomials ``basis`` in
+        Z/p under zeta -> root, for a field prime p or the modulus q of a
+        kernel check; None when X is 0 mod p at a point of the layout."""
         deg, points = max(map(sum, basis), default=0), {idx for idx, _ in layout}
-        if p is not None:
-            tables = {idx: self._table(idx, p, root, deg) for idx in points}
-            if None in tables.values():
-                return None
-        else:
-            order = self.order
-            one = (1,) + (0,) * (euler_phi(order) - 1)
-            tables = {}
-            for idx in points:
-                chart, u_idx, v_idx, xuv = self.points[idx]
-                tables[idx] = (chart, u_idx, v_idx, _power_table(
-                    *xuv, deg, one, lambda a, b: int_mul(a, b, order)))
-        return _taylor_rows(layout, basis, tables, self.pascal, p, self.order)
+        tables = {idx: self._table(idx, p, root, deg) for idx in points}
+        if None in tables.values():
+            return None
+        return _taylor_rows(layout, basis, tables, self.pascal, p)
 
     def bound(self, deg: int) -> int:
         """A = C(deg, floor(deg/2))^2 * rho_1^(deg-1) * N^deg, N the largest
@@ -262,7 +242,7 @@ def cokernel_dims(arr: Arrangement, lattice: IncidenceLattice, k: int,
         return certified_rank(
             (_row_count(layout), len(basis)), jets.order,
             lambda p, root: jets.rows(layout, basis, p, root),
-            lambda: jets.rows(layout, basis), lambda: jets.bound(k - 3)).rank
+            lambda: jets.bound(k - 3)).rank
 
     full = certified(outer + graded)
     rows_c, rows_f = _row_count(outer), _row_count(graded)

@@ -18,12 +18,18 @@ the jet maps over Q(zeta) whose cokernels ``milnor.cokernel_dims`` reads off
 F_p ranks, the unconstrained one from its own layout of truncated jets
 (``truncated_jet_layout``, not milnor's outer plus graded rows), all from
 ``chart_inverse_matrix``: Taylor entries in the chart coordinates U/X, V/X,
-CycloNumber products with an inverse, where ``milnor`` builds integral rows
-over Z[zeta] that are these rows times X^(deg-i-j).  ``integral_rows``
-clears a matrix's rows of their denominators and ``certify_args`` hands them
-to ``certified_rank``; ``kernel_holds`` checks M x = 0 over Z[zeta] by
-convolution, the reference for ``certified_rank``'s check in Z/Phi_n(2^K);
-``int_det`` takes the determinant of int rows by Bareiss elimination (the
+CycloNumber products with an inverse, where ``milnor`` builds the images in
+Z/p of integral rows over Z[zeta] that are these rows times X^(deg-i-j);
+``assert_integral_jet_rows`` forms those integral rows from the chart rows
+and checks them against ``JetContext``.
+``field_rank`` takes the rank of an exact matrix with no prime: ``rank`` at
+order 1, and above it cols minus the length of its ``nullspace``, the exact
+field path, never ``certified_rank``, which ``rank`` calls there;
+exact-rank oracles use it.
+``integral_rows`` clears a matrix's rows of their denominators and
+``certify_args`` hands their images to ``certified_rank``; ``kernel_holds``
+checks M x = 0 over Z[zeta] by convolution, the reference for
+``certified_rank``'s check in Z/Phi_n(2^K); ``int_det`` takes the determinant of int rows by Bareiss elimination (the
 Smith tests read determinantal divisors from its minors), ``enumerate_kernel`` walks the whole kernel of a
 realization search, which ``search_realizations`` walks only when the group
 has at least d elements, and ``same_affine_orbit`` compares realization
@@ -70,7 +76,8 @@ from milfib.arrangement import (Arrangement, ArrangementError, IncidenceLattice,
                                 build_lattice, generic_section)
 from milfib.cyclotomic import (CycloNumber, as_cyclo, euler_phi, field_order, int_reduce,
                                integral_form)
-from milfib.linalg import Matrix, clear_denominators, nullspace, rank, reduce_mod
+from milfib.linalg import (Matrix, clear_denominators, field_primes, nullspace, rank,
+                           reduce_mod)
 from milfib.milnor import (JetContext, _charts_for, _layouts, cokernel_dims, ideal_order,
                            monomial_basis, precheck_vanishing)
 from milfib.resonance import (PartitionPhi, PartitionVerdict, ResidueVerdict,
@@ -533,7 +540,13 @@ def ideal_dim_oracle(arr, lattice, deg, k):
     if not rows:
         return len(basis)
     constraints = matrix_from_rows(rows, cols=len(basis), order=arr.field_order)
-    return len(basis) - rank(constraints)
+    return len(basis) - field_rank(constraints)
+
+
+def field_rank(m: Matrix) -> int:
+    """Rank over Q(zeta) with no prime: ``rank``, fraction free over Z, at
+    order 1, else the exact field path, columns minus nullity."""
+    return rank(m) if m.order == 1 else m.cols - len(nullspace(m))
 
 
 def int_det(rows) -> int:
@@ -614,6 +627,33 @@ def chart_inverse_matrix(arr: Arrangement, lattice: IncidenceLattice, chart_of,
     return matrix_from_rows(rows, cols=len(basis), order=arr.field_order)
 
 
+def assert_integral_jet_rows(arr: Arrangement, lattice: IncidenceLattice,
+                             context: JetContext, layout, deg: int) -> None:
+    """The rows of ``chart_inverse_matrix`` for ``layout``, row (y, i, j)
+    times X^(deg-i-j), X the chart coordinate of y in ``context``, are the
+    integral rows ``milnor`` reads its ranks off: their entries lie in
+    Z[zeta], within ``context.bound(deg)`` in power-basis 1-norm, and their
+    images under every root of the first field prime are the rows
+    ``JetContext.rows`` builds."""
+    basis = monomial_basis(deg)
+    chart_of = {idx: chart for idx, (chart, *_) in context.points.items()}
+    reference = chart_inverse_matrix(arr, lattice, chart_of, layout, deg).to_rows()
+    jets = [(idx, i, j) for idx, pairs in layout for i, j in pairs]
+    assert len(reference) == len(jets)
+    order, rows = arr.field_order, []
+    for row, (idx, i, j) in zip(reference, jets):
+        scale = CycloNumber(order, context.points[idx][3][0]) ** (deg - i - j)
+        coeffs = [(as_cyclo(x, order) * scale).coeffs for x in row]
+        assert all(c.denominator == 1 for x in coeffs for c in x), (arr.name, idx, i, j)
+        rows.append([[int(c) for c in x] for x in coeffs])
+    assert all(sum(map(abs, x)) <= context.bound(deg) for row in rows for x in row), arr.name
+    fp = next(field_primes(order))
+    for root in fp.roots:
+        modular = context.rows(layout, basis, fp.p, root)
+        if modular is not None:
+            assert modular == [[reduce_mod(x, fp.p, root) for x in row] for row in rows]
+
+
 def integral_rows(m: Matrix) -> list[tuple]:
     """Each row of m times the lcm of its denominators, as power-basis int
     tuples: the form ``linalg.certified_rank`` checks kernels on."""
@@ -624,8 +664,8 @@ def integral_rows(m: Matrix) -> list[tuple]:
 def certify_args(m: Matrix) -> tuple:
     """The arguments ``linalg.certified_rank`` takes for m: its shape and
     order, ``modular(p, root)``, the image of ``integral_rows(m)`` in Z/p
-    under zeta -> root (None when p divides a denominator of m), the
-    integral rows and the largest power-basis 1-norm of their entries."""
+    under zeta -> root (None when p divides a denominator of m), and the
+    largest power-basis 1-norm of their entries."""
     rows = integral_rows(m)
     dens = [lcm(*(c.denominator for x in row
                   for c in (x.coeffs if isinstance(x, CycloNumber) else (x,))))
@@ -637,7 +677,7 @@ def certify_args(m: Matrix) -> tuple:
         return [[reduce_mod(x, p, root) for x in row] for row in rows]
 
     bound = max((sum(map(abs, x)) for row in rows for x in row), default=0)
-    return (m.rows, m.cols), m.order, modular, lambda: rows, lambda: bound
+    return (m.rows, m.cols), m.order, modular, lambda: bound
 
 
 def kernel_holds(rows, order: int, vectors) -> bool:

@@ -12,13 +12,18 @@ milfib from a checkout's ``src/``, and timed there, in process:
 - ``analyze``: ``report.analyze`` on the member;
 - ``lifts`` and ``lift_s``: the number of ``linalg.certified_rank`` calls of
   the ``all_k`` run that end in a ``kernel_lift`` certificate, and the time
-  spent in them.
+  spent in them;
+- ``primes``: the highest place in the stream ``linalg.field_primes`` (1
+  for its first prime) at which a rank of the ``all_k`` run certified, 0
+  when none needed a prime.
 
 Each figure is the median of ``REPEATS`` rounds, one child process per
 checkout and round.  With ``--parent`` the parent checkout is timed as well,
-the two alternating which goes first from round to round.  The last line of
-standard output is one JSON object with every median.  pytest does not
-collect this file: its name does not start with ``test_``.
+the two alternating which goes first from round to round, and the table
+gives per member the number of rounds in which the change took less time
+than the parent on ``all_k`` and on ``lift_s`` (ties count for neither).
+The last line of standard output is one JSON object with every median.
+pytest does not collect this file: its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -31,11 +36,11 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-REPEATS = 3
+REPEATS = 7
 
 CHILD = r"""
 import json, sys, time
-from milfib import milnor, report
+from milfib import linalg, milnor, report
 from milfib.arrangement import Arrangement, build_lattice
 
 def timed(call):
@@ -48,7 +53,7 @@ def jets(arr, lat, ks):
     for k in ks:
         milnor.cokernel_dims(arr, lat, k, jets=context)
 
-lifts = []
+lifts, certified = [], set()
 ranked = milnor.certified_rank
 
 def timed_rank(*args):
@@ -56,7 +61,12 @@ def timed_rank(*args):
     result = ranked(*args)
     if result.certificate == "kernel_lift":
         lifts.append(time.perf_counter() - start)
+    if result.prime is not None:
+        certified.add((args[1], result.prime))
     return result
+
+def place(order, prime):
+    return next(i for i, fp in enumerate(linalg.field_primes(order), 1) if fp.p == prime)
 
 milnor.certified_rank = timed_rank
 out = {}
@@ -66,8 +76,10 @@ for name, data in json.load(sys.stdin).items():
     ks = range(1, lat.d)
     open_k = [k for k in ks if all(milnor.precheck_vanishing(lat, k))]
     lifts.clear()
+    certified.clear()
     out[name] = {"all_k": timed(lambda: jets(arr, lat, ks)),
                  "lifts": len(lifts), "lift_s": sum(lifts),
+                 "primes": max((place(*c) for c in certified), default=0),
                  "open_k": timed(lambda: jets(arr, lat, open_k)) if open_k else 0.0,
                  "analyze": timed(lambda: report.analyze(arr))}
 print(json.dumps(out))
@@ -97,17 +109,24 @@ def main(argv=None) -> int:
         order = list(trees) if r % 2 == 0 else list(trees)[::-1]
         for side in order:
             rounds[side].append(_round(trees[side], documents))
-    metrics = ("all_k", "open_k", "analyze", "lifts", "lift_s")
+    metrics = ("all_k", "open_k", "analyze", "lifts", "lift_s", "primes")
+    counts = ("lifts", "primes")
+    raced = ("all_k", "lift_s") if args.parent else ()
     medians = {side: {name: {m: round(statistics.median(run[name][m] for run in runs), 6)
                              for m in metrics}
                       for name in documents}
                for side, runs in rounds.items()}
     print(f"{'member':<14}" + "".join(f"{side + ' ' + m:>16}" for side in trees
-                                      for m in metrics))
+                                      for m in metrics)
+          + "".join(f"{'wins ' + m:>16}" for m in raced))
     for name in documents:
-        print(f"{name:<14}" + "".join(f"{medians[side][name][m]:>16.4f}" if m != "lifts"
-                                      else f"{medians[side][name][m]:>16d}"
-                                      for side in trees for m in metrics))
+        wins = {m: sum(c[name][m] < p[name][m]
+                       for c, p in zip(rounds["change"], rounds.get("parent", [])))
+                for m in raced}
+        print(f"{name:<14}" + "".join(f"{medians[side][name][m]:>16d}" if m in counts
+                                      else f"{medians[side][name][m]:>16.4f}"
+                                      for side in trees for m in metrics)
+              + "".join(f"{f'{wins[m]}/{REPEATS}':>16}" for m in raced))
     print(json.dumps(medians, sort_keys=True))
     return 0
 

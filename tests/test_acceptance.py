@@ -9,11 +9,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from helpers import (from_plain_vector, ideal_basis, ideal_dim_oracle,
+from helpers import (field_rank, from_plain_vector, ideal_basis, ideal_dim_oracle,
                      int_det, jet_matrix, matrix_from_rows, random_arrangements,
                      same_affine_orbit)
 from milfib.arrangement import build_lattice, generic_section, named_arrangement
-from milfib.linalg import nullspace, rank, smith_normal_form
+from milfib.linalg import nullspace, smith_normal_form
 from milfib.milnor import (cokernel_dims, full_spectrum, grf_dims,
                            monomial_basis, precheck_vanishing)
 from milfib.realize import incidence_from_lattice, search_realizations
@@ -82,8 +82,8 @@ def test_criterion_5_hesse(arrangements, lattices):
     product = [1 if m == (1, 1, 1) else 0 for m in basis]
     for target in (fermat, product):
         stacked = [list(v) for v in kernel] + [target]
-        assert rank(matrix_from_rows(stacked, cols=10, order=3)) == 2
-    assert mat.rows - rank(mat) == 1  # cokernel
+        assert field_rank(matrix_from_rows(stacked, cols=10, order=3)) == 2
+    assert mat.rows - field_rank(mat) == 1  # cokernel
     reports = full_spectrum(arr, lat)
     assert _b1(reports) == [0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0]
     nets = net_detect(lat, 4)
@@ -167,7 +167,7 @@ def test_criterion_7_property_battery(arrangements, lattices):
                 if 3 * kk <= 2 * d:
                     continue
                 mat = jet_matrix(arr, lat, kk, False)
-                if mat.rows - rank(mat) != 0:
+                if mat.rows - field_rank(mat) != 0:
                     failures.append(("g", arr.name, kk))
         # (h) ideal dimension against the directional oracle
         if len(lat.sigma()) <= 12:

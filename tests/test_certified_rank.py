@@ -1,41 +1,52 @@
 """The certified F_p rank kernel behind the jet route.
 
 ``cokernel_dims`` takes every rank over F_p (linalg.certified_rank); the
-exact matrices of ``jet_matrix`` (tests/helpers.py) with exact ``rank`` are
-the oracle here, and sympy's DomainMatrix over QQ<zeta_n> an independent one.
-The check of lifted kernels in Z/Phi_n(2^K) has ``helpers.kernel_holds``,
-exact convolution over Z[zeta], as its oracle.
+exact matrices of ``jet_matrix`` (tests/helpers.py) with ``field_rank``, the
+exact field path, are the oracle here, and sympy's DomainMatrix over
+QQ<zeta_n> an independent one.  The check of lifted kernels in
+Z/Phi_n(2^K) has ``helpers.kernel_holds``, exact convolution over Z[zeta],
+as its oracle.  The primes come from the stream ``linalg.field_primes``,
+taken lazily and only as far as a certificate needs; a kernel that needs
+more primes than the first few still certifies by a lift.
 """
 
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (certify_args, jet_matrix, kernel_holds, ladder_member,
-                     matrix_from_rows, monomial_arrangement, random_arrangement)
+from helpers import (assert_integral_jet_rows, certify_args, field_rank, jet_matrix,
+                     kernel_holds, ladder_member, matrix_from_rows,
+                     monomial_arrangement, random_arrangement)
 from milfib import linalg, milnor
 from milfib.arrangement import (Arrangement, ProjLine, ProjPoint, build_lattice,
                                 named_arrangement)
 from milfib.cyclotomic import CycloNumber, euler_phi, int_mul
-from milfib.linalg import (PRIME_BUDGET, CertifiedRank, Matrix,
-                           certified_rank, field_primes, rank, reduce_mod)
-from milfib.milnor import JetContext, cokernel_dims, monomial_basis
+from milfib.linalg import (CertifiedRank, Matrix, certified_rank, field_primes,
+                           reduce_mod)
+from milfib.milnor import JetContext, cokernel_dims
+from milfib.report import analyze
 
 
 def _exact_cokernels(arr, lat, k, charts=None):
     tilde = jet_matrix(arr, lat, k, False, charts)
     constrained = jet_matrix(arr, lat, k, True, charts)
-    return (tilde.rows - rank(tilde), constrained.rows - rank(constrained))
+    return (tilde.rows - field_rank(tilde), constrained.rows - field_rank(constrained))
 
 
 def _certify(m: Matrix) -> CertifiedRank:
     return certified_rank(*certify_args(m))
+
+
+def _primes(n: int, count: int) -> list[int]:
+    return [fp.p for fp in islice(field_primes(n), count)]
 
 
 def _differential_cases():
@@ -88,15 +99,13 @@ def test_nonzero_cokernels_against_sympy(name, k):
 
 
 def test_field_primes_carry_roots_of_the_cyclotomic_polynomial():
+    sympy = pytest.importorskip("sympy")
     for n in (1, 3, 4, 12):
-        primes = field_primes(n)
-        assert len(primes) == PRIME_BUDGET
-        # Word-size primes, distinct, whose product leaves room for lifts
-        # of about 180 bits.
-        assert len({fp.p for fp in primes}) == PRIME_BUDGET
-        assert prod(fp.p for fp in primes) >= 2 ** 180
+        primes = list(islice(field_primes(n), 7))
+        # The largest primes p = 1 mod n below 2^30, none skipped, largest first.
+        candidates = range((2 ** 30 - 2) // n * n + 1, primes[-1].p - 1, -n)
+        assert [fp.p for fp in primes] == [c for c in candidates if sympy.isprime(c)]
         for fp in primes:
-            assert (fp.p - 1) % n == 0 and fp.p < 2 ** 30
             assert len(fp.roots) == len(set(fp.roots)) == euler_phi(n)
             zeta = CycloNumber.zeta(n)
             for root in fp.roots:
@@ -124,13 +133,37 @@ def test_random_ranks_and_kernel_lifts_agree_with_exact_rank():
                          CycloNumber.zero(order)) for j in range(c)] for i in range(r)]
             m = matrix_from_rows(rows, cols=c, order=order)
             result = _certify(m)
-            assert result.rank == rank(m)
+            assert result.rank == field_rank(m)
             kinds.add(result.certificate)
     assert kinds == {"full_rank", "kernel_lift"}
 
 
+@pytest.mark.parametrize("n", [2 ** 29 + 11, 2 ** 30 + 1])
+def test_field_primes_end_with_an_error_naming_the_order(n):
+    # 2^29 + 12 is even, and no p = 1 mod 2^30 + 1 lies below 2^30.
+    with pytest.raises(ValueError, match=f"no more primes p = 1 mod {n} below 2"):
+        next(field_primes(n))
+
+
+def test_analyze_builds_one_prime_per_field_order(monkeypatch, arrangements):
+    # Every rank of the five fixtures certifies at the first prime of its
+    # order, so the stream builds no second one.
+    built = Counter()
+    build = linalg._field_prime
+
+    def counted(n, p):
+        built[n] += 1
+        return build(n, p)
+
+    monkeypatch.setattr(linalg, "_FIELD_PRIMES", {})
+    monkeypatch.setattr(linalg, "_field_prime", counted)
+    for arr in arrangements.values():
+        analyze(arr)
+    assert built == Counter({arr.field_order: 1 for arr in arrangements.values()})
+
+
 def test_denominator_divisible_by_the_first_prime_moves_to_the_next():
-    first, second = (fp.p for fp in field_primes(1)[:2])
+    first, second = _primes(1, 2)
     full = matrix_from_rows([[Fraction(1, first), 0], [0, 1]])
     assert _certify(full) == CertifiedRank(2, "full_rank", second)
     deficient = matrix_from_rows([[Fraction(1, first)] * 2, [2, 2]])
@@ -138,7 +171,7 @@ def test_denominator_divisible_by_the_first_prime_moves_to_the_next():
 
 
 def test_rank_lost_mod_p_is_not_certified():
-    first, second = (fp.p for fp in field_primes(1)[:2])
+    first, second = _primes(1, 2)
     # Mod the first prime the matrix has rank 1; its kernel vector (1, 0)
     # fails M x = 0 over Q, so the rank comes from the second prime.
     m = matrix_from_rows([[first, 1], [0, 1]])
@@ -146,7 +179,7 @@ def test_rank_lost_mod_p_is_not_certified():
 
 
 def test_zero_chart_coordinate_mod_p_moves_to_the_next_prime(monkeypatch):
-    first, second = (fp.p for fp in field_primes(1)[:2])
+    first, second = _primes(1, 2)
     # Three lines through (1 : p : 1); in the chart y = 1 its chart coordinate
     # p vanishes mod p, so every map at k must leave the first prime.
     arr = Arrangement([ProjLine(1, 0, -1), ProjLine(first, -1, 0),
@@ -183,33 +216,21 @@ def test_kernel_lift_across_several_word_size_primes():
     for m in cases:
         result = _certify(m)
         assert (result.rank, result.certificate) == (1, "kernel_lift"), m
-        assert result.rank == rank(m)
-        assert result.prime != field_primes(m.order)[0].p
+        assert result.rank == field_rank(m)
+        assert result.prime != _primes(m.order, 1)[0]
 
 
-def test_kernel_beyond_the_prime_budget_falls_back_to_exact_elimination():
+@pytest.mark.parametrize("order", [1, 3])
+def test_kernel_beyond_seven_primes_certifies_by_a_lift(order):
     a, b = 2 ** 200 + 235, 3 ** 126 + 2
+    primes = _primes(order, 14)
     # Full rank needs no lift, however large the entries.
-    assert _certify(matrix_from_rows([[a, b]])) == CertifiedRank(1, "full_rank",
-                                                                 field_primes(1)[0].p)
-    # The kernel vector (-b/a, 1) needs about 400 bits; the budget gives 210.
-    singular = matrix_from_rows([[a, b], [2 * a, 2 * b]])
-    assert _certify(singular) == CertifiedRank(1, "exact", None)
-
-
-def test_exact_rows_are_read_only_by_the_fallback():
-    a, b = 2 ** 40 + 15, 2 ** 40 - 87
-    cases = {"kernel_lift": matrix_from_rows([[a, b], [2 * a, 2 * b]]),
-             "exact": matrix_from_rows([[2 ** 200 + 235, 3 ** 126 + 2]] * 2)}
-    for kind, m in cases.items():
-        shape, order, modular, exact, bound = certify_args(m)
-        reads = []
-
-        def counted():
-            reads.append(1)
-            return exact()
-        assert certified_rank(shape, order, modular, counted, bound).certificate == kind
-        assert len(reads) == (kind == "exact")
+    assert _certify(matrix_from_rows([[a, b]], order=order)) == \
+        CertifiedRank(1, "full_rank", primes[0])
+    # The kernel vector (-b/a, 1) reconstructs only once the modulus exceeds
+    # 2 a^2, about 2^401: fourteen primes just below 2^30, not thirteen.
+    singular = matrix_from_rows([[a, b], [2 * a, 2 * b]], order=order)
+    assert _certify(singular) == CertifiedRank(1, "kernel_lift", primes[13])
 
 
 def _kernel_case(rng, order: int, perturb: str):
@@ -290,16 +311,13 @@ with open(os.path.join(os.path.dirname(__file__), "golden", "ladder.json"),
 
 
 def _assert_bound_dominates(arr, ks):
+    # The rows of C are among those of [C; F].
     lat = build_lattice(arr)
     context = JetContext(arr, lat)
     for k in ks:
-        basis = monomial_basis(k - 3)
         outer, graded = milnor._layouts(lat, k)
-        for layout in (outer + graded, outer):
-            if basis and layout:
-                rows = context.rows(layout, basis)
-                largest = max(sum(map(abs, x)) for row in rows for x in row)
-                assert largest <= context.bound(k - 3), (arr.name, k)
+        if outer + graded:
+            assert_integral_jet_rows(arr, lat, context, outer + graded, k - 3)
 
 
 @pytest.mark.parametrize("name", ["braid", "pappus-dual", "ex-3-1-iii", "ceva3", "hesse"])

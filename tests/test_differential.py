@@ -23,7 +23,7 @@ The input layer works on ints.  ``generic_section`` restricts the
 integral rows of the hyperplanes by int dot products, and its lines must be
 those of the CycloNumber restriction, ``section_lines_oracle``.  An
 arrangement is essential by one determinant test, which must agree with
-``int_rank`` of the line keys.  ``search_residue_subset`` keeps its pruning
+the rank of the line keys by the exact field path (``field_rank``).  ``search_residue_subset`` keeps its pruning
 tests as running tallies, and must return what the rescanning search,
 ``residue_search_oracle``, returns after visiting as many nodes.
 
@@ -41,17 +41,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (braid_section, cross_product, exhaustive_residue_subset,
-                     flats_by_rank, lattice_by_incidence, monomial_arrangement,
-                     net_detect_oracle, normalize_triple_oracle, pencil_partition_oracle,
-                     random_arrangement, random_cyclo, random_hyperplanes, rank2_flats,
-                     residue_search_oracle, residue_verdict_oracle, section_lines_oracle,
-                     three_pencils)
+                     field_rank, flats_by_rank, lattice_by_incidence, matrix_from_rows,
+                     monomial_arrangement, net_detect_oracle, normalize_triple_oracle,
+                     pencil_partition_oracle, random_arrangement, random_cyclo,
+                     random_hyperplanes, rank2_flats, residue_search_oracle,
+                     residue_verdict_oracle, section_lines_oracle, three_pencils)
 from milfib import resonance
 from milfib.arrangement import (Arrangement, ArrangementError, GenericityError, ProjLine,
                                 ProjPoint, build_lattice, generic_section,
                                 named_arrangement)
 from milfib.cyclotomic import CycloNumber, integral_form, projective_key
-from milfib.linalg import int_rank
 from milfib.resonance import (PartitionPhi, check_pencil_partition,
                               check_residue_integrality, net_detect,
                               search_residue_subset)
@@ -170,9 +169,9 @@ def _concurrent_lines(rng, order, d):
        st.sampled_from(["random", "concurrent", "concurrent-and-one"]),
        st.integers(0, 2 ** 32 - 1))
 def test_essentiality_matches_the_rank_of_the_keys(order, d, shape, seed):
-    # The determinant test of Arrangement must say what int_rank says of
-    # the d x 3 key rows, also when every line, or every line but one at a
-    # random place, passes through one point.
+    # The determinant test of Arrangement must say what the exact field
+    # path says of the d x 3 key rows, also when every line, or every line
+    # but one at a random place, passes through one point.
     rng = random.Random(seed)
     if shape == "random":
         values = [[random_cyclo(rng, order) for _ in range(3)] for _ in range(d)]
@@ -193,7 +192,8 @@ def test_essentiality_matches_the_rank_of_the_keys(order, d, shape, seed):
     except ArrangementError as exc:
         assert "non-essential" in str(exc)
         essential = False
-    assert essential == (int_rank(keys, 3, order) == 3), shape
+    key_rows = [[CycloNumber(order, x) for x in key] for key in keys]
+    assert essential == (field_rank(matrix_from_rows(key_rows, order=order)) == 3), shape
 
 
 # Pencil-type inputs with nets, their lines in a random order: the braid

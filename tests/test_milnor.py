@@ -6,15 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import (chart_inverse_matrix, ideal_basis, ideal_dim_oracle,
-                     jet_matrix, matrix_from_rows, monomial_arrangement, random_arrangements,
-                     random_hyperplanes, truncated_jet_layout, truncation_order)
+from helpers import (assert_integral_jet_rows, field_rank, ideal_basis,
+                     ideal_dim_oracle, jet_matrix, matrix_from_rows,
+                     monomial_arrangement, random_arrangements, random_hyperplanes,
+                     truncated_jet_layout, truncation_order)
 from milfib import milnor
 from milfib.arrangement import (Arrangement, ArrangementError, ProjLine,
                                 build_lattice, named_arrangement)
-from milfib.cyclotomic import CycloNumber
-from milfib.linalg import (certified_rank, field_primes, nullspace, rank,
-                           reduce_mod)
+from milfib.linalg import certified_rank, field_primes, nullspace, reduce_mod
 from milfib.milnor import (InvariantViolation, cokernel_dims, full_spectrum,
                            grf_dims, ideal_order, monomial_basis,
                            precheck_vanishing)
@@ -50,7 +49,7 @@ def test_braid_evaluation_matrix_at_k4(lattices, arrangements):
     # Lattice points in deterministic order (0:0:1), (0:1:0), (1:0:0), (1:1:1);
     # columns are the degree-1 monomials in ascending order [z, y, x].
     assert rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
-    assert rank(mat) == 3
+    assert field_rank(mat) == 3
 
 
 def test_empty_targets_give_zero_row_matrices(lattices, arrangements):
@@ -72,7 +71,7 @@ def test_hesse_kernel_at_k6_is_the_cubic_pencil(lattices, arrangements):
     for target in (fermat, product):
         stacked = [list(v) for v in kernel] + [target]
         m = matrix_from_rows(stacked, cols=10, order=3)
-        assert rank(m) == 2  # target already in the kernel span
+        assert field_rank(m) == 2  # target already in the kernel span
 
 
 def test_grf_examples(lattices, arrangements):
@@ -210,9 +209,10 @@ def test_cokernel_dims_ranks_c_alone_only_when_c_f_is_row_deficient(
 def test_jet_context_is_built_once_per_arrangement(monkeypatch, arrangements):
     # Over the open k, the jet route reads each multiple point's key as the
     # lattice stores it, so no point's CycloNumber coordinates are built, and
-    # it reduces the key's X, U and V once per field prime and root.  The
-    # ring Z/q of a kernel check (Hesse lifts at k = 6 and 9, with rows at
-    # all nine points) reduces them once per check: its tables are not kept.
+    # it reduces the key's X, U and V once per field prime and root.  Every
+    # rank certifies at the first prime, and the ring Z/q of a kernel check
+    # (Hesse lifts at k = 6 and 9, with rows at all nine points) reduces
+    # them once per check.
     reductions = Counter()
 
     def counted_reduce(coeffs, p, root):
@@ -225,9 +225,9 @@ def test_jet_context_is_built_once_per_arrangement(monkeypatch, arrangements):
     full_spectrum(arr, lat)
     sigma = lat.sigma()
     assert [p.point._values for p in sigma] == [None] * 9
-    primes = {fp.p for fp in field_primes(arr.field_order)}
-    field = {key: n for key, n in reductions.items() if key[0] in primes}
-    ring = {key: n for key, n in reductions.items() if key[0] not in primes}
+    first = next(field_primes(arr.field_order)).p
+    field = {key: n for key, n in reductions.items() if key[0] == first}
+    ring = {key: n for key, n in reductions.items() if key[0] != first}
     assert field
     assert set(field.values()) == {3 * len(sigma)}, field
     assert len(ring) == 2
@@ -242,30 +242,10 @@ def test_cokernel_pair_agreement_on_randoms():
 
 
 def _assert_integral_rows(arr, lat, k):
-    """Each integral jet row is the chart-inverse row times X^(deg-i-j),
-    entry by entry, and its image mod p is the row built over F_p."""
-    deg = k - 3
-    if deg < 0:
-        return
-    order = arr.field_order
-    layouts = milnor._layouts(lat, k)
-    context = milnor.JetContext(arr, lat)
-    chart_of = milnor._charts_for(lat, None)
-    basis = monomial_basis(deg)
-    fp = field_primes(order)[0]
-    for layout in layouts:
-        rows = context.rows(layout, basis)
-        reference = chart_inverse_matrix(arr, lat, chart_of, layout, deg).to_rows()
-        jets = [(idx, i, j) for idx, pairs in layout for i, j in pairs]
-        assert len(rows) == len(reference) == len(jets)
-        for t, (idx, i, j) in enumerate(jets):
-            scale = CycloNumber(order, context.points[idx][3][0]) ** (deg - i - j)
-            assert [CycloNumber(order, x) for x in rows[t]] == \
-                [x * scale for x in reference[t]], (k, idx, i, j)
-        for root in fp.roots:
-            modular = context.rows(layout, basis, fp.p, root)
-            if modular is not None:
-                assert modular == [[reduce_mod(x, fp.p, root) for x in row] for row in rows]
+    if k >= 3:
+        context = milnor.JetContext(arr, lat)
+        for layout in milnor._layouts(lat, k):
+            assert_integral_jet_rows(arr, lat, context, layout, k - 3)
 
 
 def test_integral_rows_are_scaled_chart_rows_on_fixtures(lattices, arrangements):

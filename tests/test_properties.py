@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ideal_basis, ideal_dim_oracle, jet_matrix, random_arrangements
+from helpers import (field_rank, ideal_basis, ideal_dim_oracle, jet_matrix,
+                     random_arrangements)
 from milfib.arrangement import build_lattice, named_arrangement
-from milfib.linalg import rank
 from milfib.milnor import (cokernel_dims, full_spectrum, grf_dims,
                            precheck_vanishing)
 from milfib.resonance import (ResidueWeights, alpha_components, aomoto_h1,
@@ -155,7 +155,7 @@ def test_evaluation_surjective_above_two_thirds(lattices, arrangements):
             if 3 * k <= 2 * d:
                 continue
             mat = jet_matrix(arr, lat, k, False)
-            assert mat.rows - rank(mat) == 0, (arr.name, k)
+            assert mat.rows - field_rank(mat) == 0, (arr.name, k)
 
 
 def test_ideal_dimension_oracle_on_randoms():
