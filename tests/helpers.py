@@ -21,19 +21,19 @@ F_p ranks, the unconstrained one from its own layout of truncated jets
 CycloNumber products with an inverse, where ``milnor`` builds the images in
 Z/p of integral rows over Z[zeta] that are these rows times X^(deg-i-j);
 ``assert_integral_jet_rows`` forms those integral rows from the chart rows
-and checks them against ``JetContext``.
-``field_rank`` takes the rank of an exact matrix with no prime: ``rank`` at
-order 1, and above it cols minus the length of its ``nullspace``, the exact
-field path, never ``certified_rank``, which ``rank`` calls there;
-exact-rank oracles use it.
+and checks them against ``JetContext``.  ``field_rank`` takes the rank of
+an exact matrix with no prime: ``rank`` at order 1, and above it cols
+minus the length of its ``nullspace``, the exact field path, never the
+``certified_rank`` that ``rank`` calls there; exact-rank oracles use it.
 ``integral_rows`` clears a matrix's rows of their denominators and
 ``certify_args`` hands their images to ``certified_rank``; ``kernel_holds``
 checks M x = 0 over Z[zeta] by convolution, the reference for
-``certified_rank``'s check in Z/Phi_n(2^K); ``int_det`` takes the determinant of int rows by Bareiss elimination (the
-Smith tests read determinantal divisors from its minors), ``enumerate_kernel`` walks the whole kernel of a
-realization search, which ``search_realizations`` walks only when the group
-has at least d elements, and ``same_affine_orbit`` compares realization
-vectors up to the affine group.
+``certified_rank``'s check in Z/Phi_n(2^K); ``int_det`` takes the
+determinant of int rows by Bareiss elimination (the Smith tests read
+determinantal divisors from its minors), ``enumerate_kernel`` walks the
+whole kernel of a realization search, which ``search_realizations`` walks
+only when the group has at least d elements, and ``same_affine_orbit``
+compares realization vectors up to the affine group.
 
 The combinatorial route has oracles of its own, none of them keyed by
 ``cyclotomic.projective_key``: ``lattice_by_incidence`` takes the cross
